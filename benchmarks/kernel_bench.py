@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
-"""Time the dense step kernels: numba @njit vs pure numpy.
+"""Time the dense step kernels in isolation.
 
 Usage: python benchmarks/kernel_bench.py [--reps 2000]
 
-Prints per-call times for the combined KKT/decomposition kernel and the
-least-squares multiplier kernel at a few problem sizes, plus an end-to-end
-solver comparison driven by the TSSQP_NUMBA flag (re-exec'd subprocess, since
-the backend is chosen at import time).
+Prints per-call times of ``linalg.solve_step`` (SVD, decomposition and reduced
+solve) and ``linalg.least_squares_multiplier`` at a few problem sizes.
 """
 
 import argparse
 import os
-import subprocess
 import sys
 import time
 
@@ -19,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from tssqp import _kernels  # noqa: E402
+from tssqp import linalg  # noqa: E402
 
 SIZES = [(5, 2), (20, 8), (50, 20)]
 
@@ -32,7 +29,7 @@ def make_instance(rng, n, m):
 
 
 def time_kernel(fn, args_list, reps):
-    fn(*args_list[0])  # warm-up / jit compile
+    fn(*args_list[0])  # warm-up
     t0 = time.perf_counter()
     for i in range(reps):
         fn(*args_list[i % len(args_list)])
@@ -41,46 +38,18 @@ def time_kernel(fn, args_list, reps):
 
 def bench_kernels(reps):
     rng = np.random.default_rng(0)
-    print(f"{'size':>10} {'kernel':>8} {'numpy':>12} {'numba':>12} {'speedup':>8}")
+    print(f"{'size':>10} {'kernel':>8} {'time':>12}")
     for n, m in SIZES:
         insts = [make_instance(rng, n, m) for _ in range(16)]
-        t_np = time_kernel(_kernels.sqp_step_numpy, insts, reps)
-        row = f"{f'{n}x{m}':>10} {'step':>8} {t_np * 1e6:>10.1f}us"
-        if _kernels.sqp_step_numba is not None:
-            t_nb = time_kernel(_kernels.sqp_step_numba, insts, reps)
-            row += f" {t_nb * 1e6:>10.1f}us {t_np / t_nb:>7.2f}x"
-        else:
-            row += f" {'n/a':>12} {'':>8}"
-        print(row)
+        t = time_kernel(linalg.solve_step, insts, reps)
+        print(f"{f'{n}x{m}':>10} {'step':>8} {t * 1e6:>10.1f}us")
         lst = [(J, g) for _, J, g, _ in insts]
-        t_np = time_kernel(_kernels.lstsq_multiplier_numpy, lst, reps)
-        row = f"{f'{n}x{m}':>10} {'lstsq':>8} {t_np * 1e6:>10.1f}us"
-        if _kernels.lstsq_multiplier_numba is not None:
-            t_nb = time_kernel(_kernels.lstsq_multiplier_numba, lst, reps)
-            row += f" {t_nb * 1e6:>10.1f}us {t_np / t_nb:>7.2f}x"
-        print(row)
-
-
-def bench_solver():
-    script = (
-        "import time; from tssqp import load_problem, run, SolverConfig, NoiseModel, backend_name; "
-        "pb = load_problem('sphere3'); "
-        "cfg = SolverConfig(noise=NoiseModel(1e-1, seed=0), max_iters=1000); "
-        "run(pb, cfg, seed=0); t0 = time.perf_counter(); "
-        "[run(pb, cfg, seed=s) for s in range(5)]; "
-        "print(f'{backend_name()}: {(time.perf_counter() - t0) / 5 * 1e3:.1f} ms per 1000-iteration run')"
-    )
-    print("\nend-to-end solver (sphere3, eps=1e-1, 1000 iters):")
-    sys.stdout.flush()
-    for flag in ("1", "0"):
-        env = dict(os.environ, TSSQP_NUMBA=flag)
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        t = time_kernel(linalg.least_squares_multiplier, lst, reps)
+        print(f"{f'{n}x{m}':>10} {'lstsq':>8} {t * 1e6:>10.1f}us")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--reps", type=int, default=2000)
     args = parser.parse_args()
-    print(f"selected backend: {_kernels.backend_name()}")
     bench_kernels(args.reps)
-    bench_solver()

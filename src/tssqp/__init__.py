@@ -1,6 +1,5 @@
 """Two-stepsize stochastic SQP for equality-constrained stochastic objectives."""
 
-from ._kernels import backend_name
 from .diagnostics import (
     AuditReport,
     MeritInputs,
@@ -39,11 +38,7 @@ from .linalg import (
     StepDecomposition,
     compose_direction,
     least_squares_multiplier,
-    normal_component,
-    null_space_basis,
-    solve_newton_kkt,
     solve_step,
-    tangential_component,
 )
 from .problems import (
     Evaluation,
@@ -53,7 +48,6 @@ from .problems import (
     builtin_suite,
     evaluate,
     load_problem,
-    sample_stochastic_gradient,
     standard_normal_vector,
 )
 from .solver import (
@@ -63,7 +57,6 @@ from .solver import (
     Trace,
     init_state,
     run,
-    run_ablation,
     step,
 )
 from .stepsize import (

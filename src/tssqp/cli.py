@@ -7,8 +7,6 @@
               [--out PATH] [--format csv|json] [--audit]
 
 Exit codes: 0 success, 2 configuration error, 3 all runs failed.
-The worker-pool size is taken from TSSQP_WORKERS (default 1); output bytes do
-not depend on it.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from .harness import (
     to_json,
 )
 from .problems import builtin_names
+from .solver import SolverConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,10 +72,12 @@ def main(argv=None) -> int:
             strategies=tuple(dict.fromkeys(args.strategy)),
             noise_levels=tuple(args.noise) if args.noise else DEFAULT_NOISE_LEVELS,
             trials=args.seeds,
-            budget=args.iters,
             base_seed=args.base_seed,
-            eta=args.beta, nu=args.nu, theta=args.theta,
-            xi=args.xi, rho=args.rho, q0=args.q0, b0=args.b0,
+            config=SolverConfig(
+                max_iters=args.iters,
+                eta=args.beta, nu=args.nu, theta=args.theta,
+                xi=args.xi, rho=args.rho, q0=args.q0, b0=args.b0,
+            ),
         )
         rows = run_experiment(plan, audit=args.audit)
     except TssqpError as exc:

@@ -163,13 +163,10 @@ def audit_trace(
     problem: Problem,
     tol: float = 1e-8,
     sigma: float = 0.5,
-    xi: float = 1e-3,
-    rho: float = 0.5,
 ) -> AuditReport:
     """Re-verify per-iteration invariants of a finished trace.
 
-    `xi`/`rho` must match the line-search configuration that produced the
-    trace; they default to the experiment profile.
+    The line-search parameters `xi`/`rho` come from the trace's own config.
     """
     report = AuditReport(
         trace_problem=trace.problem,
@@ -187,6 +184,7 @@ def audit_trace(
     safeguard = CheckResult("safeguard_semantics", True)
     merit = CheckResult("merit_parameter_inequality", True)
     uses_search = trace.strategy in ("linesearch", "ablation")
+    xi, rho = trace.config.xi, trace.config.rho
 
     H = trace.h_matrix
     grads = []

@@ -3,8 +3,7 @@
 Every run's RNG stream is derived from a SHA-256 hash of
 ``base_seed | problem | strategy | noise | trial``, so adding a problem or
 strategy to a plan never shifts the seeds of existing runs, and execution
-order (including the worker-pool size) never changes the output: rows are
-sorted by key before emission.
+order never changes the output: rows are sorted by key before emission.
 
 ``wall_ms`` is 0 by default so that repeated runs of the same plan are
 byte-identical; set ``TSSQP_TIMING=1`` to record real timings at the cost of
@@ -17,10 +16,10 @@ statistics (Hyndman-Fan type 7, numpy's default).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -39,22 +38,18 @@ DEFAULT_NOISE_LEVELS = (1e-5, 1e-3, 1e-1)
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """problems x strategies x noise_levels x trials runs of one config.
+
+    Each run uses `config` with its strategy and noise model replaced; the
+    budget of every run is `config.max_iters`.
+    """
+
     problems: tuple[str, ...]
     strategies: tuple[str, ...] = ("linesearch",)
     noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
     trials: int = 20
-    budget: int = 1000
     base_seed: int = 0
-    eta: float = 0.1
-    nu: float = 1.0
-    theta: float = 1.0
-    xi: float = 1e-3
-    rho: float = 0.5
-    q0: float = 1e-9
-    b0: float = 1.0
-    alpha_rule: str = "lower"
-    feas_tol: float = 1e-6
-    stat_tol: float = 1e-4
+    config: SolverConfig = field(default_factory=SolverConfig)
 
     def validate(self) -> None:
         if not self.problems:
@@ -63,23 +58,17 @@ class ExperimentPlan:
             raise ConfigError("plan needs at least one strategy")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
-        if any(e < 0 for e in self.noise_levels):
-            raise ConfigError("noise levels must be nonnegative")
-        for s in self.strategies:
-            if s not in solver.STRATEGIES:
-                raise ConfigError(f"unknown strategy {s!r}")
+        if self.config.max_iters < 1:
+            raise ConfigError("budget (config.max_iters) must be >= 1")
+        if any(not (math.isfinite(e) and e >= 0) for e in self.noise_levels):
+            raise ConfigError("noise levels must be finite and nonnegative")
+        for strategy in self.strategies:
+            self.config_for(strategy, 0.0).validate()
 
     def config_for(self, strategy: str, noise_level: float) -> SolverConfig:
-        return SolverConfig(
+        return replace(
+            self.config,
             strategy=strategy,
-            max_iters=self.budget,
-            feas_tol=self.feas_tol,
-            stat_tol=self.stat_tol,
-            eta=self.eta, nu=self.nu, theta=self.theta,
-            xi=self.xi, rho=self.rho, q0=self.q0, b0=self.b0,
-            alpha_rule=self.alpha_rule,
             noise=NoiseModel(epsilon_n=noise_level, seed=self.base_seed),
         )
 
@@ -122,7 +111,7 @@ def _one_run(problem: Problem, plan: ExperimentPlan, strategy: str,
     t0 = time.perf_counter() if timing else 0.0
     trace = solver.run(problem, config, seed=seed)
     wall_ms = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-    report = audit_trace(trace, problem, xi=plan.xi, rho=plan.rho) if audit else None
+    report = audit_trace(trace, problem) if audit else None
     return ResultRow(
         problem=problem.name,
         strategy=strategy,
@@ -137,30 +126,21 @@ def _one_run(problem: Problem, plan: ExperimentPlan, strategy: str,
     )
 
 
-def run_experiment(plan: ExperimentPlan, workers: Optional[int] = None,
-                   audit: bool = False) -> list[ResultRow]:
+def run_experiment(plan: ExperimentPlan, audit: bool = False) -> list[ResultRow]:
     """One row per (problem, strategy, noise, trial), sorted by that key.
 
-    A failed run is a row, never an omission.  `workers` > 1 executes runs in
-    a thread pool; output is identical for any pool size.
+    A failed run is a row, never an omission.
     """
     plan.validate()
     problems = {name: load_problem(name) for name in plan.problems}
     timing = os.environ.get("TSSQP_TIMING", "0").lower() in ("1", "true", "yes")
-    tasks = [
-        (problems[name], plan, strategy, noise, trial, audit, timing)
+    rows = [
+        _one_run(problems[name], plan, strategy, noise, trial, audit, timing)
         for name in plan.problems
         for strategy in plan.strategies
         for noise in plan.noise_levels
         for trial in range(plan.trials)
     ]
-    if workers is None:
-        workers = int(os.environ.get("TSSQP_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _one_run(*t), tasks))
-    else:
-        rows = [_one_run(*t) for t in tasks]
     rows.sort(key=lambda r: r.key)
     return rows
 

@@ -7,8 +7,8 @@ J v = -c, the tangential component u from the reduced system
 of the first KKT block.  The direct dense solve of the augmented saddle-point
 matrix exists only in the test suite as an independent oracle.
 
-All functions are pure; the column signs of Z are unspecified and callers must
-be sign-agnostic.
+All functions are pure.  J counts as rank deficient when
+sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     DimensionMismatch,
     IndefiniteReducedHessian,
@@ -25,7 +24,8 @@ from .errors import (
     RankDeficientJacobian,
 )
 
-TOL_LIN = 1e-8
+_RANK_RTOL = 1e-10
+_RANK_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -57,60 +57,51 @@ def _check_shapes(J: np.ndarray, n_vecs: dict[str, np.ndarray], H: np.ndarray | 
             raise DimensionMismatch(f"{label} has length {vec.shape[0]}")
 
 
-def solve_newton_kkt(H: np.ndarray, J: np.ndarray, g: np.ndarray, c: np.ndarray) -> KktSolution:
-    """Solve the Newton SQP system for the step p and multiplier y.
+def _singular_range(s: np.ndarray, m: int) -> tuple[float, float]:
+    """(sigma_min, sigma_max) of J from its descending singular values s.
 
-    Raises RankDeficientJacobian when sigma_min(J) <= max(1e-10 sigma_max, 1e-14)
-    and IndefiniteReducedHessian when Z' H Z fails its Cholesky factorization.
+    Raises RankDeficientJacobian when J fails the rank test.
     """
-    ksol, _, _, _, _ = solve_step(H, J, g, c)
-    return ksol
+    smax = s[0]
+    smin = s[m - 1]
+    if smin <= max(_RANK_RTOL * smax, _RANK_FLOOR):
+        raise RankDeficientJacobian(f"sigma_min(J) = {smin:.3e} <= rank tolerance (sigma_max = {smax:.3e})")
+    return smin, smax
 
 
 def solve_step(
     H: np.ndarray, J: np.ndarray, g: np.ndarray, c: np.ndarray
 ) -> tuple[KktSolution, np.ndarray, np.ndarray, float, float]:
-    """One-pass step computation: returns (KktSolution, u, v, sigma_min, sigma_max)."""
+    """One-pass step computation: returns (KktSolution, u, v, sigma_min, sigma_max).
+
+    p = u + v with u in Null(J) and v the minimum-norm solution of J v = -c in
+    Range(J').  Raises RankDeficientJacobian when J fails the rank test and
+    IndefiniteReducedHessian when Z' H Z fails its Cholesky factorization.
+    """
     H = np.ascontiguousarray(H, dtype=float)
     J = np.ascontiguousarray(J, dtype=float)
     g = np.ascontiguousarray(g, dtype=float)
     c = np.ascontiguousarray(c, dtype=float)
     _check_shapes(J, {"g": g, "c": c}, H)
-    status, p, y, u, v, smin, smax = _kernels.sqp_step_kernel(H, J, g, c)
-    if status == _kernels.RANK_DEFICIENT:
-        raise RankDeficientJacobian(f"sigma_min(J) = {smin:.3e} <= rank tolerance (sigma_max = {smax:.3e})")
-    if status == _kernels.INDEFINITE:
-        raise IndefiniteReducedHessian("Z' H Z is not positive definite")
+    m, n = J.shape
+    U, s, Vt = np.linalg.svd(J, full_matrices=True)
+    smin, smax = _singular_range(s, m)
+    Vr = Vt[:m, :].T
+    v = -Vr @ ((U.T @ c) / s)
+    if m < n:
+        Z = Vt[m:, :].T
+        Ared = Z.T @ H @ Z
+        try:
+            np.linalg.cholesky(Ared)
+        except np.linalg.LinAlgError:
+            raise IndefiniteReducedHessian("Z' H Z is not positive definite") from None
+        w = np.linalg.solve(Ared, -(Z.T @ (g + H @ v)))
+        u = Z @ w
+    else:
+        u = np.zeros(n)
+    p = u + v
+    y = -U @ ((Vr.T @ (g + H @ p)) / s)
     return KktSolution(p=p, y=y), u, v, smin, smax
-
-
-def null_space_basis(J: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Z of Null(J), shape (n, n - m); column signs unspecified."""
-    J = np.asarray(J, dtype=float)
-    m, n = J.shape
-    if m > n:
-        raise DimensionMismatch(f"J is {m}x{n}; need m <= n")
-    _, s, Vt = np.linalg.svd(J, full_matrices=True)
-    if s[m - 1] <= max(_kernels._RANK_RTOL * s[0], _kernels._RANK_FLOOR):
-        raise RankDeficientJacobian(f"sigma_min(J) = {s[m - 1]:.3e} <= rank tolerance")
-    return Vt[m:, :].T.copy()
-
-
-def normal_component(J: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Minimum-norm v in Range(J') with J v = -c; independent of any gradient."""
-    J = np.asarray(J, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = J.shape
-    _check_shapes(J, {"c": c})
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    if s[m - 1] <= max(_kernels._RANK_RTOL * s[0], _kernels._RANK_FLOOR):
-        raise RankDeficientJacobian(f"sigma_min(J) = {s[m - 1]:.3e} <= rank tolerance")
-    return -Vt.T @ ((U.T @ c) / s)
-
-
-def tangential_component(ksol: KktSolution, J: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """u = p - v for the minimum-norm v; lies in Null(J) when ksol is consistent."""
-    return ksol.p - normal_component(J, c)
 
 
 def compose_direction(u: np.ndarray, v: np.ndarray, beta: float) -> StepDecomposition:
@@ -129,7 +120,6 @@ def least_squares_multiplier(J: np.ndarray, grad: np.ndarray) -> np.ndarray:
     J = np.ascontiguousarray(J, dtype=float)
     grad = np.ascontiguousarray(grad, dtype=float)
     _check_shapes(J, {"grad": grad})
-    status, y, smin, smax = _kernels.lstsq_multiplier_kernel(J, grad)
-    if status == _kernels.RANK_DEFICIENT:
-        raise RankDeficientJacobian(f"sigma_min(J) = {smin:.3e} <= rank tolerance (sigma_max = {smax:.3e})")
-    return y
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    _singular_range(s, J.shape[0])
+    return -U @ ((Vt @ grad) / s)

@@ -1,4 +1,4 @@
-"""Equality-constrained test problems and the stochastic gradient oracle.
+"""Equality-constrained test problems and the gradient noise model.
 
 A :class:`Problem` bundles deterministic evaluation oracles for the objective
 ``f``, its gradient, the constraint vector ``c`` and the constraint Jacobian
@@ -6,10 +6,10 @@ A :class:`Problem` bundles deterministic evaluation oracles for the objective
 registry or from JSON files describing quadratic objectives with linear
 constraints (see :func:`load_problem`).
 
-Stochastic gradients are ``g = grad_f(x) + sqrt(eps) * z`` with ``z`` standard
-normal.  Normal deviates are produced by the Box-Muller transform applied to
-PCG64 uniforms so that a given seed yields the same draw sequence on every
-platform (up to floating-point ULPs in ``log``/``cos``/``sin``).
+The solver draws stochastic gradients ``g = grad_f(x) + sqrt(eps) * z`` with
+``z`` standard normal.  Normal deviates are produced by the Box-Muller
+transform applied to PCG64 uniforms so that a given seed yields the same draw
+sequence on every platform (up to floating-point ULPs in ``log``/``cos``/``sin``).
 """
 
 from __future__ import annotations
@@ -112,24 +112,6 @@ def standard_normal_vector(stream: np.random.Generator, n: int) -> np.ndarray:
     z[0::2] = r * np.cos(2.0 * np.pi * u2)
     z[1::2] = r * np.sin(2.0 * np.pi * u2)
     return z[:n]
-
-
-def sample_stochastic_gradient(
-    problem: Problem,
-    x: np.ndarray,
-    noise: NoiseModel,
-    stream: np.random.Generator,
-) -> np.ndarray:
-    """Draw g = grad_f(x) + sqrt(epsilon_n) * z, advancing the stream.
-
-    With ``epsilon_n = 0`` the true gradient is returned bit-exactly and the
-    stream is left untouched.
-    """
-    ev = evaluate(problem, x)
-    if noise.epsilon_n == 0.0:
-        return ev.grad.copy()
-    z = standard_normal_vector(stream, problem.n)
-    return ev.grad + math.sqrt(noise.epsilon_n) * z
 
 
 # ---------------------------------------------------------------------------

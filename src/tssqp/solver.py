@@ -29,7 +29,7 @@ multiplier, never with the stochastic gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     IndefiniteReducedHessian,
     RankDeficientJacobian,
 )
-from .linalg import StepDecomposition, compose_direction, least_squares_multiplier, solve_step
+from .linalg import compose_direction, least_squares_multiplier, solve_step
 from .problems import Evaluation, NoiseModel, Problem, evaluate, standard_normal_vector
 from .stepsize import (
     AdaptiveState,
@@ -64,6 +64,9 @@ _FAIL_TOKENS = {
 }
 
 
+_FLOAT_FIELDS = ("feas_tol", "stat_tol", "eta", "nu", "theta", "xi", "rho", "q0", "b0")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     strategy: str = "linesearch"
@@ -78,11 +81,15 @@ class SolverConfig:
     q0: float = 1e-9
     b0: float = 1.0
     alpha_rule: str = "lower"
-    h_policy: str = "problem"
     noise: NoiseModel = field(default_factory=NoiseModel)
     stat_every: int = 1
 
     def validate(self) -> None:
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.noise.epsilon_n):
+            raise ConfigError(f"noise level must be finite, got {self.noise.epsilon_n!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.max_iters < 0:
@@ -99,8 +106,6 @@ class SolverConfig:
             raise ConfigError(f"unknown alpha_rule {self.alpha_rule!r}")
         if self.strategy == "adaptive" and self.alpha_rule == "backtrack":
             raise ConfigError("the adaptive strategy takes range endpoints only (alpha_rule lower/upper)")
-        if self.h_policy not in ("problem", "identity"):
-            raise ConfigError(f"unknown h_policy {self.h_policy!r}")
         if self.stat_every < 1:
             raise ConfigError("stat_every must be >= 1")
 
@@ -113,9 +118,6 @@ class SolverState:
     schedule: Optional[FixedSchedule] = None
     adaptive: Optional[AdaptiveState] = None
     q: float = 0.0
-    last_decomposition: Optional[StepDecomposition] = None
-    best_feas: float = math.inf
-    best_x: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,10 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class Trace:
+    """A finished run together with the configuration that produced it."""
+
     problem: str
-    strategy: str
+    config: SolverConfig
     status: str
     fail_reason: Optional[str]
     records: list[IterationRecord]
@@ -164,13 +168,20 @@ class Trace:
     feas_error: float
     stat_error: float
     x_final: np.ndarray
-    epsilon_n: float
     h_matrix: np.ndarray
     seed: int
 
+    @property
+    def strategy(self) -> str:
+        return self.config.strategy
 
-def _h_matrix(problem: Problem, config: SolverConfig) -> np.ndarray:
-    if config.h_policy == "problem" and problem.h_matrix is not None:
+    @property
+    def epsilon_n(self) -> float:
+        return self.config.noise.epsilon_n
+
+
+def _h_matrix(problem: Problem) -> np.ndarray:
+    if problem.h_matrix is not None:
         return np.asarray(problem.h_matrix, dtype=float)
     return np.eye(problem.n)
 
@@ -178,10 +189,7 @@ def _h_matrix(problem: Problem, config: SolverConfig) -> np.ndarray:
 def init_state(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> SolverState:
     config.validate()
     x = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
-    stream = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((config.noise.seed, int(seed))))
-    )
-    state = SolverState(k=0, x=x, stream=stream)
+    state = SolverState(k=0, x=x, stream=config.noise.stream(int(seed)))
     if config.strategy == "fixed":
         state.schedule = FixedSchedule(
             nu=config.nu, theta=config.theta, eta=config.eta,
@@ -220,7 +228,7 @@ def step(
     termination check; when omitted they are computed here.
     """
     ev = evaluation if evaluation is not None else evaluate(problem, state.x)
-    H = _h_matrix(problem, config)
+    H = _h_matrix(problem)
     x = state.x
     c_l1 = float(np.abs(ev.c).sum())
     if stat_inf is None:
@@ -237,8 +245,7 @@ def step(
     if config.strategy == "fixed":
         beta = fixed_beta(state.schedule)
         lo, hi = fixed_alpha_range(state.schedule, beta)
-        decomp = compose_direction(u, v, beta)
-        direction = decomp.d
+        direction = compose_direction(u, v, beta).d
         if state.schedule.alpha_rule == "lower":
             alpha = lo
         elif state.schedule.alpha_rule == "upper":
@@ -249,16 +256,17 @@ def step(
             )
     elif config.strategy == "adaptive":
         beta, (lo, hi) = adaptive_update(state.adaptive, float(u @ u), c_l1)
-        decomp = compose_direction(u, v, beta)
-        direction = decomp.d
+        direction = compose_direction(u, v, beta).d
         alpha = lo if config.alpha_rule == "lower" else hi
     else:  # linesearch or ablation
         beta = config.eta
         q_hat = math.sqrt(state.q * state.q + c_l1)
         lo = config.nu / q_hat
         hi = lo + config.theta * beta
-        decomp = compose_direction(u, v, beta)
-        direction = decomp.d if config.strategy == "linesearch" else beta * ksol.p
+        if config.strategy == "linesearch":
+            direction = compose_direction(u, v, beta).d
+        else:
+            direction = beta * ksol.p
         alpha, hit_safeguard, n_backtracks = safeguarded_backtrack(
             c_oracle, x, direction, hi, lo, config.xi, config.rho
         )
@@ -273,7 +281,6 @@ def step(
     )
     state.x = x + alpha * direction
     state.k += 1
-    state.last_decomposition = decomp
     return state, record
 
 
@@ -303,9 +310,6 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
             first_feasible = (feas, stat)
         if feas < least_infeasible[0]:
             least_infeasible = (feas, (feas, stat))
-        if feas < state.best_feas:
-            state.best_feas = feas
-            state.best_x = state.x.copy()
         return feas, stat, ev
 
     try:
@@ -331,7 +335,7 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
         feas_error, stat_error = least_infeasible[1]
     return Trace(
         problem=problem.name,
-        strategy=config.strategy,
+        config=config,
         status=status,
         fail_reason=fail_reason,
         records=records,
@@ -339,14 +343,7 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
         feas_error=feas_error,
         stat_error=stat_error,
         x_final=state.x.copy(),
-        epsilon_n=config.noise.epsilon_n,
-        h_matrix=_h_matrix(problem, config),
+        h_matrix=_h_matrix(problem),
         seed=int(seed),
     )
 
-
-def run_ablation(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace:
-    """Single-stepsize baseline: identical pipeline with d = beta * p."""
-    if config.strategy != "ablation":
-        config = replace(config, strategy="ablation")
-    return run(problem, config, seed=seed, x0=x0)

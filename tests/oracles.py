@@ -21,6 +21,13 @@ def augmented_solve(H, J, g, c):
     return sol[:n], sol[n:]
 
 
+def null_space_oracle(J):
+    """Orthonormal basis of Null(J) from the trailing right singular vectors."""
+    m = J.shape[0]
+    _, _, Vt = np.linalg.svd(J, full_matrices=True)
+    return Vt[m:, :].T
+
+
 def pinv_normal_component(J, c):
     """v = -pinv(J) c, the minimum-norm solution of J v = -c."""
     return -np.linalg.pinv(J) @ c

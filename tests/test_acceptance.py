@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Timed criteria measure the
-computation only; jit warm-up happens in the session fixture.
+computation only.
 """
 
 import time
@@ -165,10 +165,10 @@ def figure1_rows():
         problems=tuple(builtin_names()),
         strategies=("linesearch", "ablation"),
         noise_levels=(1e-5, 1e-1),
-        trials=20, budget=1000, base_seed=2024,
+        trials=20, base_seed=2024, config=SolverConfig(max_iters=1000),
     )
     t0 = time.perf_counter()
-    rows = run_experiment(plan, workers=4)
+    rows = run_experiment(plan)
     return rows, time.perf_counter() - t0
 
 
@@ -221,12 +221,10 @@ def test_criterion_8_reproducibility():
         problems=("qp2", "sphere3"),
         strategies=("linesearch", "ablation"),
         noise_levels=(1e-3, 1e-1),
-        trials=3, budget=200, base_seed=31,
+        trials=3, base_seed=31, config=SolverConfig(max_iters=200),
     )
-    first = to_csv(run_experiment(plan, workers=1))
-    second = to_csv(run_experiment(plan, workers=1))
-    pooled = to_csv(run_experiment(plan, workers=4))
-    pooled8 = to_csv(run_experiment(plan, workers=8))
-    ok = first == second == pooled == pooled8
-    _report(8, "byte-identical CSV across repeats and parallel degrees", ok,
+    first = to_csv(run_experiment(plan))
+    second = to_csv(run_experiment(plan))
+    ok = first == second
+    _report(8, "byte-identical CSV across repeats", ok,
             f"{len(first)} bytes")

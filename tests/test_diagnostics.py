@@ -125,11 +125,11 @@ class TestErrorMeasures:
 
 
 class TestAuditTrace:
-    def _trace(self, name="sphere3", **kwargs):
+    def _trace(self, name="sphere3", seed=0, **kwargs):
         base = dict(strategy="linesearch", noise=NoiseModel(0.0, seed=0), max_iters=200)
         base.update(kwargs)
         pb = load_problem(name)
-        return pb, run(pb, SolverConfig(**base), seed=0)
+        return pb, run(pb, SolverConfig(**base), seed=seed)
 
     def test_clean_deterministic_trace_passes(self):
         pb, trace = self._trace()
@@ -140,6 +140,15 @@ class TestAuditTrace:
 
     def test_noisy_trace_passes(self):
         pb, trace = self._trace(noise=NoiseModel(1e-1, seed=2), max_iters=120)
+        report = audit_trace(trace, pb)
+        assert report.passed, report.to_json()
+
+    def test_line_search_parameters_come_from_the_trace(self):
+        # xi/rho far from the defaults: auditing with the defaults would count
+        # backtracks against the wrong ceiling and certify the wrong decrease
+        pb, trace = self._trace("lincirc2", seed=3, xi=1e-8, rho=0.9, max_iters=300,
+                                noise=NoiseModel(1e-1, seed=1))
+        assert trace.config.xi == 1e-8 and trace.config.rho == 0.9
         report = audit_trace(trace, pb)
         assert report.passed, report.to_json()
 

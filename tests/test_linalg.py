@@ -8,28 +8,35 @@ from tssqp import (
     RankDeficientJacobian,
     compose_direction,
     least_squares_multiplier,
-    normal_component,
-    null_space_basis,
-    solve_newton_kkt,
     solve_step,
-    tangential_component,
 )
-from tssqp import _kernels
-from oracles import augmented_solve, pinv_normal_component, random_instance
+from oracles import augmented_solve, null_space_oracle, pinv_normal_component, random_instance
 
 TOL = 1e-8
 
 
+def normal_part(J, c):
+    """v from solve_step; it depends on J and c only, so H = I and g = 0 serve."""
+    n = J.shape[1]
+    return solve_step(np.eye(n), J, np.zeros(n), c)[2]
+
+
+def null_space_projector(J):
+    """Z Z' from solve_step: with H = I and c = 0 the tangential step is u = -Z Z' g."""
+    m, n = J.shape
+    return -np.column_stack([solve_step(np.eye(n), J, e, np.zeros(m))[1] for e in np.eye(n)])
+
+
 class TestSolveNewtonKkt:
     def test_pure_null_space_step(self):
-        sol = solve_newton_kkt(np.eye(2), np.array([[1.0, 0.0]]),
-                               np.array([0.0, 1.0]), np.array([0.0]))
+        sol, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
+                             np.array([0.0, 1.0]), np.array([0.0]))
         np.testing.assert_allclose(sol.p, [0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(sol.y, [0.0], atol=1e-12)
 
     def test_pure_restoration_step(self):
-        sol = solve_newton_kkt(np.eye(2), np.array([[1.0, 0.0]]),
-                               np.zeros(2), np.array([2.0]))
+        sol, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
+                             np.zeros(2), np.array([2.0]))
         np.testing.assert_allclose(sol.p, [-2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(sol.y, [2.0], atol=1e-12)
 
@@ -38,7 +45,7 @@ class TestSolveNewtonKkt:
         J = np.array([[1.0, 1.0]])
         g = np.array([1.0, 0.0])
         c = np.array([1.0])
-        sol = solve_newton_kkt(H, J, g, c)
+        sol, *_ = solve_step(H, J, g, c)
         np.testing.assert_allclose(sol.p, [-0.75, -0.25], atol=1e-12)
         np.testing.assert_allclose(sol.y, [0.5], atol=1e-12)
         p_ref, y_ref = augmented_solve(H, J, g, c)
@@ -47,13 +54,13 @@ class TestSolveNewtonKkt:
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficientJacobian):
-            solve_newton_kkt(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]),
-                             np.zeros(2), np.zeros(2))
+            solve_step(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]),
+                       np.zeros(2), np.zeros(2))
 
     def test_indefinite_reduced_hessian_raises(self):
         with pytest.raises(IndefiniteReducedHessian):
-            solve_newton_kkt(-np.eye(2), np.array([[1.0, 0.0]]),
-                             np.zeros(2), np.zeros(1))
+            solve_step(-np.eye(2), np.array([[1.0, 0.0]]),
+                       np.zeros(2), np.zeros(1))
 
     def test_square_jacobian_has_no_tangential_part(self):
         H = np.eye(2)
@@ -63,48 +70,58 @@ class TestSolveNewtonKkt:
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
         np.testing.assert_allclose(J @ sol.p, -c, atol=1e-12)
 
+    def test_random_instance_against_dense_oracle(self):
+        rng = np.random.default_rng(31)
+        H, J, g, c = random_instance(rng)
+        sol, *_ = solve_step(H, J, g, c)
+        p_ref, y_ref = augmented_solve(H, J, g, c)
+        np.testing.assert_allclose(sol.p, p_ref, atol=1e-9)
+        np.testing.assert_allclose(sol.y, y_ref, atol=1e-9)
+
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
-            solve_newton_kkt(np.eye(3), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
+            solve_step(np.eye(3), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
 
 
 class TestNullSpaceBasis:
     def test_axis_aligned(self):
-        Z = null_space_basis(np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(np.abs(Z), [[0.0], [1.0]], atol=1e-12)
+        P = null_space_projector(np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(P, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
     def test_symmetric(self):
-        Z = null_space_basis(np.array([[1.0, 1.0]]))
-        np.testing.assert_allclose(np.abs(Z), np.full((2, 1), 1 / np.sqrt(2)), atol=1e-12)
+        P = null_space_projector(np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(P, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_random_rectangular(self):
+        # an orthogonal projector of rank n - m onto a subspace of Null(J)
         rng = np.random.default_rng(3)
         J = rng.normal(size=(3, 7))
-        Z = null_space_basis(J)
-        assert Z.shape == (7, 4)
-        np.testing.assert_allclose(Z.T @ Z, np.eye(4), atol=1e-10)
-        assert np.abs(J @ Z).max() <= 1e-10
+        P = null_space_projector(J)
+        np.testing.assert_allclose(P, P.T, atol=1e-10)
+        np.testing.assert_allclose(P @ P, P, atol=1e-10)
+        assert np.trace(P) == pytest.approx(4.0, abs=1e-10)
+        assert np.abs(J @ P).max() <= 1e-10
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientJacobian):
-            null_space_basis(np.array([[1.0, 2.0], [2.0, 4.0]]))
+            null_space_projector(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 class TestNormalComponent:
     def test_single_coordinate(self):
         np.testing.assert_allclose(
-            normal_component(np.array([[1.0, 0.0]]), np.array([2.0])), [-2.0, 0.0], atol=1e-12
+            normal_part(np.array([[1.0, 0.0]]), np.array([2.0])), [-2.0, 0.0], atol=1e-12
         )
 
     def test_feasible_point(self):
         np.testing.assert_allclose(
-            normal_component(np.array([[1.0, 1.0]]), np.array([0.0])), [0.0, 0.0], atol=1e-14
+            normal_part(np.array([[1.0, 1.0]]), np.array([0.0])), [0.0, 0.0], atol=1e-14
         )
 
     def test_against_pseudoinverse_oracle(self):
         J = np.array([[1.0, 1.0]])
         c = np.array([2.0])
-        v = normal_component(J, c)
+        v = normal_part(J, c)
         np.testing.assert_allclose(v, [-1.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(v, pinv_normal_component(J, c), atol=1e-12)
 
@@ -117,12 +134,13 @@ class TestTangentialComponent:
         ([-0.75, -0.25], [[1.0, 1.0]], [1.0], [-0.25, 0.25]),
     ])
     def test_examples(self, p, J, c, expected):
-        from tssqp import KktSolution
-
-        sol = KktSolution(p=np.array(p), y=np.zeros(1))
-        u = tangential_component(sol, np.array(J), np.array(c))
+        # with H = I and g = -p the KKT solution is (p, 0); u must be p - v
+        p, J = np.array(p), np.array(J)
+        sol, u, v, _, _ = solve_step(np.eye(2), J, -p, np.array(c))
+        np.testing.assert_allclose(sol.p, p, atol=1e-12)
         np.testing.assert_allclose(u, expected, atol=1e-12)
-        assert np.abs(np.array(J) @ u).max() <= 1e-12
+        np.testing.assert_allclose(u, p - v, atol=1e-12)
+        assert np.abs(J @ u).max() <= 1e-12
 
 
 class TestComposeDirection:
@@ -212,7 +230,7 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(17)
         H, J, g, c = random_instance(rng)
         _, u, v, _, _ = solve_step(H, J, g, c)
-        Z = null_space_basis(J)
+        Z = null_space_oracle(J)
         u_ref = -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (g + H @ v))
         np.testing.assert_allclose(u, u_ref, atol=1e-9)
 
@@ -227,39 +245,3 @@ class TestRandomInstanceProperties:
             samples[i] = u
         se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
         assert np.all(np.abs(samples.mean(axis=0) - u_true) <= 3.0 * se + 1e-12)
-
-
-class TestBackends:
-    def test_numpy_backend_matches_oracle(self):
-        rng = np.random.default_rng(31)
-        H, J, g, c = random_instance(rng)
-        status, p, y, u, v, smin, smax = _kernels.sqp_step_numpy(H, J, g, c)
-        assert status == _kernels.OK
-        p_ref, y_ref = augmented_solve(H, J, g, c)
-        np.testing.assert_allclose(p, p_ref, atol=1e-9)
-        np.testing.assert_allclose(y, y_ref, atol=1e-9)
-
-    @pytest.mark.skipif(_kernels.sqp_step_numba is None, reason="numba backend disabled")
-    def test_backends_agree(self):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            H, J, g, c = random_instance(rng, n_max=20, m_max=8)
-            out_np = _kernels.sqp_step_numpy(H, J, g, c)
-            out_nb = _kernels.sqp_step_numba(
-                np.ascontiguousarray(H), np.ascontiguousarray(J), g, c
-            )
-            assert out_np[0] == out_nb[0] == _kernels.OK
-            for a, b in zip(out_np[1:5], out_nb[1:5]):
-                np.testing.assert_allclose(a, b, atol=1e-10)
-            l_np = _kernels.lstsq_multiplier_numpy(J, g)
-            l_nb = _kernels.lstsq_multiplier_numba(np.ascontiguousarray(J), g)
-            np.testing.assert_allclose(l_np[1], l_nb[1], atol=1e-10)
-
-    @pytest.mark.skipif(_kernels.sqp_step_numba is None, reason="numba backend disabled")
-    def test_numba_backend_detects_failures(self):
-        J_bad = np.array([[1.0, 2.0], [2.0, 4.0]])
-        out = _kernels.sqp_step_numba(np.eye(2), J_bad, np.zeros(2), np.zeros(2))
-        assert out[0] == _kernels.RANK_DEFICIENT
-        out = _kernels.sqp_step_numba(-np.eye(2), np.array([[1.0, 0.0]]),
-                                      np.zeros(2), np.zeros(1))
-        assert out[0] == _kernels.INDEFINITE

@@ -9,7 +9,6 @@ from tssqp import (
     init_state,
     load_problem,
     run,
-    run_ablation,
     solve_step,
     step,
 )
@@ -187,7 +186,7 @@ class TestRun:
 
 class TestAblation:
     def test_deterministic_qp2_converges(self):
-        trace = run_ablation(load_problem("qp2"), _config(), seed=0)
+        trace = run(load_problem("qp2"), _config(strategy="ablation"), seed=0)
         assert trace.status == CONVERGED
         x_star, _ = load_problem("qp2").known_kkt
         np.testing.assert_allclose(trace.x_final, x_star, atol=1e-4)
@@ -208,7 +207,7 @@ class TestAblation:
         ls_cfg = _config(noise=NoiseModel(1e-1, seed=11))
         ab_cfg = _config(strategy="ablation", noise=NoiseModel(1e-1, seed=11))
         ls = [run(pb, ls_cfg, seed=s).feas_error for s in range(10)]
-        ab = [run_ablation(pb, ab_cfg, seed=s).feas_error for s in range(10)]
+        ab = [run(pb, ab_cfg, seed=s).feas_error for s in range(10)]
         assert np.median(ab) >= np.median(ls)
 
 
@@ -220,8 +219,13 @@ class TestConfigValidation:
         dict(eta=0.0),
         dict(xi=2.0),
         dict(strategy="adaptive", alpha_rule="backtrack"),
-        dict(h_policy="bfgs"),
         dict(stat_every=0),
+        dict(nu=float("inf")),
+        dict(feas_tol=float("nan")),
+        dict(eta=float("nan")),
+        dict(theta=float("nan")),
+        dict(q0=float("nan")),
+        dict(noise=NoiseModel(float("nan"), seed=0)),
     ])
     def test_invalid(self, kwargs):
         from tssqp import ConfigError
