@@ -3,8 +3,16 @@
 
 Usage: python benchmarks/kernel_bench.py [--reps 2000]
 
-Prints per-call times of ``linalg.solve_step`` (SVD, decomposition and reduced
-solve) and ``linalg.least_squares_multiplier`` at a few problem sizes.
+Prints per-call times at a few problem sizes, with the part that depends on
+(H, J) alone timed apart from the per-iteration solve:
+
+  step_factor  ``linalg.factor_step``: full SVD, rank test, Z, Z' H Z, Cholesky
+  step_solve   ``linalg.solve_step`` given those factors: v, w, u, p, y
+  lsq_factor   ``linalg.factor_multiplier``: reduced SVD and rank test
+  lsq_solve    ``linalg.least_squares_multiplier`` given those factors
+
+A run whose J stays bitwise the same pays the factor lines once and the solve
+lines every iteration.
 """
 
 import argparse
@@ -38,14 +46,22 @@ def time_kernel(fn, args_list, reps):
 
 def bench_kernels(reps):
     rng = np.random.default_rng(0)
-    print(f"{'size':>10} {'kernel':>8} {'time':>12}")
+    print(f"{'size':>10} {'kernel':>12} {'time':>12}")
     for n, m in SIZES:
         insts = [make_instance(rng, n, m) for _ in range(16)]
-        t = time_kernel(linalg.solve_step, insts, reps)
-        print(f"{f'{n}x{m}':>10} {'step':>8} {t * 1e6:>10.1f}us")
-        lst = [(J, g) for _, J, g, _ in insts]
-        t = time_kernel(linalg.least_squares_multiplier, lst, reps)
-        print(f"{f'{n}x{m}':>10} {'lstsq':>8} {t * 1e6:>10.1f}us")
+        step_factors = [linalg.factor_step(H, J) for H, J, _, _ in insts]
+        lsq_factors = [linalg.factor_multiplier(J) for _, J, _, _ in insts]
+        cases = [
+            ("step_factor", linalg.factor_step, [(H, J) for H, J, _, _ in insts]),
+            ("step_solve", linalg.solve_step,
+             [(H, J, g, c, f) for (H, J, g, c), f in zip(insts, step_factors)]),
+            ("lsq_factor", linalg.factor_multiplier, [(J,) for _, J, _, _ in insts]),
+            ("lsq_solve", linalg.least_squares_multiplier,
+             [(J, g, f) for (_, J, g, _), f in zip(insts, lsq_factors)]),
+        ]
+        for label, fn, args_list in cases:
+            t = time_kernel(fn, args_list, reps)
+            print(f"{f'{n}x{m}':>10} {label:>12} {t * 1e6:>10.1f}us")
 
 
 if __name__ == "__main__":

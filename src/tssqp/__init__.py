@@ -47,6 +47,7 @@ from .problems import (
     builtin_names,
     builtin_suite,
     evaluate,
+    evaluate_c,
     load_problem,
     standard_normal_vector,
 )

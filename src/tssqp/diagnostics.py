@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import least_squares_multiplier
-from .problems import Problem, evaluate
+from .problems import Problem, evaluate, evaluate_c
 from .solver import Trace
 from .stepsize import backtrack_count_bound
 
@@ -217,7 +217,7 @@ def audit_trace(
                 if rec.alpha != rec.alpha_lo:
                     safeguard.record(rec.k, abs(rec.alpha - rec.alpha_lo))
             else:
-                c_trial = evaluate(problem, rec.x + rec.alpha * rec.d).c
+                c_trial = evaluate_c(problem, rec.x + rec.alpha * rec.d)
                 r = float(np.abs(c_trial).sum()) - (1.0 - xi * rec.alpha) * rec.c_l1
                 if r > 0:
                     certificate.record(rec.k, r)

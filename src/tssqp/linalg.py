@@ -7,6 +7,16 @@ J v = -c, the tangential component u from the reduced system
 of the first KKT block.  The direct dense solve of the augmented saddle-point
 matrix exists only in the test suite as an independent oracle.
 
+Each kernel comes in two parts.  `factor_step(H, J)` does everything that
+depends on (H, J) alone: the full SVD, the rank test, Z and Z' H Z with its
+Cholesky check.  `solve_step` does the per-iteration arithmetic for v, w, u,
+p and y from those factors.  Likewise `factor_multiplier(J)` takes the
+reduced SVD that `least_squares_multiplier` applies to a gradient.  Given
+factors of the same (H, J), the solves give the same bits as without them, so
+a caller may reuse factors while J stays bitwise the same.  The full and the
+reduced SVD are kept apart: for m >= 2 their shared factors can differ in
+the last bits.
+
 All functions are pure.  J counts as rank deficient when
 sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 """
@@ -14,6 +24,7 @@ sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,25 +80,34 @@ def _singular_range(s: np.ndarray, m: int) -> tuple[float, float]:
     return smin, smax
 
 
-def solve_step(
-    H: np.ndarray, J: np.ndarray, g: np.ndarray, c: np.ndarray
-) -> tuple[KktSolution, np.ndarray, np.ndarray, float, float]:
-    """One-pass step computation: returns (KktSolution, u, v, sigma_min, sigma_max).
+class StepFactors(NamedTuple):
+    """The (H, J)-only part of the step: J = U diag(s) [Vr Z]' and Ared = Z' H Z.
 
-    p = u + v with u in Null(J) and v the minimum-norm solution of J v = -c in
-    Range(J').  Raises RankDeficientJacobian when J fails the rank test and
+    Vr and Z are views of the full SVD's Vt; Z and Ared are None when m = n.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vr: np.ndarray
+    Z: np.ndarray | None
+    Ared: np.ndarray | None
+    sigma_min: float
+    sigma_max: float
+
+
+def factor_step(H: np.ndarray, J: np.ndarray) -> StepFactors:
+    """Full SVD of J, rank test, null-space basis Z and the reduced Hessian Z' H Z.
+
+    Raises RankDeficientJacobian when J fails the rank test and
     IndefiniteReducedHessian when Z' H Z fails its Cholesky factorization.
     """
     H = np.ascontiguousarray(H, dtype=float)
     J = np.ascontiguousarray(J, dtype=float)
-    g = np.ascontiguousarray(g, dtype=float)
-    c = np.ascontiguousarray(c, dtype=float)
-    _check_shapes(J, {"g": g, "c": c}, H)
+    _check_shapes(J, {}, H)
     m, n = J.shape
     U, s, Vt = np.linalg.svd(J, full_matrices=True)
     smin, smax = _singular_range(s, m)
-    Vr = Vt[:m, :].T
-    v = -Vr @ ((U.T @ c) / s)
+    Z = Ared = None
     if m < n:
         Z = Vt[m:, :].T
         Ared = Z.T @ H @ Z
@@ -95,13 +115,34 @@ def solve_step(
             np.linalg.cholesky(Ared)
         except np.linalg.LinAlgError:
             raise IndefiniteReducedHessian("Z' H Z is not positive definite") from None
-        w = np.linalg.solve(Ared, -(Z.T @ (g + H @ v)))
-        u = Z @ w
+    return StepFactors(U=U, s=s, Vr=Vt[:m, :].T, Z=Z, Ared=Ared, sigma_min=smin, sigma_max=smax)
+
+
+def solve_step(
+    H: np.ndarray, J: np.ndarray, g: np.ndarray, c: np.ndarray,
+    factors: StepFactors | None = None,
+) -> tuple[KktSolution, np.ndarray, np.ndarray, float, float]:
+    """One-pass step computation: returns (KktSolution, u, v, sigma_min, sigma_max).
+
+    p = u + v with u in Null(J) and v the minimum-norm solution of J v = -c in
+    Range(J').  `factors` must be `factor_step(H, J)`; when omitted it is
+    computed here, raising as `factor_step` does.
+    """
+    H = np.ascontiguousarray(H, dtype=float)
+    J = np.ascontiguousarray(J, dtype=float)
+    g = np.ascontiguousarray(g, dtype=float)
+    c = np.ascontiguousarray(c, dtype=float)
+    _check_shapes(J, {"g": g, "c": c}, H)
+    f = factor_step(H, J) if factors is None else factors
+    v = -f.Vr @ ((f.U.T @ c) / f.s)
+    if f.Z is not None:
+        w = np.linalg.solve(f.Ared, -(f.Z.T @ (g + H @ v)))
+        u = f.Z @ w
     else:
-        u = np.zeros(n)
+        u = np.zeros(J.shape[1])
     p = u + v
-    y = -U @ ((Vr.T @ (g + H @ p)) / s)
-    return KktSolution(p=p, y=y), u, v, smin, smax
+    y = -f.U @ ((f.Vr.T @ (g + H @ p)) / f.s)
+    return KktSolution(p=p, y=y), u, v, f.sigma_min, f.sigma_max
 
 
 def compose_direction(u: np.ndarray, v: np.ndarray, beta: float) -> StepDecomposition:
@@ -115,11 +156,24 @@ def compose_direction(u: np.ndarray, v: np.ndarray, beta: float) -> StepDecompos
     return StepDecomposition(u=u, v=v, beta=float(beta), d=beta * u + v)
 
 
-def least_squares_multiplier(J: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """y = argmin_y ||grad + J' y||_2 = -(J J')^{-1} J grad for full row rank J."""
+def factor_multiplier(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced SVD (U, s, Vt) of J after the rank test; raises RankDeficientJacobian."""
+    J = np.ascontiguousarray(J, dtype=float)
+    _check_shapes(J, {})
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    _singular_range(s, J.shape[0])
+    return U, s, Vt
+
+
+def least_squares_multiplier(
+    J: np.ndarray, grad: np.ndarray, factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """y = argmin_y ||grad + J' y||_2 = -(J J')^{-1} J grad for full row rank J.
+
+    `factors` must be `factor_multiplier(J)`; when omitted it is computed here.
+    """
     J = np.ascontiguousarray(J, dtype=float)
     grad = np.ascontiguousarray(grad, dtype=float)
     _check_shapes(J, {"grad": grad})
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    _singular_range(s, J.shape[0])
+    U, s, Vt = factor_multiplier(J) if factors is None else factors
     return -U @ ((Vt @ grad) / s)

@@ -2,9 +2,10 @@
 
 A :class:`Problem` bundles deterministic evaluation oracles for the objective
 ``f``, its gradient, the constraint vector ``c`` and the constraint Jacobian
-``J`` (rows are constraint gradients).  Problems come from the built-in
-registry or from JSON files describing quadratic objectives with linear
-constraints (see :func:`load_problem`).
+``J`` (rows are constraint gradients), plus a constraint-only oracle for ``c``
+alone, which is all the line search needs at its trial points.  Problems come
+from the built-in registry or from JSON files describing quadratic objectives
+with linear constraints (see :func:`load_problem`).
 
 The solver draws stochastic gradients ``g = grad_f(x) + sqrt(eps) * z`` with
 ``z`` standard normal.  Normal deviates are produced by the Box-Muller
@@ -21,9 +22,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem
+from .errors import ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem
 
 EvalFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
+CFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if self.epsilon_n < 0:
-            raise ValueError(f"epsilon_n must be nonnegative, got {self.epsilon_n}")
+            raise ConfigError(f"epsilon_n must be nonnegative, got {self.epsilon_n}")
 
     def stream(self, key: int = 0) -> np.random.Generator:
         """Fresh generator derived from (seed, key); one owner per run."""
@@ -61,15 +63,19 @@ class Problem:
     """An equality-constrained problem min f(x) s.t. c(x) = 0.
 
     ``eval_fn(x)`` returns ``(f, grad, c, jac)`` and must be a pure function
-    of ``x``.  ``known_kkt`` optionally carries a first-order stationary pair
-    ``(x_star, y_star)`` used by tests.  ``h_matrix`` optionally fixes the
-    constant quadratic model matrix used by the solver for this problem.
+    of ``x``.  ``c_fn(x)`` returns ``c`` alone and must be bitwise equal to the
+    ``c`` of ``eval_fn(x)``: the line search and the auditor call it at trial
+    points, so no gradient or Jacobian is computed there.  ``known_kkt``
+    optionally carries a first-order stationary pair ``(x_star, y_star)`` used
+    by tests.  ``h_matrix`` optionally fixes the constant quadratic model
+    matrix used by the solver for this problem.
     """
 
     name: str
     n: int
     m: int
     eval_fn: EvalFn
+    c_fn: CFn
     x0: np.ndarray
     known_kkt: Optional[tuple[np.ndarray, np.ndarray]] = None
     h_matrix: Optional[np.ndarray] = None
@@ -79,13 +85,18 @@ class Problem:
             raise ValueError(f"need 0 < m <= n, got n={self.n}, m={self.m}")
 
 
-def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
-    """Evaluate the deterministic oracles, checking shapes and finiteness."""
+def _point(problem: Problem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(
             f"{problem.name}: x has shape {x.shape}, expected ({problem.n},)"
         )
+    return x
+
+
+def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
+    """Evaluate the deterministic oracles, checking shapes and finiteness."""
+    x = _point(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
         f, grad, c, jac = problem.eval_fn(x)
     f = float(f)
@@ -97,9 +108,21 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
             f"{problem.name}: oracle shapes grad={grad.shape} c={c.shape} jac={jac.shape} "
             f"inconsistent with n={problem.n}, m={problem.m}"
         )
-    if not (math.isfinite(f) and np.all(np.isfinite(grad)) and np.all(np.isfinite(c)) and np.all(np.isfinite(jac))):
+    if not (math.isfinite(f) and np.isfinite(grad).all() and np.isfinite(c).all() and np.isfinite(jac).all()):
         raise EvaluationFailure(f"{problem.name}: non-finite oracle output at x={x!r}")
     return Evaluation(f=f, grad=grad, c=c, jac=jac)
+
+
+def evaluate_c(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """Evaluate the constraint-only oracle ``c_fn`` with the checks of :func:`evaluate`."""
+    x = _point(problem, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.atleast_1d(np.asarray(problem.c_fn(x), dtype=float))
+    if c.shape != (problem.m,):
+        raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with m={problem.m}")
+    if not np.isfinite(c).all():
+        raise EvaluationFailure(f"{problem.name}: non-finite constraint value at x={x!r}")
+    return c
 
 
 def standard_normal_vector(stream: np.random.Generator, n: int) -> np.ndarray:
@@ -120,11 +143,14 @@ def standard_normal_vector(stream: np.random.Generator, n: int) -> np.ndarray:
 
 def _qp2() -> Problem:
     # f = 0.5 ||x||^2, c = x1 - 1
+    def con(x):
+        return np.array([x[0] - 1.0])
+
     def ev(x):
-        return 0.5 * float(x @ x), x.copy(), np.array([x[0] - 1.0]), np.array([[1.0, 0.0]])
+        return 0.5 * float(x @ x), x.copy(), con(x), np.array([[1.0, 0.0]])
 
     return Problem(
-        name="qp2", n=2, m=1, eval_fn=ev,
+        name="qp2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.zeros(2),
         known_kkt=(np.array([1.0, 0.0]), np.array([-1.0])),
     )
@@ -167,16 +193,19 @@ def _make_quadratic_linear(name, Q, g0, A, b, x0) -> Problem:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
 
+    def con(x):
+        return A @ x - b
+
     def ev(x):
         return (
             0.5 * float(x @ Q @ x) + float(g0 @ x),
             Q @ x + g0,
-            A @ x - b,
+            con(x),
             A.copy(),
         )
 
     return Problem(
-        name=name, n=Q.shape[0], m=A.shape[0], eval_fn=ev, x0=np.asarray(x0, dtype=float),
+        name=name, n=Q.shape[0], m=A.shape[0], eval_fn=ev, c_fn=con, x0=np.asarray(x0, dtype=float),
         known_kkt=_quadratic_linear_kkt(Q, g0, A, b),
     )
 
@@ -187,11 +216,14 @@ def _qplin5() -> Problem:
 
 def _sphere3() -> Problem:
     # f = x1 + x2 + x3, c = ||x||^2 - 3; minimizer (-1,-1,-1) with multiplier 1/2
+    def con(x):
+        return np.array([float(x @ x) - 3.0])
+
     def ev(x):
-        return float(x.sum()), np.ones(3), np.array([float(x @ x) - 3.0]), 2.0 * x[None, :]
+        return float(x.sum()), np.ones(3), con(x), 2.0 * x[None, :]
 
     return Problem(
-        name="sphere3", n=3, m=1, eval_fn=ev,
+        name="sphere3", n=3, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([2.0, 0.0, 0.0]),
         known_kkt=(np.array([-1.0, -1.0, -1.0]), np.array([0.5])),
     )
@@ -204,16 +236,19 @@ _ROSEN_Y = 0.34072745229388746
 
 
 def _rosenlin2() -> Problem:
+    def con(x):
+        return np.array([x[0] + x[1] - 1.0])
+
     def ev(x):
         r = x[1] - x[0] ** 2
         f = 100.0 * r * r + (1.0 - x[0]) ** 2
         grad = np.array([-400.0 * x[0] * r - 2.0 * (1.0 - x[0]), 200.0 * r])
-        return f, grad, np.array([x[0] + x[1] - 1.0]), np.array([[1.0, 1.0]])
+        return f, grad, con(x), np.array([[1.0, 1.0]])
 
     # Reduced curvature along the constraint line peaks near 1e3; H = 150 I keeps
     # the tangential step alpha * beta / 150 stable at the §6 stepsizes.
     return Problem(
-        name="rosenlin2", n=2, m=1, eval_fn=ev,
+        name="rosenlin2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([-1.2, 1.0]),
         known_kkt=(np.array([_ROSEN_T, 1.0 - _ROSEN_T]), np.array([_ROSEN_Y])),
         h_matrix=150.0 * np.eye(2),
@@ -222,11 +257,14 @@ def _rosenlin2() -> Problem:
 
 def _lincirc2() -> Problem:
     # f = x1 + 2 x2, c = ||x||^2 - 5; minimizer (-1,-2) with multiplier 1/2
+    def con(x):
+        return np.array([float(x @ x) - 5.0])
+
     def ev(x):
-        return float(x[0] + 2.0 * x[1]), np.array([1.0, 2.0]), np.array([float(x @ x) - 5.0]), 2.0 * x[None, :]
+        return float(x[0] + 2.0 * x[1]), np.array([1.0, 2.0]), con(x), 2.0 * x[None, :]
 
     return Problem(
-        name="lincirc2", n=2, m=1, eval_fn=ev,
+        name="lincirc2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([3.0, 0.0]),
         known_kkt=(np.array([-1.0, -2.0]), np.array([0.5])),
     )
@@ -236,12 +274,15 @@ def _projball2() -> Problem:
     # f = 0.5 ||x - (2,0)||^2, c = ||x||^2 - 1; nearest point (1,0), multiplier 1/2
     a = np.array([2.0, 0.0])
 
+    def con(x):
+        return np.array([float(x @ x) - 1.0])
+
     def ev(x):
         d = x - a
-        return 0.5 * float(d @ d), d, np.array([float(x @ x) - 1.0]), 2.0 * x[None, :]
+        return 0.5 * float(d @ d), d, con(x), 2.0 * x[None, :]
 
     return Problem(
-        name="projball2", n=2, m=1, eval_fn=ev,
+        name="projball2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([0.5, 1.5]),
         known_kkt=(np.array([1.0, 0.0]), np.array([0.5])),
     )
@@ -251,11 +292,14 @@ def _quadsphere4() -> Problem:
     # f = 0.5 x' diag(1..4) x, c = ||x||^2 - 4; minimum 2 e1, multiplier -1/2
     d = np.array([1.0, 2.0, 3.0, 4.0])
 
+    def con(x):
+        return np.array([float(x @ x) - 4.0])
+
     def ev(x):
-        return 0.5 * float(x @ (d * x)), d * x, np.array([float(x @ x) - 4.0]), 2.0 * x[None, :]
+        return 0.5 * float(x @ (d * x)), d * x, con(x), 2.0 * x[None, :]
 
     return Problem(
-        name="quadsphere4", n=4, m=1, eval_fn=ev,
+        name="quadsphere4", n=4, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([0.5, 1.0, 1.0, 1.0]),
         known_kkt=(np.array([2.0, 0.0, 0.0, 0.0]), np.array([-0.5])),
     )

@@ -24,13 +24,20 @@ ablation    same stepsize machinery as linesearch, but the whole step p is
 
 Stationarity is always measured with the true gradient and the least-squares
 multiplier, never with the stochastic gradient.
+
+Work per iteration: one full oracle evaluation at the iterate, shared by the
+termination check and the step, and one constraint-only evaluation per
+line-search trial.  H is built once per run.  The step and the multiplier
+factorizations of J are kept on the state and reused while J stays bitwise
+the same, as it does for linear constraints.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,8 +47,15 @@ from .errors import (
     IndefiniteReducedHessian,
     RankDeficientJacobian,
 )
-from .linalg import compose_direction, least_squares_multiplier, solve_step
-from .problems import Evaluation, NoiseModel, Problem, evaluate, standard_normal_vector
+from .linalg import (
+    StepFactors,
+    compose_direction,
+    factor_multiplier,
+    factor_step,
+    least_squares_multiplier,
+    solve_step,
+)
+from .problems import Evaluation, NoiseModel, Problem, evaluate, evaluate_c, standard_normal_vector
 from .stepsize import (
     AdaptiveState,
     FixedSchedule,
@@ -85,6 +99,10 @@ class SolverConfig:
     stat_every: int = 1
 
     def validate(self) -> None:
+        for name in ("max_iters", "stat_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -112,12 +130,21 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
+    """Iterate, noise stream and stepsize state of one run, plus per-run caches.
+
+    `h` is the model matrix H.  `step_factors`/`multiplier_factors` hold the
+    last J's bytes with its `factor_step`/`factor_multiplier` result.
+    """
+
     k: int
     x: np.ndarray
     stream: np.random.Generator
+    h: np.ndarray
     schedule: Optional[FixedSchedule] = None
     adaptive: Optional[AdaptiveState] = None
     q: float = 0.0
+    step_factors: Optional[tuple[bytes, StepFactors]] = None
+    multiplier_factors: Optional[tuple[bytes, tuple]] = None
 
 
 @dataclass(frozen=True)
@@ -189,7 +216,7 @@ def _h_matrix(problem: Problem) -> np.ndarray:
 def init_state(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> SolverState:
     config.validate()
     x = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
-    state = SolverState(k=0, x=x, stream=config.noise.stream(int(seed)))
+    state = SolverState(k=0, x=x, stream=config.noise.stream(int(seed)), h=_h_matrix(problem))
     if config.strategy == "fixed":
         state.schedule = FixedSchedule(
             nu=config.nu, theta=config.theta, eta=config.eta,
@@ -210,9 +237,18 @@ def _noisy_gradient(grad: np.ndarray, noise: NoiseModel, stream: np.random.Gener
     return grad + math.sqrt(noise.epsilon_n) * standard_normal_vector(stream, grad.shape[0])
 
 
-def _stationarity(J: np.ndarray, grad: np.ndarray) -> tuple[float, np.ndarray]:
-    y = least_squares_multiplier(J, grad)
-    return float(np.abs(grad + J.T @ y).max()), y
+def _reuse(cached: Optional[tuple], J: np.ndarray, factor: Callable) -> tuple:
+    """The cached (J bytes, factors) pair if J has the same bytes, else (bytes, factor(J))."""
+    key = J.tobytes()
+    if cached is not None and cached[0] == key:
+        return cached
+    return key, factor(J)
+
+
+def _stationarity(state: SolverState, J: np.ndarray, grad: np.ndarray) -> float:
+    state.multiplier_factors = _reuse(state.multiplier_factors, J, factor_multiplier)
+    y = least_squares_multiplier(J, grad, state.multiplier_factors[1])
+    return float(np.abs(grad + J.T @ y).max())
 
 
 def step(
@@ -228,17 +264,18 @@ def step(
     termination check; when omitted they are computed here.
     """
     ev = evaluation if evaluation is not None else evaluate(problem, state.x)
-    H = _h_matrix(problem)
+    H = state.h
     x = state.x
     c_l1 = float(np.abs(ev.c).sum())
     if stat_inf is None:
-        stat_inf, _ = _stationarity(ev.jac, ev.grad)
+        stat_inf = _stationarity(state, ev.jac, ev.grad)
 
     g = _noisy_gradient(ev.grad, config.noise, state.stream)
-    ksol, u, v, sigma_min, _ = solve_step(H, ev.jac, g, ev.c)
+    state.step_factors = _reuse(state.step_factors, ev.jac, lambda J: factor_step(H, J))
+    ksol, u, v, sigma_min, _ = solve_step(H, ev.jac, g, ev.c, state.step_factors[1])
 
     def c_oracle(z: np.ndarray) -> np.ndarray:
-        return evaluate(problem, z).c
+        return evaluate_c(problem, z)
 
     n_backtracks = 0
     hit_safeguard = False
@@ -252,7 +289,7 @@ def step(
             alpha = hi
         else:
             alpha, hit_safeguard, n_backtracks = safeguarded_backtrack(
-                c_oracle, x, direction, hi, lo, config.xi, config.rho
+                c_oracle, x, direction, c_l1, hi, lo, config.xi, config.rho
             )
     elif config.strategy == "adaptive":
         beta, (lo, hi) = adaptive_update(state.adaptive, float(u @ u), c_l1)
@@ -268,7 +305,7 @@ def step(
         else:
             direction = beta * ksol.p
         alpha, hit_safeguard, n_backtracks = safeguarded_backtrack(
-            c_oracle, x, direction, hi, lo, config.xi, config.rho
+            c_oracle, x, direction, c_l1, hi, lo, config.xi, config.rho
         )
         state.q = q_hat
 
@@ -305,7 +342,7 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
         ev = evaluate(problem, state.x)
         feas = float(np.abs(ev.c).max())
         want_stat = (k % config.stat_every == 0) or (feas <= config.feas_tol)
-        stat = _stationarity(ev.jac, ev.grad)[0] if want_stat else math.nan
+        stat = _stationarity(state, ev.jac, ev.grad) if want_stat else math.nan
         if feas <= config.feas_tol and first_feasible is None:
             first_feasible = (feas, stat)
         if feas < least_infeasible[0]:
@@ -343,7 +380,7 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
         feas_error=feas_error,
         stat_error=stat_error,
         x_final=state.x.copy(),
-        h_matrix=_h_matrix(problem),
+        h_matrix=state.h,
         seed=int(seed),
     )
 

@@ -2,8 +2,10 @@
 safeguarded backtracking line search on the constraint violation.
 
 The line search never consults gradient information (stochastic or exact);
-it only evaluates the constraint map, so its trajectory is identical across
-noise levels whenever the constraint dynamics are.
+it only evaluates the constraint map at its trial points, through a
+constraint-only oracle, and takes ||c(x)||_1 at the current point from the
+caller.  Its trajectory is therefore identical across noise levels whenever
+the constraint dynamics are.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ def safeguarded_backtrack(
     c_oracle: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     d: np.ndarray,
+    c_l1: float,
     upper: float,
     lower: float,
     xi: float,
@@ -118,21 +121,22 @@ def safeguarded_backtrack(
 ) -> tuple[float, bool, int]:
     """Backtrack from upper until ||c(x + a d)||_1 <= (1 - xi a) ||c(x)||_1.
 
-    The search halves (by rho) while the decrease test fails and a > lower.
-    If it ends with the test certified at some a >= lower, that a is returned
-    with hit_safeguard False; otherwise the safeguard returns lower with
-    hit_safeguard True (no certificate).  The count of backtracks never
-    exceeds ceil(log(lower/upper)/log(rho)) + 1.
+    `c_l1` is the already-known ||c(x)||_1; `c_oracle(z)` returns c(z) and is
+    called once per trial point, never at x itself.  The search halves (by
+    rho) while the decrease test fails and a > lower.  If it ends with the
+    test certified at some a >= lower, that a is returned with hit_safeguard
+    False; otherwise the safeguard returns lower with hit_safeguard True (no
+    certificate).  The count of backtracks never exceeds
+    ceil(log(lower/upper)/log(rho)) + 1.
     """
     if not (0.0 < lower <= upper):
         raise InvalidLineSearchConfig(f"need 0 < lower <= upper, got lower={lower}, upper={upper}")
     if not (0.0 < xi < 1.0) or not (0.0 < rho < 1.0):
         raise InvalidLineSearchConfig(f"need xi, rho in (0, 1), got xi={xi}, rho={rho}")
-    c0 = float(np.abs(np.atleast_1d(c_oracle(x))).sum())
 
     def certified(a: float) -> bool:
         c_trial = np.abs(np.atleast_1d(c_oracle(x + a * d))).sum()
-        return float(c_trial) <= (1.0 - xi * a) * c0
+        return float(c_trial) <= (1.0 - xi * a) * c_l1
 
     alpha_hat = upper
     n_backtracks = 0

@@ -10,6 +10,7 @@ from tssqp import (
     least_squares_multiplier,
     solve_step,
 )
+from tssqp.linalg import factor_multiplier, factor_step
 from oracles import augmented_solve, null_space_oracle, pinv_normal_component, random_instance
 
 TOL = 1e-8
@@ -184,6 +185,38 @@ class TestLeastSquaresMultiplier:
         assert np.abs(J @ resid).max() <= 1e-12
         y_ref = -np.linalg.solve(J @ J.T, J @ grad)
         np.testing.assert_allclose(y, y_ref, atol=1e-12)
+
+
+class TestReusedFactors:
+    """Factors of one (H, J) applied to many (g, c) give the bits of a fresh factorization."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_fresh_factorization(self, seed):
+        rng = np.random.default_rng(seed)
+        H, J, _, _ = random_instance(rng)
+        if seed == 0:  # square J: no null space
+            J = rng.normal(size=(3, 3))
+            H = np.eye(3)
+        m, n = J.shape
+        step_factors, lsq_factors = factor_step(H, J), factor_multiplier(J)
+        for _ in range(5):
+            g, c = rng.normal(size=n), rng.normal(size=m)
+            fresh = solve_step(H, J, g, c)
+            reused = solve_step(H, J, g, c, step_factors)
+            for a, b in [(fresh[0].p, reused[0].p), (fresh[0].y, reused[0].y),
+                         (fresh[1], reused[1]), (fresh[2], reused[2])]:
+                assert a.tobytes() == b.tobytes()
+            assert fresh[3:] == reused[3:]
+            assert (least_squares_multiplier(J, g).tobytes()
+                    == least_squares_multiplier(J, g, lsq_factors).tobytes())
+
+    def test_factorization_failures_raise_as_before(self):
+        with pytest.raises(RankDeficientJacobian):
+            factor_step(np.eye(3), np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        with pytest.raises(RankDeficientJacobian):
+            factor_multiplier(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        with pytest.raises(IndefiniteReducedHessian):
+            factor_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
 
 
 class TestRandomInstanceProperties:

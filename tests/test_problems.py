@@ -12,6 +12,7 @@ from tssqp import (
     builtin_names,
     builtin_suite,
     evaluate,
+    evaluate_c,
     load_problem,
 )
 from tssqp.solver import _noisy_gradient
@@ -56,6 +57,42 @@ class TestEvaluate:
         np.testing.assert_array_equal(a.grad, b.grad)
         np.testing.assert_array_equal(a.c, b.c)
         np.testing.assert_array_equal(a.jac, b.jac)
+
+
+def _write_random_quadratic_linear(path, seed, n=12, m=4):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    spec = {
+        "name": f"rand{seed}", "n": n, "m": m, "kind": "quadratic_linear",
+        "Q": (np.eye(n) + (B + B.T) / 4.0).tolist(), "g0": rng.normal(size=n).tolist(),
+        "A": rng.normal(size=(m, n)).tolist(), "b": rng.normal(size=m).tolist(),
+    }
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+class TestConstraintOracle:
+    """c_fn is the line search's oracle; it must give the bits of evaluate(...).c."""
+
+    @pytest.mark.parametrize("name", builtin_names() + ["quadratic_linear_file"])
+    def test_bitwise_equal_to_full_evaluation(self, tmp_path, name):
+        if name == "quadratic_linear_file":
+            name = _write_random_quadratic_linear(tmp_path / "rand.json", seed=4)
+        pb = load_problem(name)
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            x = pb.x0 + rng.normal(scale=2.0, size=pb.n)
+            full = evaluate(pb, x).c
+            assert np.asarray(pb.c_fn(x), dtype=float).tobytes() == full.tobytes()
+            assert evaluate_c(pb, x).tobytes() == full.tobytes()
+
+    def test_non_finite_constraint_raises(self):
+        with pytest.raises(EvaluationFailure):
+            evaluate_c(load_problem("sphere3"), np.array([1e200, 0.0, 0.0]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            evaluate_c(load_problem("qp2"), np.zeros(3))
 
 
 class TestStochasticGradient:

@@ -1,11 +1,17 @@
+import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
+import tssqp.solver
 from tssqp import (
+    EvaluationFailure,
     NoiseModel,
+    Problem,
     SolverConfig,
+    evaluate,
     init_state,
     load_problem,
     run,
@@ -184,6 +190,77 @@ class TestRun:
         assert all(b <= a + 1e-15 for a, b in zip(betas, betas[1:]))
 
 
+def _steep2() -> Problem:
+    """Linear c = x1 - 1 with f = exp(300 x1) + x2^2 / 2, whose gradient overflows past x1 ~ 2.37."""
+    def con(x):
+        return np.array([x[0] - 1.0])
+
+    def ev(x):
+        e = np.exp(300.0 * x[0])
+        return float(e) + 0.5 * x[1] ** 2, np.array([300.0 * e, x[1]]), con(x), np.array([[1.0, 0.0]])
+
+    return Problem(name="steep2", n=2, m=1, eval_fn=ev, c_fn=con, x0=np.zeros(2))
+
+
+class TestConstraintOnlySearch:
+    def test_gradient_overflow_at_a_discarded_trial_point(self):
+        # From x0 = 0 the first search tries alpha = nu/q_hat + theta * eta = 3,
+        # i.e. x1 = 3, where c = 2 fails the decrease test and exp(900) overflows.
+        pb = _steep2()
+        trace = run(pb, _config(nu=1.0, theta=20.0, eta=0.1, max_iters=50), seed=0)
+        first = trace.records[0]
+        assert first.alpha_hi == 3.0 and first.n_backtracks >= 1
+        with pytest.raises(EvaluationFailure):
+            evaluate(pb, first.x + first.alpha_hi * first.d)
+        assert trace.status == CONVERGED, trace.fail_reason
+
+
+class TestWorkPerIteration:
+    """Counts oracle and SVD calls, so that repeated work per iteration shows up."""
+
+    @staticmethod
+    def _counted_run(monkeypatch, name, config):
+        calls = {"evaluate": 0, "c_fn": 0, "svd": 0}
+        pb = load_problem(name)
+
+        def counting_c_fn(x, c_fn=pb.c_fn):
+            calls["c_fn"] += 1
+            return c_fn(x)
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tssqp.solver, "evaluate", counting("evaluate", tssqp.solver.evaluate))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        trace = run(dataclasses.replace(pb, c_fn=counting_c_fn), config, seed=0)
+        return trace, calls
+
+    @pytest.mark.parametrize("name, kwargs, searches", [
+        ("qplin5", dict(), True),
+        ("sphere3", dict(strategy="ablation"), True),
+        ("quadsphere4", dict(strategy="fixed", alpha_rule="backtrack"), True),
+        ("lincirc2", dict(strategy="adaptive"), False),
+    ])
+    def test_one_full_evaluation_per_iteration(self, monkeypatch, name, kwargs, searches):
+        config = _config(noise=NoiseModel(1e-2, seed=1), max_iters=150, **kwargs)
+        trace, calls = self._counted_run(monkeypatch, name, config)
+        assert trace.status != FAILED and trace.iterations > 0
+        assert calls["evaluate"] == trace.iterations + 1
+        trials = sum(rec.n_backtracks + 1 for rec in trace.records) if searches else 0
+        assert calls["c_fn"] == trials
+
+    def test_constant_jacobian_is_factored_once(self, monkeypatch):
+        trace, calls = self._counted_run(
+            monkeypatch, "qplin5", _config(noise=NoiseModel(1e-1, seed=1), max_iters=200)
+        )
+        assert trace.iterations == 200
+        # one full SVD for the step and one reduced SVD for the multiplier
+        assert calls["svd"] == 2
+
+
 class TestAblation:
     def test_deterministic_qp2_converges(self):
         trace = run(load_problem("qp2"), _config(strategy="ablation"), seed=0)
@@ -226,9 +303,15 @@ class TestConfigValidation:
         dict(theta=float("nan")),
         dict(q0=float("nan")),
         dict(noise=NoiseModel(float("nan"), seed=0)),
+        dict(max_iters=2.5),
+        dict(max_iters=True),
+        dict(stat_every=1.5),
+        # Built inside the raises block: NoiseModel checks its level on construction.
+        dict(noise=partial(NoiseModel, -1.0)),
     ])
     def test_invalid(self, kwargs):
         from tssqp import ConfigError
 
         with pytest.raises(ConfigError):
-            _config(**kwargs).validate()
+            built = {k: v() if isinstance(v, partial) else v for k, v in kwargs.items()}
+            _config(**built).validate()

@@ -84,25 +84,31 @@ def _scalar_c(fn):
     return lambda x: np.atleast_1d(fn(float(np.atleast_1d(x)[0])))
 
 
+def _l1(c_fn, x):
+    """||c(x)||_1, the violation the caller hands to the search."""
+    return float(np.abs(c_fn(x)).sum())
+
+
 class TestSafeguardedBacktrack:
     def test_linear_constraint_accepts_full_step(self):
         c_fn = _scalar_c(lambda t: t)
+        x = np.array([1.0])
         alpha, hit, count = safeguarded_backtrack(
-            c_fn, np.array([1.0]), np.array([-1.0]), 1.0, 0.01, 1e-3, 0.5
+            c_fn, x, np.array([-1.0]), _l1(c_fn, x), 1.0, 0.01, 1e-3, 0.5
         )
         assert (alpha, hit, count) == (1.0, False, 0)
 
     def test_quadratic_needs_two_backtracks(self):
         c_fn = _scalar_c(lambda t: t * t - 1.0)
         x, d = np.array([0.1]), np.array([4.95])
-        alpha, hit, count = safeguarded_backtrack(c_fn, x, d, 1.0, 0.01, 1e-3, 0.5)
+        alpha, hit, count = safeguarded_backtrack(c_fn, x, d, _l1(c_fn, x), 1.0, 0.01, 1e-3, 0.5)
         assert (alpha, hit, count) == (0.25, False, 2)
         assert (alpha, hit, count) == replay_backtrack(c_fn, x, d, 1.0, 0.01, 1e-3, 0.5)
 
     def test_safeguard_branch(self):
         c_fn = _scalar_c(lambda t: t * t - 1.0)
         x, d = np.array([0.1]), np.array([4.95])
-        alpha, hit, count = safeguarded_backtrack(c_fn, x, d, 1.0, 0.3, 1e-3, 0.5)
+        alpha, hit, count = safeguarded_backtrack(c_fn, x, d, _l1(c_fn, x), 1.0, 0.3, 1e-3, 0.5)
         assert (alpha, hit, count) == (0.3, True, 2)
         assert (alpha, hit, count) == replay_backtrack(c_fn, x, d, 1.0, 0.3, 1e-3, 0.5)
 
@@ -117,7 +123,7 @@ class TestSafeguardedBacktrack:
         full.update(kwargs)
         with pytest.raises(InvalidLineSearchConfig):
             safeguarded_backtrack(
-                _scalar_c(lambda t: t), np.array([1.0]), np.array([-1.0]), **full
+                _scalar_c(lambda t: t), np.array([1.0]), np.array([-1.0]), 1.0, **full
             )
 
     def test_count_bound_and_safeguard_semantics(self):
@@ -128,8 +134,9 @@ class TestSafeguardedBacktrack:
             upper = float(rng.uniform(0.5, 50.0))
             lower = float(rng.uniform(1e-4, 0.4)) * upper
             rho = float(rng.uniform(0.2, 0.9))
+            x = np.array([1.0])
             alpha, hit, count = safeguarded_backtrack(
-                c_fn, np.array([1.0]), np.array([1.0]), upper, lower, 1e-3, rho
+                c_fn, x, np.array([1.0]), _l1(c_fn, x), upper, lower, 1e-3, rho
             )
             assert count <= backtrack_count_bound(lower, upper, rho)
             assert hit and alpha == lower
@@ -140,7 +147,7 @@ class TestSafeguardedBacktrack:
         for _ in range(50):
             x = np.array([float(rng.uniform(0.0, 0.9))])
             d = np.array([float(rng.uniform(0.1, 3.0))])
-            alpha, hit, _ = safeguarded_backtrack(c_fn, x, d, 2.0, 1e-3, 1e-3, 0.5)
+            alpha, hit, _ = safeguarded_backtrack(c_fn, x, d, _l1(c_fn, x), 2.0, 1e-3, 1e-3, 0.5)
             if not hit:
                 lhs = np.abs(c_fn(x + alpha * d)).sum()
                 rhs = (1.0 - 1e-3 * alpha) * np.abs(c_fn(x)).sum()
@@ -148,7 +155,8 @@ class TestSafeguardedBacktrack:
 
     def test_feasible_point_accepts_upper(self):
         c_fn = _scalar_c(lambda t: t)
+        x = np.array([0.0])
         alpha, hit, count = safeguarded_backtrack(
-            c_fn, np.array([0.0]), np.array([0.0]), 1.5, 0.5, 1e-3, 0.5
+            c_fn, x, np.array([0.0]), _l1(c_fn, x), 1.5, 0.5, 1e-3, 0.5
         )
         assert (alpha, hit, count) == (1.5, False, 0)
