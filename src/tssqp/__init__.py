@@ -33,13 +33,7 @@ from .harness import (
     to_csv,
     to_json,
 )
-from .linalg import (
-    KktSolution,
-    StepDecomposition,
-    compose_direction,
-    least_squares_multiplier,
-    solve_step,
-)
+from .linalg import KktSolution, least_squares_multiplier, solve_step
 from .problems import (
     Evaluation,
     NoiseModel,
@@ -60,14 +54,6 @@ from .solver import (
     run,
     step,
 )
-from .stepsize import (
-    AdaptiveState,
-    FixedSchedule,
-    adaptive_update,
-    backtrack_count_bound,
-    fixed_alpha_range,
-    fixed_beta,
-    safeguarded_backtrack,
-)
+from .stepsize import adaptive_update, backtrack_count_bound, safeguarded_backtrack
 
 __version__ = "0.1.0"

@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        problems = list(args.problem or [])
+        problems = list(dict.fromkeys(args.problem or []))
         if args.suite:
             problems.extend(n for n in builtin_names() if n not in problems)
         if not problems:
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         plan = ExperimentPlan(
             problems=tuple(problems),
             strategies=tuple(dict.fromkeys(args.strategy)),
-            noise_levels=tuple(args.noise) if args.noise else DEFAULT_NOISE_LEVELS,
+            noise_levels=tuple(dict.fromkeys(args.noise)) if args.noise else DEFAULT_NOISE_LEVELS,
             trials=args.seeds,
             base_seed=args.base_seed,
             config=SolverConfig(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind ConfigError."""
+
+import numbers
 
 
 class TssqpError(Exception):
@@ -30,7 +32,9 @@ class IndefiniteReducedHessian(TssqpError):
 
 
 class NonPositiveBeta(TssqpError):
-    """A tangential stepsize beta <= 0 was supplied."""
+    """A stepsize that must be positive is not: beta, or the lower end of the
+    alpha range, was supplied <= 0 or underflowed to 0 (overflowing ||u||^2
+    or ||c||_1, or a denormal eta)."""
 
 
 class InvalidLineSearchConfig(TssqpError):
@@ -43,3 +47,11 @@ class EmptyInput(TssqpError):
 
 class ConfigError(TssqpError):
     """Invalid solver or experiment configuration."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless `value` is an integer (not a bool) >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import solver
 from .diagnostics import AuditReport, audit_trace
-from .errors import ConfigError, EmptyInput
+from .errors import ConfigError, EmptyInput, check_count
 from .problems import NoiseModel, Problem, load_problem
 from .solver import SolverConfig, Trace
 
@@ -56,12 +56,16 @@ class ExperimentPlan:
             raise ConfigError("plan needs at least one problem")
         if not self.strategies:
             raise ConfigError("plan needs at least one strategy")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        check_count("trials", self.trials, 1)
+        check_count("base_seed", self.base_seed, 0)
         if self.config.max_iters < 1:
             raise ConfigError("budget (config.max_iters) must be >= 1")
         if any(not (math.isfinite(e) and e >= 0) for e in self.noise_levels):
             raise ConfigError("noise levels must be finite and nonnegative")
+        for label, entries in (("problem", self.problems), ("strategy", self.strategies),
+                               ("noise level", self.noise_levels)):
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"plan repeats a {label}: {entries!r}")
         for strategy in self.strategies:
             self.config_for(strategy, 0.0).validate()
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndefiniteReducedHessian,
-    NonPositiveBeta,
     RankDeficientJacobian,
 )
 
@@ -45,16 +44,6 @@ class KktSolution:
 
     p: np.ndarray
     y: np.ndarray
-
-
-@dataclass(frozen=True)
-class StepDecomposition:
-    """Orthogonal split p = u + v with the composed direction d = beta * u + v."""
-
-    u: np.ndarray
-    v: np.ndarray
-    beta: float
-    d: np.ndarray
 
 
 def _check_shapes(J: np.ndarray, n_vecs: dict[str, np.ndarray], H: np.ndarray | None = None) -> None:
@@ -143,17 +132,6 @@ def solve_step(
     p = u + v
     y = -f.U @ ((f.Vr.T @ (g + H @ p)) / f.s)
     return KktSolution(p=p, y=y), u, v, f.sigma_min, f.sigma_max
-
-
-def compose_direction(u: np.ndarray, v: np.ndarray, beta: float) -> StepDecomposition:
-    """d = beta * u + v, keeping all four fields."""
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"u has shape {u.shape}, v has shape {v.shape}")
-    return StepDecomposition(u=u, v=v, beta=float(beta), d=beta * u + v)
 
 
 def factor_multiplier(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

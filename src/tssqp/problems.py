@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem
+from .errors import ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem, check_count
 
 EvalFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
 CFn = Callable[[np.ndarray], np.ndarray]
@@ -52,6 +52,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.epsilon_n < 0:
             raise ConfigError(f"epsilon_n must be nonnegative, got {self.epsilon_n}")
+        check_count("noise seed", self.seed, 0)
 
     def stream(self, key: int = 0) -> np.random.Generator:
         """Fresh generator derived from (seed, key); one owner per run."""

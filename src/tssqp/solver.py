@@ -7,20 +7,24 @@ configured strategy, and move.  `run` drives steps until the iterate is both
 sufficiently feasible and stationary, the budget runs out, or the step
 computation fails.
 
-Strategies
-----------
-fixed       beta = eta / sqrt(max_iters), alpha at an endpoint of
-            [nu, nu + theta beta] (alpha_rule lower/upper), or found by the
-            safeguarded backtracking search over that interval with constant
-            beta = eta (alpha_rule backtrack).
-adaptive    Adagrad-Norm accumulators; beta = eta / b_k, alpha at an endpoint
-            of [nu/q_k, nu/q_k + min(theta/b_k, theta/q_k)].
-linesearch  constant beta = eta; alpha from the safeguarded backtracking
-            search over [nu/q_hat, nu/q_hat + theta beta] where
-            q_hat^2 = q^2 + ||c||_1 advances every iteration.
-ablation    same stepsize machinery as linesearch, but the whole step p is
-            scaled by beta (d = beta p), standing in for single-stepsize
-            stochastic SQP.
+Stepsizes
+---------
+Every strategy moves by x <- x + alpha d with d = beta u + v (ablation:
+d = beta p, standing in for single-stepsize stochastic SQP) and alpha in
+[lo, hi].  `step` computes (beta, lo, hi) by one rule:
+
+beta    eta / b for adaptive, where b^2 += ||u||^2 starting from b0;
+        eta / sqrt(max_iters) for fixed with alpha_rule lower/upper;
+        the constant eta otherwise.
+lo      nu for fixed; otherwise nu / q, where the Adagrad-Norm accumulator
+        q^2 += ||c||_1 starts from q0 and advances every iteration.
+hi      lo + min(theta / b, theta / q) for adaptive; lo + theta beta otherwise.
+alpha   the safeguarded backtracking search over [lo, hi] for linesearch,
+        ablation, and fixed with alpha_rule backtrack; otherwise the endpoint
+        that alpha_rule names.
+
+A step whose beta or lo underflows to 0 raises NonPositiveBeta, which `run`
+reports as the failure token `stepsize_underflow`.
 
 Stationarity is always measured with the true gradient and the least-squares
 multiplier, never with the stochastic gradient.
@@ -35,7 +39,6 @@ the same, as it does for linear constraints.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,25 +48,19 @@ from .errors import (
     ConfigError,
     EvaluationFailure,
     IndefiniteReducedHessian,
+    NonPositiveBeta,
     RankDeficientJacobian,
+    check_count,
 )
 from .linalg import (
     StepFactors,
-    compose_direction,
     factor_multiplier,
     factor_step,
     least_squares_multiplier,
     solve_step,
 )
 from .problems import Evaluation, NoiseModel, Problem, evaluate, evaluate_c, standard_normal_vector
-from .stepsize import (
-    AdaptiveState,
-    FixedSchedule,
-    adaptive_update,
-    fixed_alpha_range,
-    fixed_beta,
-    safeguarded_backtrack,
-)
+from .stepsize import adaptive_update, safeguarded_backtrack
 
 STRATEGIES = ("fixed", "adaptive", "linesearch", "ablation")
 
@@ -75,6 +72,7 @@ _FAIL_TOKENS = {
     RankDeficientJacobian: "rank_deficient_jacobian",
     IndefiniteReducedHessian: "indefinite_reduced_hessian",
     EvaluationFailure: "evaluation_failure",
+    NonPositiveBeta: "stepsize_underflow",
 }
 
 
@@ -99,10 +97,8 @@ class SolverConfig:
     stat_every: int = 1
 
     def validate(self) -> None:
-        for name in ("max_iters", "stat_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_count("max_iters", self.max_iters, 0)
+        check_count("stat_every", self.stat_every, 1)
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -110,8 +106,6 @@ class SolverConfig:
             raise ConfigError(f"noise level must be finite, got {self.noise.epsilon_n!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
-        if self.max_iters < 0:
-            raise ConfigError("max_iters must be >= 0")
         if self.feas_tol <= 0 or self.stat_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if self.eta <= 0 or self.nu <= 0 or self.theta < 0:
@@ -124,25 +118,23 @@ class SolverConfig:
             raise ConfigError(f"unknown alpha_rule {self.alpha_rule!r}")
         if self.strategy == "adaptive" and self.alpha_rule == "backtrack":
             raise ConfigError("the adaptive strategy takes range endpoints only (alpha_rule lower/upper)")
-        if self.stat_every < 1:
-            raise ConfigError("stat_every must be >= 1")
 
 
 @dataclass
 class SolverState:
-    """Iterate, noise stream and stepsize state of one run, plus per-run caches.
+    """Iterate, noise stream and stepsize accumulators of one run, plus per-run caches.
 
-    `h` is the model matrix H.  `step_factors`/`multiplier_factors` hold the
-    last J's bytes with its `factor_step`/`factor_multiplier` result.
+    `h` is the model matrix H.  `b` and `q` are the Adagrad-Norm accumulators,
+    started at b0 and q0.  `step_factors`/`multiplier_factors` hold the last
+    J's bytes with its `factor_step`/`factor_multiplier` result.
     """
 
     k: int
     x: np.ndarray
     stream: np.random.Generator
     h: np.ndarray
-    schedule: Optional[FixedSchedule] = None
-    adaptive: Optional[AdaptiveState] = None
-    q: float = 0.0
+    b: float
+    q: float
     step_factors: Optional[tuple[bytes, StepFactors]] = None
     multiplier_factors: Optional[tuple[bytes, tuple]] = None
 
@@ -216,19 +208,8 @@ def _h_matrix(problem: Problem) -> np.ndarray:
 def init_state(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> SolverState:
     config.validate()
     x = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
-    state = SolverState(k=0, x=x, stream=config.noise.stream(int(seed)), h=_h_matrix(problem))
-    if config.strategy == "fixed":
-        state.schedule = FixedSchedule(
-            nu=config.nu, theta=config.theta, eta=config.eta,
-            horizon=max(config.max_iters, 1), alpha_rule=config.alpha_rule,
-        )
-    elif config.strategy == "adaptive":
-        state.adaptive = AdaptiveState(
-            eta=config.eta, nu=config.nu, theta=config.theta, b=config.b0, q=config.q0
-        )
-    else:
-        state.q = config.q0
-    return state
+    return SolverState(k=0, x=x, stream=config.noise.stream(int(seed)), h=_h_matrix(problem),
+                       b=config.b0, q=config.q0)
 
 
 def _noisy_gradient(grad: np.ndarray, noise: NoiseModel, stream: np.random.Generator) -> np.ndarray:
@@ -277,37 +258,31 @@ def step(
     def c_oracle(z: np.ndarray) -> np.ndarray:
         return evaluate_c(problem, z)
 
-    n_backtracks = 0
-    hit_safeguard = False
+    beta = config.eta
     if config.strategy == "fixed":
-        beta = fixed_beta(state.schedule)
-        lo, hi = fixed_alpha_range(state.schedule, beta)
-        direction = compose_direction(u, v, beta).d
-        if state.schedule.alpha_rule == "lower":
-            alpha = lo
-        elif state.schedule.alpha_rule == "upper":
-            alpha = hi
-        else:
-            alpha, hit_safeguard, n_backtracks = safeguarded_backtrack(
-                c_oracle, x, direction, c_l1, hi, lo, config.xi, config.rho
-            )
-    elif config.strategy == "adaptive":
-        beta, (lo, hi) = adaptive_update(state.adaptive, float(u @ u), c_l1)
-        direction = compose_direction(u, v, beta).d
-        alpha = lo if config.alpha_rule == "lower" else hi
-    else:  # linesearch or ablation
-        beta = config.eta
-        q_hat = math.sqrt(state.q * state.q + c_l1)
-        lo = config.nu / q_hat
+        if config.alpha_rule != "backtrack":
+            beta /= math.sqrt(max(config.max_iters, 1))
+        lo = config.nu
+    else:
+        state.q = math.sqrt(state.q * state.q + c_l1)
+        lo = config.nu / state.q
+    if config.strategy == "adaptive":
+        state.b = adaptive_update(state.b, float(u @ u))
+        beta = config.eta / state.b
+        hi = lo + min(config.theta / state.b, config.theta / state.q)
+    else:
         hi = lo + config.theta * beta
-        if config.strategy == "linesearch":
-            direction = compose_direction(u, v, beta).d
-        else:
-            direction = beta * ksol.p
+    if not (beta > 0.0 and lo > 0.0):
+        raise NonPositiveBeta(f"stepsizes underflowed: beta = {beta!r}, alpha lower end = {lo!r}")
+
+    direction = beta * ksol.p if config.strategy == "ablation" else beta * u + v
+    n_backtracks, hit_safeguard = 0, False
+    if config.strategy in ("linesearch", "ablation") or config.alpha_rule == "backtrack":
         alpha, hit_safeguard, n_backtracks = safeguarded_backtrack(
             c_oracle, x, direction, c_l1, hi, lo, config.xi, config.rho
         )
-        state.q = q_hat
+    else:
+        alpha = lo if config.alpha_rule == "lower" else hi
 
     record = IterationRecord(
         k=state.k, x=x.copy(), u=u, v=v, d=direction, y=ksol.y,
@@ -328,7 +303,6 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
     sufficiently feasible iterate when one exists, otherwise at the least
     infeasible iterate visited (terminal point included).
     """
-    config.validate()
     state = init_state(problem, config, seed=seed, x0=x0)
     records: list[IterationRecord] = []
     status = BUDGET_EXHAUSTED
@@ -362,7 +336,7 @@ def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace
             observe(config.max_iters)
         if converged:
             status = CONVERGED
-    except (RankDeficientJacobian, IndefiniteReducedHessian, EvaluationFailure) as exc:
+    except tuple(_FAIL_TOKENS) as exc:
         status = FAILED
         fail_reason = _FAIL_TOKENS[type(exc)]
 

@@ -1,5 +1,6 @@
-"""Stepsize regimes: pre-specified schedules, Adagrad-Norm accumulators, and the
-safeguarded backtracking line search on the constraint violation.
+"""Stepsize helpers: the Adagrad-Norm accumulator for beta and the safeguarded
+backtracking line search on the constraint violation.  `solver.step` holds the
+one rule that turns them into (beta, alpha range) for each strategy.
 
 The line search never consults gradient information (stochastic or exact);
 it only evaluates the constraint map at its trial points, through a
@@ -11,7 +12,6 @@ the constraint dynamics are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,87 +19,11 @@ import numpy as np
 from .errors import InvalidLineSearchConfig
 
 
-@dataclass(frozen=True)
-class FixedSchedule:
-    """Pre-specified stepsize regime.
-
-    For alpha_rule "lower"/"upper" the tangential stepsize is the horizon rule
-    beta = eta / sqrt(horizon) and alpha is the corresponding endpoint of
-    [nu, nu + theta * beta].  For alpha_rule "backtrack" beta is the constant
-    eta (the experiment profile) and alpha comes from the safeguarded
-    backtracking search over the same interval.
-    """
-
-    nu: float = 1.0
-    theta: float = 1.0
-    eta: float = 0.1
-    horizon: int = 1000
-    alpha_rule: str = "lower"
-
-    def __post_init__(self) -> None:
-        if self.nu <= 0 or self.theta < 0 or self.eta <= 0 or self.horizon < 1:
-            raise ValueError("need nu > 0, theta >= 0, eta > 0, horizon >= 1")
-        if self.alpha_rule not in ("lower", "upper", "backtrack"):
-            raise ValueError(f"unknown alpha_rule {self.alpha_rule!r}")
-
-
-def fixed_beta(schedule: FixedSchedule) -> float:
-    """Constant tangential stepsize for the schedule.
-
-    eta / sqrt(horizon) in the analysis modes; the plain constant eta when the
-    schedule drives a backtracking search (experiment profile).
-    """
-    if schedule.alpha_rule == "backtrack":
-        return schedule.eta
-    return schedule.eta / math.sqrt(schedule.horizon)
-
-
-def fixed_alpha_range(schedule: FixedSchedule, beta: float) -> tuple[float, float]:
-    """The admissible interval [nu, nu + theta * beta]."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return schedule.nu, schedule.nu + schedule.theta * beta
-
-
-@dataclass
-class AdaptiveState:
-    """Adagrad-Norm accumulators.
-
-    b and q start at b_prev = b0 and q_prev = q0 and grow with the tangential
-    step energy and the l1 constraint violation respectively; beta = eta / b
-    and alpha ranges over [nu/q, nu/q + min(theta/b, theta/q)].  beta_prev
-    (eta / previous b) is kept for diagnostics on the measurable redefinition
-    of the true direction; the run starts it at eta / b0.
-    """
-
-    eta: float = 0.1
-    nu: float = 1.0
-    theta: float = 1.0
-    b: float = 1.0
-    q: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.eta <= 0 or self.nu <= 0 or self.theta < 0 or self.b <= 0 or self.q <= 0:
-            raise ValueError("need eta, nu, b, q > 0 and theta >= 0")
-        self.beta_prev = self.eta / self.b
-
-
-def adaptive_update(
-    state: AdaptiveState, u_norm_sq: float, c_norm_1: float
-) -> tuple[float, tuple[float, float]]:
-    """Advance both accumulators and return (beta, alpha range).
-
-    b <- sqrt(b^2 + ||u||^2), q <- sqrt(q^2 + ||c||_1); beta = eta / b and the
-    range is [nu/q, nu/q + min(theta/b, theta/q)].  Mutates state.
-    """
-    if u_norm_sq < 0 or c_norm_1 < 0:
+def adaptive_update(b: float, u_norm_sq: float) -> float:
+    """The Adagrad-Norm accumulator for beta: b <- sqrt(b^2 + ||u||^2)."""
+    if u_norm_sq < 0:
         raise ValueError("accumulator increments must be nonnegative")
-    state.beta_prev = state.eta / state.b
-    state.b = math.sqrt(state.b * state.b + u_norm_sq)
-    state.q = math.sqrt(state.q * state.q + c_norm_1)
-    beta = state.eta / state.b
-    lo = state.nu / state.q
-    return beta, (lo, lo + min(state.theta / state.b, state.theta / state.q))
+    return math.sqrt(b * b + u_norm_sq)
 
 
 def backtrack_count_bound(lower: float, upper: float, rho: float) -> int:

@@ -46,10 +46,29 @@ class TestRunCommand:
 
     def test_repeatable_flags(self, tmp_path):
         out = tmp_path / "rows.csv"
-        rc = main(_args("--strategy", "ablation", "--noise", "1e-3", out=out))
+        rc = main(_args("--strategy", "ablation", "--noise", "1e-3",
+                        "--problem", "qp2", "--noise", "0", "--strategy", "ablation", out=out))
         assert rc == 0
-        # 1 problem x 2 strategies x 2 noise levels x 2 trials
-        assert len(out.read_text().splitlines()) == 1 + 8
+        # 1 problem x 2 strategies x 2 noise levels x 2 trials; repeats count once
+        keys = [tuple(line.split(",")[:4]) for line in out.read_text().splitlines()[1:]]
+        assert len(keys) == 8 == len(set(keys))
+
+    def test_stepsize_underflow_is_a_row(self, tmp_path):
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({
+            "name": "steep", "n": 2, "m": 1, "kind": "quadratic_linear",
+            "Q": [[1.0, 0.0], [0.0, 1.0]], "g0": [1e160, 0.0],
+            "A": [[1.0, 1.0]], "b": [1.0],
+        }))
+        out = tmp_path / "rows.csv"
+        rc = main(["run", "--problem", str(path), "--strategy", "adaptive",
+                   "--strategy", "linesearch", "--noise", "0", "--seeds", "1",
+                   "--iters", "10", "--out", str(out)])
+        # u'u overflows, so adaptive's beta underflows; the linesearch run still gets its row
+        assert rc == 3
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[1], r[4]) for r in rows] == [
+            ("adaptive", "failed:stepsize_underflow"), ("linesearch", "failed:evaluation_failure")]
 
     def test_audit_emission(self, tmp_path):
         out = tmp_path / "rows.csv"
@@ -88,6 +107,10 @@ class TestExitCodes:
                    "--out", str(tmp_path / "rows.csv")])
         assert rc == 3
         assert "all runs failed" in capsys.readouterr().err
+
+    def test_negative_base_seed_exits_2(self, capsys):
+        assert main(_args("--base-seed", "-1")) == 2
+        assert "base_seed" in capsys.readouterr().err
 
     def test_malformed_problem_file(self, tmp_path):
         path = tmp_path / "bad.json"

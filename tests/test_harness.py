@@ -106,6 +106,11 @@ class TestRunExperiment:
             _plan(noise_levels=(-1.0,)).validate()
         with pytest.raises(ConfigError):
             _plan(noise_levels=(float("nan"),)).validate()
+        for bad in (dict(trials=2.5), dict(trials=True), dict(base_seed=-1),
+                    dict(problems=("qp2", "qp2")), dict(strategies=("fixed", "fixed")),
+                    dict(noise_levels=(0.1, 0.1))):
+            with pytest.raises(ConfigError):
+                _plan(**bad).validate()
 
     def test_section6_shaped_plan(self):
         # 4 problems x 2 strategies x 3 noise levels x 20 trials = 480 rows

@@ -4,11 +4,16 @@ import pytest
 from tssqp import (
     DimensionMismatch,
     IndefiniteReducedHessian,
+    NoiseModel,
     NonPositiveBeta,
     RankDeficientJacobian,
-    compose_direction,
+    SolverConfig,
+    init_state,
     least_squares_multiplier,
+    load_problem,
+    run,
     solve_step,
+    step,
 )
 from tssqp.linalg import factor_multiplier, factor_step
 from oracles import augmented_solve, null_space_oracle, pinv_normal_component, random_instance
@@ -145,23 +150,45 @@ class TestTangentialComponent:
 
 
 class TestComposeDirection:
+    """The direction `step` takes: d = beta * u + v, or beta * p for ablation."""
+
+    @staticmethod
+    def _step(strategy="linesearch", x0=None, **kwargs):
+        pb = load_problem("qp2")
+        config = SolverConfig(strategy=strategy, noise=NoiseModel(0.0, seed=0), **kwargs)
+        return step(init_state(pb, config, x0=x0), pb, config)[1]
+
     def test_scaled_tangential(self):
-        d = compose_direction(np.array([0.0, -1.0]), np.zeros(2), 0.1)
-        np.testing.assert_allclose(d.d, [0.0, -0.1], atol=1e-15)
+        # feasible start: v = 0 and d is the tangential step scaled by beta
+        rec = self._step(x0=np.array([1.0, 0.7]), eta=0.1)
+        np.testing.assert_array_equal(rec.v, [0.0, 0.0])
+        np.testing.assert_allclose(rec.u, [0.0, -0.7], atol=1e-15)
+        np.testing.assert_array_equal(rec.d, 0.1 * rec.u)
 
     def test_restoration_unaffected_by_beta(self):
-        for beta in (1e-3, 1.0, 17.0):
-            d = compose_direction(np.zeros(2), np.array([-2.0, 0.0]), beta)
-            np.testing.assert_array_equal(d.d, [-2.0, 0.0])
+        # at the origin the gradient is 0, so u = 0 and d = v for every beta
+        for eta in (1e-3, 1.0, 17.0):
+            rec = self._step(x0=np.zeros(2), eta=eta)
+            np.testing.assert_array_equal(rec.d, rec.v)
+            np.testing.assert_allclose(rec.d, [1.0, 0.0], atol=1e-15)
 
     def test_componentwise(self):
-        d = compose_direction(np.array([-0.25, 0.25]), np.array([-0.5, -0.5]), 0.5)
-        np.testing.assert_allclose(d.d, [-0.625, -0.375], atol=1e-15)
-        assert (d.beta, list(d.u), list(d.v)) == (0.5, [-0.25, 0.25], [-0.5, -0.5])
+        pb = load_problem("sphere3")
+        for strategy, rule in (("fixed", "lower"), ("fixed", "backtrack"), ("adaptive", "upper"),
+                               ("linesearch", "lower"), ("ablation", "lower")):
+            config = SolverConfig(strategy=strategy, alpha_rule=rule, max_iters=20,
+                                  noise=NoiseModel(0.1, seed=0))
+            for rec in run(pb, config, seed=3).records:
+                if strategy == "ablation":
+                    # solve_step forms p = u + v
+                    np.testing.assert_array_equal(rec.d, rec.beta * (rec.u + rec.v))
+                else:
+                    np.testing.assert_array_equal(rec.d, rec.beta * rec.u + rec.v)
 
     def test_nonpositive_beta(self):
+        # a denormal eta underflows beta = eta / sqrt(max_iters) to 0
         with pytest.raises(NonPositiveBeta):
-            compose_direction(np.zeros(2), np.zeros(2), 0.0)
+            self._step(strategy="fixed", eta=5e-324)
 
 
 class TestLeastSquaresMultiplier:

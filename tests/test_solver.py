@@ -202,6 +202,29 @@ def _steep2() -> Problem:
     return Problem(name="steep2", n=2, m=1, eval_fn=ev, c_fn=con, x0=np.zeros(2))
 
 
+class TestStepsizeUnderflow:
+    """A beta or an alpha lower end that underflows to 0 fails the run, with a token."""
+
+    def _assert_underflow(self, trace):
+        assert (trace.status, trace.fail_reason) == (FAILED, "stepsize_underflow")
+        assert trace.records == []
+
+    def test_overflowing_tangential_energy(self, tmp_path):
+        # u'u overflows, so b = inf and beta = eta / b = 0
+        pb = load_problem(_write_problem(tmp_path, g0=[1e160, 0.0]))
+        self._assert_underflow(run(pb, _config(strategy="adaptive"), seed=0))
+
+    def test_overflowing_violation(self, tmp_path):
+        # ||c||_1 overflows, so q = inf and the lower end nu / q = 0
+        pb = load_problem(_write_problem(tmp_path, m=2, A=[[1.0, 0.0], [0.0, 1.0]],
+                                         b=[-1e308, -1e308]))
+        self._assert_underflow(run(pb, _config(strategy="linesearch"), seed=0))
+
+    def test_denormal_eta(self):
+        # beta = eta / sqrt(max_iters) rounds to 0
+        self._assert_underflow(run(load_problem("qp2"), _config(strategy="fixed", eta=5e-324), seed=0))
+
+
 class TestConstraintOnlySearch:
     def test_gradient_overflow_at_a_discarded_trial_point(self):
         # From x0 = 0 the first search tries alpha = nu/q_hat + theta * eta = 3,
@@ -308,6 +331,9 @@ class TestConfigValidation:
         dict(stat_every=1.5),
         # Built inside the raises block: NoiseModel checks its level on construction.
         dict(noise=partial(NoiseModel, -1.0)),
+        dict(nu=0.0),
+        dict(alpha_rule="newton"),
+        dict(noise=partial(NoiseModel, 0.0, seed=-1)),
     ])
     def test_invalid(self, kwargs):
         from tssqp import ConfigError

@@ -1,30 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 
 from tssqp import (
-    AdaptiveState,
-    FixedSchedule,
     InvalidLineSearchConfig,
+    NoiseModel,
+    SolverConfig,
     adaptive_update,
     backtrack_count_bound,
-    fixed_alpha_range,
-    fixed_beta,
+    init_state,
+    load_problem,
+    run,
     safeguarded_backtrack,
+    step,
 )
 from oracles import replay_backtrack
+
+
+def _first_record(**kwargs):
+    """The record of one `step` on sphere3 from its start point."""
+    pb = load_problem("sphere3")
+    config = SolverConfig(noise=NoiseModel(0.0, seed=0), **kwargs)
+    return step(init_state(pb, config), pb, config)[1]
 
 
 class TestFixedSchedule:
     @pytest.mark.parametrize("eta, horizon, expected", [(1.0, 100, 0.1), (0.1, 1, 0.1)])
     def test_horizon_rule(self, eta, horizon, expected):
-        sched = FixedSchedule(eta=eta, horizon=horizon)
-        assert fixed_beta(sched) == pytest.approx(expected)
+        rec = _first_record(strategy="fixed", eta=eta, max_iters=horizon)
+        assert rec.beta == pytest.approx(expected)
 
     def test_experiment_profile_keeps_beta_constant(self):
         # backtracking mode uses the plain constant eta, independent of horizon
         for horizon in (1, 100, 1000):
-            sched = FixedSchedule(eta=0.1, horizon=horizon, alpha_rule="backtrack")
-            assert fixed_beta(sched) == 0.1
+            rec = _first_record(strategy="fixed", eta=0.1, max_iters=horizon, alpha_rule="backtrack")
+            assert rec.beta == 0.1
 
     @pytest.mark.parametrize("nu, theta, beta, expected", [
         (1.0, 1.0, 0.1, (1.0, 1.1)),
@@ -32,52 +43,46 @@ class TestFixedSchedule:
         (0.5, 2.0, 0.25, (0.5, 1.0)),
     ])
     def test_alpha_range(self, nu, theta, beta, expected):
-        sched = FixedSchedule(nu=nu, theta=theta)
-        lo, hi = fixed_alpha_range(sched, beta)
-        assert (lo, hi) == pytest.approx(expected)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedSchedule(nu=0.0)
-        with pytest.raises(ValueError):
-            FixedSchedule(alpha_rule="newton")
+        # under alpha_rule backtrack beta = eta, so the range is [nu, nu + theta * eta]
+        rec = _first_record(strategy="fixed", nu=nu, theta=theta, eta=beta, alpha_rule="backtrack")
+        assert rec.beta == beta
+        assert (rec.alpha_lo, rec.alpha_hi) == pytest.approx(expected)
 
 
 class TestAdaptiveUpdate:
     def test_chained_example(self):
-        state = AdaptiveState(eta=1.0, nu=1.0, theta=1.0, b=1.0, q=1.0)
-        beta, (lo, hi) = adaptive_update(state, u_norm_sq=3.0, c_norm_1=3.0)
-        assert state.b == pytest.approx(2.0)
-        assert beta == pytest.approx(0.5)
-        assert state.q == pytest.approx(2.0)
-        assert lo == pytest.approx(0.5)
-        beta, (lo, hi) = adaptive_update(state, u_norm_sq=5.0, c_norm_1=0.0)
-        assert state.b == pytest.approx(3.0)
-        assert beta == pytest.approx(1.0 / 3.0)
-        assert (lo, hi) == pytest.approx((0.5, 0.5 + min(1.0 / 3.0, 0.5)))
+        assert adaptive_update(1.0, 3.0) == pytest.approx(2.0)
+        assert adaptive_update(2.0, 5.0) == pytest.approx(3.0)
+        # step chains the same update from b0, and q^2 += ||c||_1 from q0
+        pb = load_problem("sphere3")
+        config = SolverConfig(strategy="adaptive", eta=0.5, nu=0.8, theta=2.0, b0=1.5, q0=0.3,
+                              alpha_rule="upper", max_iters=30, noise=NoiseModel(0.1, seed=2))
+        b, q = config.b0, config.q0
+        for rec in run(pb, config, seed=1).records:
+            b = adaptive_update(b, float(rec.u @ rec.u))
+            q = math.sqrt(q * q + rec.c_l1)
+            assert rec.beta == config.eta / b
+            assert rec.alpha_lo == config.nu / q
+            assert rec.alpha_hi == rec.alpha_lo + min(config.theta / b, config.theta / q)
+            assert rec.alpha == rec.alpha_hi
 
     def test_monotonicity(self):
         rng = np.random.default_rng(0)
-        state = AdaptiveState(eta=0.1, nu=1.0, theta=1.0, b=1.0, q=1e-9)
-        prev_b, prev_q, prev_beta, prev_lo = state.b, state.q, 0.1, np.inf
+        b = 1.0
         for _ in range(200):
-            beta, (lo, _) = adaptive_update(state, rng.exponential(), rng.exponential())
-            assert state.b >= prev_b and state.q >= prev_q
-            assert beta <= prev_beta + 1e-15
-            assert lo <= prev_lo + 1e-15
-            prev_b, prev_q, prev_beta, prev_lo = state.b, state.q, beta, lo
-
-    def test_beta_prev_tracks_previous_accumulator(self):
-        state = AdaptiveState(eta=1.0, b=2.0)
-        assert state.beta_prev == pytest.approx(0.5)
-        adaptive_update(state, 5.0, 0.0)
-        assert state.beta_prev == pytest.approx(0.5)
-        adaptive_update(state, 0.0, 0.0)
-        assert state.beta_prev == pytest.approx(1.0 / 3.0)
+            b_next = adaptive_update(b, rng.exponential())
+            assert b_next >= b
+            b = b_next
+        config = SolverConfig(strategy="adaptive", max_iters=200, noise=NoiseModel(0.1, seed=0))
+        records = run(load_problem("sphere3"), config, seed=0).records
+        assert len(records) == 200
+        for prev, rec in zip(records, records[1:]):
+            assert rec.beta <= prev.beta
+            assert rec.alpha_lo <= prev.alpha_lo
 
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_update(AdaptiveState(), -1.0, 0.0)
+            adaptive_update(1.0, -1.0)
 
 
 def _scalar_c(fn):
