@@ -4,11 +4,6 @@ from .diagnostics import (
     AuditReport,
     MeritInputs,
     audit_trace,
-    error_measures,
-    merit_phi,
-    model_l,
-    model_reduction,
-    nu_upper_bound,
     tau_min,
 )
 from .errors import (
@@ -20,6 +15,7 @@ from .errors import (
     InvalidLineSearchConfig,
     NonPositiveBeta,
     ParseError,
+    StepsizeOverflow,
     RankDeficientJacobian,
     TssqpError,
     UnknownProblem,
@@ -33,7 +29,7 @@ from .harness import (
     to_csv,
     to_json,
 )
-from .linalg import KktSolution, least_squares_multiplier, solve_step
+from .linalg import least_squares_multiplier, solve_step
 from .problems import (
     Evaluation,
     NoiseModel,
@@ -52,6 +48,7 @@ from .solver import (
     Trace,
     init_state,
     run,
+    run_lanes,
     step,
 )
 from .stepsize import adaptive_update, backtrack_count_bound, safeguarded_backtrack

@@ -1,4 +1,4 @@
-"""Merit-function quantities, error measures, and the trace auditor.
+"""The merit-parameter bound and the trace auditor.
 
 The auditor re-derives every checkable inequality from the recorded iterates:
 decomposition residuals, the normal-component bound ||v|| <= ||c||_2 / sigma_min,
@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import least_squares_multiplier
 from .problems import Problem, evaluate, evaluate_c
 from .solver import Trace
 from .stepsize import backtrack_count_bound
@@ -49,63 +47,11 @@ class MeritInputs:
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
 
 
-def merit_phi(f_val: float, c_l1: float, tau: float) -> float:
-    """Exact-penalty merit tau * f + ||c||_1."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if c_l1 < 0:
-        raise ValueError(f"c_l1 must be nonnegative, got {c_l1}")
-    return tau * f_val + c_l1
-
-
-def model_l(f_val, grad, c, J, tau, d) -> float:
-    """Linearized merit model tau (f + grad' d) + ||c + J d||_1."""
-    grad = np.asarray(grad, dtype=float)
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    J = np.asarray(J, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if J.shape != (c.shape[0], grad.shape[0]) or d.shape != grad.shape:
-        raise DimensionMismatch(
-            f"inconsistent shapes: grad={grad.shape}, c={c.shape}, J={J.shape}, d={d.shape}"
-        )
-    return tau * (f_val + float(grad @ d)) + float(np.abs(c + J @ d).sum())
-
-
-def model_reduction(grad, c_l1: float, tau: float, d) -> float:
-    """Closed-form model decrease -tau grad' d + ||c||_1.
-
-    Valid on directions with c + J d = 0; that precondition is the caller's
-    contract and is what the auditor verifies on recorded steps.
-    """
-    grad = np.asarray(grad, dtype=float)
-    d = np.asarray(d, dtype=float)
-    return -tau * float(grad @ d) + c_l1
-
-
 def tau_min(inputs: MeritInputs) -> float:
     """Merit-parameter lower bound (1 - sigma) / (kappa_v (kappa_beta kappa_H kappa_u + kappa_g))."""
     return (1.0 - inputs.sigma) / (
         inputs.kappa_v * (inputs.kappa_beta * inputs.kappa_h * inputs.kappa_u + inputs.kappa_g)
     )
-
-
-def nu_upper_bound(sigma: float, kappa_v: float, tau: float, lip_grad: float, lip_jac: float) -> float:
-    """Admissible global-stepsize bound sigma / (2 kappa_v (tau L + Gamma) + 4).
-
-    The Lipschitz constants are explicit inputs; nothing estimates them.
-    """
-    return sigma / (2.0 * kappa_v * (tau * lip_grad + lip_jac) + 4.0)
-
-
-def error_measures(problem: Problem, x) -> tuple[float, float, np.ndarray]:
-    """(feasibility error, stationarity error, least-squares multiplier) at x.
-
-    Both errors are infinity norms; the multiplier always comes from the true
-    gradient.
-    """
-    ev = evaluate(problem, x)
-    y = least_squares_multiplier(ev.jac, ev.grad)
-    return float(np.abs(ev.c).max()), float(np.abs(ev.grad + ev.jac.T @ y).max()), y
 
 
 @dataclass

@@ -37,6 +37,11 @@ class NonPositiveBeta(TssqpError):
     or ||c||_1, or a denormal eta)."""
 
 
+class StepsizeOverflow(TssqpError):
+    """A stepsize that must be finite is not: beta or the upper end of the
+    alpha range overflowed to inf (or became NaN)."""
+
+
 class InvalidLineSearchConfig(TssqpError):
     """Line-search parameters violate 0 < lower <= upper, xi in (0,1), rho in (0,1)."""
 

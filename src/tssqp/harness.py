@@ -5,9 +5,14 @@ Every run's RNG stream is derived from a SHA-256 hash of
 strategy to a plan never shifts the seeds of existing runs, and execution
 order never changes the output: rows are sorted by key before emission.
 
+All noise-level x trial runs of one (problem, strategy) cell advance
+together as the lanes of one :func:`solver.run_lanes` call; a lane's rows are
+bitwise those of its run alone.
+
 ``wall_ms`` is 0 by default so that repeated runs of the same plan are
 byte-identical; set ``TSSQP_TIMING=1`` to record real timings at the cost of
-that guarantee.
+that guarantee.  A run's ``wall_ms`` is then the time from the start of its
+cell until its lane finished.
 
 Quartiles in :func:`summarize` use linear interpolation between order
 statistics (Hyndman-Fan type 7, numpy's default).
@@ -18,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
@@ -108,26 +112,30 @@ def _status_token(trace: Trace) -> str:
     return trace.status
 
 
-def _one_run(problem: Problem, plan: ExperimentPlan, strategy: str,
-             noise_level: float, trial: int, audit: bool, timing: bool) -> ResultRow:
-    config = plan.config_for(strategy, noise_level)
-    seed = run_seed(plan.base_seed, problem.name, strategy, noise_level, trial)
-    t0 = time.perf_counter() if timing else 0.0
-    trace = solver.run(problem, config, seed=seed)
-    wall_ms = (time.perf_counter() - t0) * 1e3 if timing else 0.0
-    report = audit_trace(trace, problem) if audit else None
-    return ResultRow(
-        problem=problem.name,
-        strategy=strategy,
-        noise=noise_level,
-        trial=trial,
-        status=_status_token(trace),
-        feas_error=trace.feas_error,
-        stat_error=trace.stat_error,
-        iters=trace.iterations,
-        wall_ms=wall_ms,
-        audit=report,
+def _run_cell(problem: Problem, plan: ExperimentPlan, strategy: str,
+              audit: bool, timing: bool) -> list[ResultRow]:
+    """The rows of every noise level x trial of one (problem, strategy) cell, from one solver call."""
+    lanes = [(noise, trial) for noise in plan.noise_levels for trial in range(plan.trials)]
+    traces = solver.run_lanes(
+        problem,
+        [plan.config_for(strategy, noise) for noise, _ in lanes],
+        [run_seed(plan.base_seed, problem.name, strategy, noise, trial) for noise, trial in lanes],
     )
+    return [
+        ResultRow(
+            problem=problem.name,
+            strategy=strategy,
+            noise=noise,
+            trial=trial,
+            status=_status_token(trace),
+            feas_error=trace.feas_error,
+            stat_error=trace.stat_error,
+            iters=trace.iterations,
+            wall_ms=trace.wall_s * 1e3 if timing else 0.0,
+            audit=audit_trace(trace, problem) if audit else None,
+        )
+        for (noise, trial), trace in zip(lanes, traces)
+    ]
 
 
 def run_experiment(plan: ExperimentPlan, audit: bool = False) -> list[ResultRow]:
@@ -139,11 +147,10 @@ def run_experiment(plan: ExperimentPlan, audit: bool = False) -> list[ResultRow]
     problems = {name: load_problem(name) for name in plan.problems}
     timing = os.environ.get("TSSQP_TIMING", "0").lower() in ("1", "true", "yes")
     rows = [
-        _one_run(problems[name], plan, strategy, noise, trial, audit, timing)
+        row
         for name in plan.problems
         for strategy in plan.strategies
-        for noise in plan.noise_levels
-        for trial in range(plan.trials)
+        for row in _run_cell(problems[name], plan, strategy, audit, timing)
     ]
     rows.sort(key=lambda r: r.key)
     return rows

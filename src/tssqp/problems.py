@@ -11,6 +11,13 @@ The solver draws stochastic gradients ``g = grad_f(x) + sqrt(eps) * z`` with
 ``z`` standard normal.  Normal deviates are produced by the Box-Muller
 transform applied to PCG64 uniforms so that a given seed yields the same draw
 sequence on every platform (up to floating-point ULPs in ``log``/``cos``/``sin``).
+
+The solver advances several lanes (runs) at once and evaluates them through
+:func:`evaluate_rows`/:func:`evaluate_c_rows`.  A problem whose oracles are
+``stacked`` (every built-in and every ``quadratic_linear`` file) takes the
+whole ``(B, n)`` stack of points in one call; any other problem is called
+once per row.  Either way row ``i`` of the result has the bits of the call
+at ``x[i]``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem, check_count
+from .linalg import dot, mv
 
 EvalFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
 CFn = Callable[[np.ndarray], np.ndarray]
@@ -70,6 +78,11 @@ class Problem:
     optionally carries a first-order stationary pair ``(x_star, y_star)`` used
     by tests.  ``h_matrix`` optionally fixes the constant quadratic model
     matrix used by the solver for this problem.
+
+    ``stacked`` says that both oracles also take a ``(B, n)`` stack of points
+    and return ``f`` (B,), ``grad`` (B, n), ``c`` (B, m) and ``jac`` (B, m, n),
+    or ``jac`` (m, n) when it is one matrix for every point; row ``i`` must
+    be bitwise equal to the call at ``x[i]``.
     """
 
     name: str
@@ -80,6 +93,7 @@ class Problem:
     x0: np.ndarray
     known_kkt: Optional[tuple[np.ndarray, np.ndarray]] = None
     h_matrix: Optional[np.ndarray] = None
+    stacked: bool = False
 
     def __post_init__(self) -> None:
         if self.n <= 0 or self.m <= 0 or self.m > self.n:
@@ -95,65 +109,157 @@ def _point(problem: Problem, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _oracle_arrays(problem: Problem, out, lead: tuple) -> tuple:
+    """Oracle output `out` as float arrays (f a float for one point), with shapes checked against n, m."""
+    f, grad, c, jac = out
+    f = np.asarray(f, dtype=float) if lead else float(f)
+    grad = np.ascontiguousarray(grad, dtype=float)
+    c = np.ascontiguousarray(c, dtype=float)
+    if c.ndim == 0:
+        c = c[None]
+    jac = np.ascontiguousarray(jac, dtype=float)
+    n, m = problem.n, problem.m
+    if (np.shape(f) != lead or grad.shape != lead + (n,) or c.shape != lead + (m,)
+            or jac.shape not in (lead + (m, n), (m, n))):
+        raise DimensionMismatch(
+            f"{problem.name}: oracle shapes f={np.shape(f)} grad={grad.shape} c={c.shape} jac={jac.shape} "
+            f"inconsistent with n={n}, m={m}"
+        )
+    return f, grad, c, jac
+
+
 def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
     """Evaluate the deterministic oracles, checking shapes and finiteness."""
     x = _point(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        f, grad, c, jac = problem.eval_fn(x)
-    f = float(f)
-    grad = np.asarray(grad, dtype=float)
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    jac = np.asarray(jac, dtype=float)
-    if grad.shape != (problem.n,) or c.shape != (problem.m,) or jac.shape != (problem.m, problem.n):
-        raise DimensionMismatch(
-            f"{problem.name}: oracle shapes grad={grad.shape} c={c.shape} jac={jac.shape} "
-            f"inconsistent with n={problem.n}, m={problem.m}"
-        )
+        out = problem.eval_fn(x)
+    f, grad, c, jac = _oracle_arrays(problem, out, ())
     if not (math.isfinite(f) and np.isfinite(grad).all() and np.isfinite(c).all() and np.isfinite(jac).all()):
         raise EvaluationFailure(f"{problem.name}: non-finite oracle output at x={x!r}")
     return Evaluation(f=f, grad=grad, c=c, jac=jac)
+
+
+def _finite_rows(*arrays: np.ndarray) -> np.ndarray | bool:
+    """True when every entry is finite, else a mask of the rows (leading axis) that are."""
+    if np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        return True
+    ok = True
+    for a in arrays:
+        ok = ok & np.isfinite(a).reshape(len(a), -1).all(axis=1)
+    return ok
+
+
+def _call_row(problem: Problem, oracle: Callable, x: np.ndarray, failed):
+    """oracle(x), or the non-finite stand-in `failed` when the oracle raises EvaluationFailure."""
+    try:
+        return oracle(x)
+    except EvaluationFailure:
+        return failed
+
+
+def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, np.ndarray | bool]:
+    """:func:`evaluate` at each row of X (B, n), without raising on non-finite output.
+
+    Returns the stacked evaluation (``f`` (B,), ``grad`` (B, n), ``c`` (B, m),
+    ``jac`` (B, m, n), or (m, n) when every row has the same bytes) and True
+    when every row is finite, else a mask of the finite rows.  Shapes are
+    checked on every call and raise DimensionMismatch.  Floating-point
+    warnings follow the caller's ``np.errstate``.
+    """
+    if problem.stacked:
+        f, grad, c, jac = _oracle_arrays(problem, problem.eval_fn(X), (len(X),))
+    else:
+        rows = [_call_row(problem, lambda x: _oracle_arrays(problem, problem.eval_fn(x), ()), x,
+                          (math.nan, np.full(problem.n, math.nan), np.full(problem.m, math.nan),
+                           np.full((problem.m, problem.n), math.nan)))
+                for x in X]
+        f, grad, c = (np.array([r[i] for r in rows]) for i in range(3))
+        jac = rows[0][3]
+        if any(r[3].tobytes() != jac.tobytes() for r in rows[1:]):
+            jac = np.stack([r[3] for r in rows])
+    if jac.ndim == 3:
+        return Evaluation(f=f, grad=grad, c=c, jac=jac), _finite_rows(f, grad, c, jac)
+    if not np.isfinite(jac).all():
+        return Evaluation(f=f, grad=grad, c=c, jac=jac), np.zeros(len(X), dtype=bool)
+    return Evaluation(f=f, grad=grad, c=c, jac=jac), _finite_rows(f, grad, c)
+
+
+def _c_array(problem: Problem, c, lead: tuple) -> np.ndarray:
+    c = np.ascontiguousarray(c, dtype=float)
+    if c.ndim == 0:
+        c = c[None]
+    if c.shape != lead + (problem.m,):
+        raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with m={problem.m}")
+    return c
 
 
 def evaluate_c(problem: Problem, x: np.ndarray) -> np.ndarray:
     """Evaluate the constraint-only oracle ``c_fn`` with the checks of :func:`evaluate`."""
     x = _point(problem, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.atleast_1d(np.asarray(problem.c_fn(x), dtype=float))
-    if c.shape != (problem.m,):
-        raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with m={problem.m}")
+        c = _c_array(problem, problem.c_fn(x), ())
     if not np.isfinite(c).all():
         raise EvaluationFailure(f"{problem.name}: non-finite constraint value at x={x!r}")
     return c
 
 
+def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
+    """:func:`evaluate_c` at each row of X (B, n): c (B, m) and the finite-row mask, as in :func:`evaluate_rows`."""
+    if problem.stacked:
+        c = _c_array(problem, problem.c_fn(X), (len(X),))
+    else:
+        c = np.stack([_call_row(problem, lambda x: _c_array(problem, problem.c_fn(x), ()), x,
+                                np.full(problem.m, math.nan))
+                      for x in X])
+    if np.isfinite(c).all():
+        return c, True
+    return c, np.isfinite(c).all(axis=1)
+
+
+def standard_normal_rows(streams: list[np.random.Generator], n: int) -> np.ndarray:
+    """One row of n standard-normal deviates per stream, via Box-Muller over PCG64 uniforms.
+
+    Each stream makes one ``random(2 * half)`` call; the transform then runs
+    on the whole (B, 2 * half) stack, which gives each row the bits of its
+    own transform.
+    """
+    half = (n + 1) // 2
+    u = np.empty((len(streams), 2 * half))
+    for row, stream in zip(u, streams):
+        stream.random(out=row)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, :half]))  # 1 - u in (0, 1] keeps log() finite
+    t = 2.0 * np.pi * u[:, half:]
+    z = np.empty_like(u)
+    z[:, 0::2] = r * np.cos(t)
+    z[:, 1::2] = r * np.sin(t)
+    return z[:, :n]
+
+
 def standard_normal_vector(stream: np.random.Generator, n: int) -> np.ndarray:
     """n standard-normal deviates via Box-Muller over PCG64 uniforms."""
-    half = (n + 1) // 2
-    u1 = 1.0 - stream.random(half)  # in (0, 1], keeps log() finite
-    u2 = stream.random(half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * half)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:n]
+    return standard_normal_rows([stream], n)[0]
 
 
 # ---------------------------------------------------------------------------
 # Built-in suite
 # ---------------------------------------------------------------------------
 
+# Each built-in writes its oracles once, for one point (n,) or a stack (B, n),
+# with `dot`/`mv` where a 1-D oracle would use `@`.
+
 def _qp2() -> Problem:
     # f = 0.5 ||x||^2, c = x1 - 1
     def con(x):
-        return np.array([x[0] - 1.0])
+        return x[..., :1] - 1.0
 
     def ev(x):
-        return 0.5 * float(x @ x), x.copy(), con(x), np.array([[1.0, 0.0]])
+        return 0.5 * dot(x, x), x.copy(), con(x), np.array([[1.0, 0.0]])
 
     return Problem(
         name="qp2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.zeros(2),
         known_kkt=(np.array([1.0, 0.0]), np.array([-1.0])),
+        stacked=True,
     )
 
 
@@ -195,19 +301,16 @@ def _make_quadratic_linear(name, Q, g0, A, b, x0) -> Problem:
     b = np.asarray(b, dtype=float)
 
     def con(x):
-        return A @ x - b
+        return mv(A, x) - b
 
     def ev(x):
-        return (
-            0.5 * float(x @ Q @ x) + float(g0 @ x),
-            Q @ x + g0,
-            con(x),
-            A.copy(),
-        )
+        # x'Qx as (x'Q) x, in the order of x @ Q @ x
+        xQ = np.matmul(x[..., None, :], Q)[..., 0, :]
+        return 0.5 * dot(xQ, x) + dot(np.broadcast_to(g0, x.shape), x), mv(Q, x) + g0, con(x), A.copy()
 
     return Problem(
         name=name, n=Q.shape[0], m=A.shape[0], eval_fn=ev, c_fn=con, x0=np.asarray(x0, dtype=float),
-        known_kkt=_quadratic_linear_kkt(Q, g0, A, b),
+        known_kkt=_quadratic_linear_kkt(Q, g0, A, b), stacked=True,
     )
 
 
@@ -215,18 +318,24 @@ def _qplin5() -> Problem:
     return _make_quadratic_linear("qplin5", _QPLIN5_Q, _QPLIN5_G0, _QPLIN5_A, _QPLIN5_B, np.zeros(5))
 
 
+def _sphere(x, radius_sq: float):
+    """||x||^2 - radius_sq as a length-1 constraint vector of each point."""
+    return (dot(x, x) - radius_sq)[..., None]
+
+
 def _sphere3() -> Problem:
     # f = x1 + x2 + x3, c = ||x||^2 - 3; minimizer (-1,-1,-1) with multiplier 1/2
     def con(x):
-        return np.array([float(x @ x) - 3.0])
+        return _sphere(x, 3.0)
 
     def ev(x):
-        return float(x.sum()), np.ones(3), con(x), 2.0 * x[None, :]
+        return x.sum(axis=-1), np.ones(x.shape), con(x), 2.0 * x[..., None, :]
 
     return Problem(
         name="sphere3", n=3, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([2.0, 0.0, 0.0]),
         known_kkt=(np.array([-1.0, -1.0, -1.0]), np.array([0.5])),
+        stacked=True,
     )
 
 
@@ -236,14 +345,21 @@ _ROSEN_T = 0.6187956190750254
 _ROSEN_Y = 0.34072745229388746
 
 
+def _pow2(a: np.ndarray) -> np.ndarray:
+    """`** 2` on each entry as a float64 scalar (libm pow), whose bits now and then
+    differ in the last place from a * a and from `** 2` on an array."""
+    return np.array([v ** 2 for v in np.ravel(a)]).reshape(np.shape(a))
+
+
 def _rosenlin2() -> Problem:
     def con(x):
-        return np.array([x[0] + x[1] - 1.0])
+        return x[..., :1] + x[..., 1:] - 1.0
 
     def ev(x):
-        r = x[1] - x[0] ** 2
-        f = 100.0 * r * r + (1.0 - x[0]) ** 2
-        grad = np.array([-400.0 * x[0] * r - 2.0 * (1.0 - x[0]), 200.0 * r])
+        x1, x2 = x[..., 0], x[..., 1]
+        r = x2 - _pow2(x1)
+        f = 100.0 * r * r + _pow2(1.0 - x1)
+        grad = np.stack([-400.0 * x1 * r - 2.0 * (1.0 - x1), 200.0 * r], axis=-1)
         return f, grad, con(x), np.array([[1.0, 1.0]])
 
     # Reduced curvature along the constraint line peaks near 1e3; H = 150 I keeps
@@ -253,21 +369,25 @@ def _rosenlin2() -> Problem:
         x0=np.array([-1.2, 1.0]),
         known_kkt=(np.array([_ROSEN_T, 1.0 - _ROSEN_T]), np.array([_ROSEN_Y])),
         h_matrix=150.0 * np.eye(2),
+        stacked=True,
     )
 
 
 def _lincirc2() -> Problem:
     # f = x1 + 2 x2, c = ||x||^2 - 5; minimizer (-1,-2) with multiplier 1/2
     def con(x):
-        return np.array([float(x @ x) - 5.0])
+        return _sphere(x, 5.0)
 
     def ev(x):
-        return float(x[0] + 2.0 * x[1]), np.array([1.0, 2.0]), con(x), 2.0 * x[None, :]
+        grad = np.empty(x.shape)
+        grad[...] = (1.0, 2.0)
+        return x[..., 0] + 2.0 * x[..., 1], grad, con(x), 2.0 * x[..., None, :]
 
     return Problem(
         name="lincirc2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([3.0, 0.0]),
         known_kkt=(np.array([-1.0, -2.0]), np.array([0.5])),
+        stacked=True,
     )
 
 
@@ -276,16 +396,17 @@ def _projball2() -> Problem:
     a = np.array([2.0, 0.0])
 
     def con(x):
-        return np.array([float(x @ x) - 1.0])
+        return _sphere(x, 1.0)
 
     def ev(x):
         d = x - a
-        return 0.5 * float(d @ d), d, con(x), 2.0 * x[None, :]
+        return 0.5 * dot(d, d), d, con(x), 2.0 * x[..., None, :]
 
     return Problem(
         name="projball2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([0.5, 1.5]),
         known_kkt=(np.array([1.0, 0.0]), np.array([0.5])),
+        stacked=True,
     )
 
 
@@ -294,15 +415,17 @@ def _quadsphere4() -> Problem:
     d = np.array([1.0, 2.0, 3.0, 4.0])
 
     def con(x):
-        return np.array([float(x @ x) - 4.0])
+        return _sphere(x, 4.0)
 
     def ev(x):
-        return 0.5 * float(x @ (d * x)), d * x, con(x), 2.0 * x[None, :]
+        dx = d * x
+        return 0.5 * dot(x, dx), dx, con(x), 2.0 * x[..., None, :]
 
     return Problem(
         name="quadsphere4", n=4, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([0.5, 1.0, 1.0, 1.0]),
         known_kkt=(np.array([2.0, 0.0, 0.0, 0.0]), np.array([-0.5])),
+        stacked=True,
     )
 
 

@@ -1,17 +1,28 @@
 """Iteration loops for the two-stepsize SQP method.
 
-One `step` performs: sample a stochastic gradient, solve the Newton KKT
+One iteration performs: sample a stochastic gradient, solve the Newton KKT
 system, split the step into tangential and normal components, pick the
 tangential stepsize beta and the global stepsize alpha according to the
-configured strategy, and move.  `run` drives steps until the iterate is both
+configured strategy, and move.  A run iterates until the iterate is both
 sufficiently feasible and stationary, the budget runs out, or the step
 computation fails.
+
+Lanes
+-----
+`run_lanes` advances B runs of one problem ("lanes") in lockstep, as one
+stacked iteration on state x of shape (B, n).  The lanes may differ only in
+their noise model and seed.  Every operation on the stack gives each lane
+the bits it gets alone (see `linalg`), and each lane keeps its own noise
+stream, accumulators, termination, failure token and records, so lane i's
+trace is bitwise the trace of `run(problem, configs[i], seeds[i])`.  `run`
+is the B = 1 case of the same code.  A lane leaves the stack when it
+finishes; a failure ends only its own lane.
 
 Stepsizes
 ---------
 Every strategy moves by x <- x + alpha d with d = beta u + v (ablation:
 d = beta p, standing in for single-stepsize stochastic SQP) and alpha in
-[lo, hi].  `step` computes (beta, lo, hi) by one rule:
+[lo, hi].  Each iteration computes (beta, lo, hi) per lane by one rule:
 
 beta    eta / b for adaptive, where b^2 += ||u||^2 starting from b0;
         eta / sqrt(max_iters) for fixed with alpha_rule lower/upper;
@@ -23,44 +34,63 @@ alpha   the safeguarded backtracking search over [lo, hi] for linesearch,
         ablation, and fixed with alpha_rule backtrack; otherwise the endpoint
         that alpha_rule names.
 
-A step whose beta or lo underflows to 0 raises NonPositiveBeta, which `run`
-reports as the failure token `stepsize_underflow`.
+A lane whose beta or lo underflows to 0 ends with the failure token
+`stepsize_underflow`; one whose beta or hi overflows to inf ends with
+`stepsize_overflow`.  The iteration runs with overflow and invalid-value
+warnings off.
 
 Stationarity is always measured with the true gradient and the least-squares
 multiplier, never with the stochastic gradient.
 
-Work per iteration: one full oracle evaluation at the iterate, shared by the
+Work per iteration: one full oracle evaluation of the stack, shared by the
 termination check and the step, and one constraint-only evaluation per
-line-search trial.  H is built once per run.  The step and the multiplier
-factorizations of J are kept on the state and reused while J stays bitwise
-the same, as it does for linear constraints.
+line-search round.  H is built once per run.  A Jacobian that is one matrix
+for all lanes (linear constraints) is factored once and its factors are kept
+while its bytes stay the same; per-lane Jacobians are factored as a stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     EvaluationFailure,
     IndefiniteReducedHessian,
     NonPositiveBeta,
     RankDeficientJacobian,
+    StepsizeOverflow,
     check_count,
 )
 from .linalg import (
     StepFactors,
-    factor_multiplier,
-    factor_step,
+    dot,
+    factor_multiplier_lanes,
+    factor_step_lanes,
     least_squares_multiplier,
+    mv,
     solve_step,
 )
-from .problems import Evaluation, NoiseModel, Problem, evaluate, evaluate_c, standard_normal_vector
-from .stepsize import adaptive_update, safeguarded_backtrack
+from .problems import (
+    Evaluation,
+    NoiseModel,
+    Problem,
+    evaluate_c_rows,
+    evaluate_rows,
+    standard_normal_rows,
+)
+from .stepsize import adaptive_update, backtrack_rows
+
+# The one-point forms of the layers, bound here by name like the stacked
+# forms, so that a profiler wrapping tssqp.solver.<name> finds every layer.
+from .problems import evaluate, standard_normal_vector  # noqa: F401
+from .stepsize import safeguarded_backtrack  # noqa: F401
 
 STRATEGIES = ("fixed", "adaptive", "linesearch", "ablation")
 
@@ -73,6 +103,7 @@ _FAIL_TOKENS = {
     IndefiniteReducedHessian: "indefinite_reduced_hessian",
     EvaluationFailure: "evaluation_failure",
     NonPositiveBeta: "stepsize_underflow",
+    StepsizeOverflow: "stepsize_overflow",
 }
 
 
@@ -94,11 +125,9 @@ class SolverConfig:
     b0: float = 1.0
     alpha_rule: str = "lower"
     noise: NoiseModel = field(default_factory=NoiseModel)
-    stat_every: int = 1
 
     def validate(self) -> None:
         check_count("max_iters", self.max_iters, 0)
-        check_count("stat_every", self.stat_every, 1)
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -122,24 +151,42 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterate, noise stream and stepsize accumulators of one run, plus per-run caches.
+    """Iterates, noise streams and stepsize accumulators of the lanes still running.
 
-    `h` is the model matrix H.  `b` and `q` are the Adagrad-Norm accumulators,
-    started at b0 and q0.  `step_factors`/`multiplier_factors` hold the last
-    J's bytes with its `factor_step`/`factor_multiplier` result.
+    Row i of `x` (B, n), `scale` (B, 1), `b` and `q` (B,) and entry i of
+    `streams` belong to the lane numbered `lane[i]` in its run; a row leaves
+    when its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the
+    rows with a nonzero one, or is None when that is every row.  `b` and `q` are the
+    Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
+    matrix H.  `step_factors`/`multiplier_factors` hold the bytes of the
+    last Jacobian shared by all lanes with its factors and failures.
     """
 
     k: int
     x: np.ndarray
-    stream: np.random.Generator
+    streams: list
+    scale: np.ndarray
     h: np.ndarray
-    b: float
-    q: float
-    step_factors: Optional[tuple[bytes, StepFactors]] = None
+    b: np.ndarray
+    q: np.ndarray
+    lane: np.ndarray
+    step_factors: Optional[tuple[bytes, tuple]] = None
     multiplier_factors: Optional[tuple[bytes, tuple]] = None
+    noisy: Optional[np.ndarray] = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        noisy = np.flatnonzero(self.scale[:, 0] > 0.0)
+        self.noisy = None if len(noisy) == len(self.scale) else noisy
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows where the boolean mask `rows` is True."""
+        self.x, self.scale, self.b, self.q, self.lane = (
+            a[rows] for a in (self.x, self.scale, self.b, self.q, self.lane))
+        self.streams = [s for s, k in zip(self.streams, rows.tolist()) if k]
+        self.__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterationRecord:
     """Per-iteration instrumentation, all quantities at the pre-step iterate x.
 
@@ -176,7 +223,11 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """A finished run together with the configuration that produced it."""
+    """A finished run together with the configuration that produced it.
+
+    `wall_s` is the time from the start of the `run`/`run_lanes` call until
+    this lane finished.
+    """
 
     problem: str
     config: SolverConfig
@@ -189,6 +240,7 @@ class Trace:
     x_final: np.ndarray
     h_matrix: np.ndarray
     seed: int
+    wall_s: float = 0.0
 
     @property
     def strategy(self) -> str:
@@ -201,21 +253,53 @@ class Trace:
 
 def _h_matrix(problem: Problem) -> np.ndarray:
     if problem.h_matrix is not None:
-        return np.asarray(problem.h_matrix, dtype=float)
+        return np.ascontiguousarray(problem.h_matrix, dtype=float)
     return np.eye(problem.n)
 
 
+def _lane_config(configs) -> SolverConfig:
+    """The config shared by all lanes, after validating each; lanes may differ only in noise."""
+    if not configs:
+        raise ConfigError("a run needs at least one lane")
+    first = configs[0]
+    for config in configs:
+        config.validate()
+        if replace(config, noise=first.noise) != first:
+            raise ConfigError("the lanes of one run may differ only in their noise model")
+    return first
+
+
+def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
+    config = _lane_config(configs)
+    if len(seeds) != len(configs):
+        raise ConfigError(f"{len(configs)} lanes but {len(seeds)} seeds")
+    x = np.asarray(problem.x0 if x0 is None else x0, dtype=float)
+    if x.shape != (problem.n,):
+        raise DimensionMismatch(f"{problem.name}: x0 has shape {x.shape}, expected ({problem.n},)")
+    B = len(configs)
+    return SolverState(
+        k=0, x=np.repeat(x[None], B, axis=0),
+        streams=[c.noise.stream(int(seed)) for c, seed in zip(configs, seeds)],
+        scale=np.array([[math.sqrt(c.noise.epsilon_n)] for c in configs]),
+        h=_h_matrix(problem), b=np.full(B, config.b0), q=np.full(B, config.q0), lane=np.arange(B),
+    )
+
+
 def init_state(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> SolverState:
-    config.validate()
-    x = np.asarray(problem.x0 if x0 is None else x0, dtype=float).copy()
-    return SolverState(k=0, x=x, stream=config.noise.stream(int(seed)), h=_h_matrix(problem),
-                       b=config.b0, q=config.q0)
+    """The state of a one-lane run of `config` from x0 (default problem.x0)."""
+    return _init_lanes(problem, [config], [seed], x0)
 
 
-def _noisy_gradient(grad: np.ndarray, noise: NoiseModel, stream: np.random.Generator) -> np.ndarray:
-    if noise.epsilon_n == 0.0:
-        return grad.copy()
-    return grad + math.sqrt(noise.epsilon_n) * standard_normal_vector(stream, grad.shape[0])
+def _noisy_gradients(grad: np.ndarray, state: SolverState) -> np.ndarray:
+    """grad + sqrt(eps) z per lane; a noise-free lane keeps grad's bits and draws nothing."""
+    if state.noisy is None:
+        return grad + state.scale * standard_normal_rows(state.streams, grad.shape[1])
+    g = grad.copy()
+    if len(state.noisy):
+        rows = state.noisy
+        z = standard_normal_rows([state.streams[i] for i in rows.tolist()], grad.shape[1])
+        g[rows] = grad[rows] + state.scale[rows] * z
+    return g
 
 
 def _reuse(cached: Optional[tuple], J: np.ndarray, factor: Callable) -> tuple:
@@ -226,135 +310,286 @@ def _reuse(cached: Optional[tuple], J: np.ndarray, factor: Callable) -> tuple:
     return key, factor(J)
 
 
-def _stationarity(state: SolverState, J: np.ndarray, grad: np.ndarray) -> float:
-    state.multiplier_factors = _reuse(state.multiplier_factors, J, factor_multiplier)
-    y = least_squares_multiplier(J, grad, state.multiplier_factors[1])
-    return float(np.abs(grad + J.T @ y).max())
+class _Lanes:
+    """What is known of each lane of a run: records, reported errors and how it ended."""
+
+    def __init__(self, B: int) -> None:
+        self.records: list[list[IterationRecord]] = [[] for _ in range(B)]
+        self.first: list[Optional[tuple[float, float]]] = [None] * B
+        self.least = [(math.inf, (math.nan, math.nan))] * B
+        self.status = [BUDGET_EXHAUSTED] * B
+        self.error: list[Optional[Exception]] = [None] * B
+        self.x_final: list[Optional[np.ndarray]] = [None] * B
+        self.wall_s = [0.0] * B
+        self.start = time.perf_counter()
+
+    def end(self, state: SolverState, rows: np.ndarray, status: str, error=None) -> np.ndarray:
+        """End the lanes of the rows in the boolean mask `rows`; returns the mask of rows kept.
+
+        `error` is one exception for all of them or a {row: exception} dict.
+        """
+        now = time.perf_counter() - self.start
+        for i in np.flatnonzero(rows).tolist():
+            lane = int(state.lane[i])
+            self.status[lane] = status
+            self.error[lane] = error.get(i) if isinstance(error, dict) else error
+            self.x_final[lane] = state.x[i].copy()
+            self.wall_s[lane] = now
+        keep = ~rows
+        state.keep(keep)
+        return keep
+
+    def observe(self, state: SolverState, feas: np.ndarray, stat: np.ndarray,
+                config: SolverConfig) -> list[int]:
+        """Note the errors at the current iterates for the protocol's reported
+        measures; returns the rows whose iterate meets both tolerances."""
+        done = []
+        for row, (lane, f, s) in enumerate(zip(state.lane.tolist(), feas.tolist(), stat.tolist())):
+            if f <= config.feas_tol:
+                if self.first[lane] is None:
+                    self.first[lane] = (f, s)
+                if s <= config.stat_tol:
+                    done.append(row)
+            if f < self.least[lane][0]:
+                self.least[lane] = (f, (f, s))
+        return done
 
 
-def step(
-    state: SolverState,
-    problem: Problem,
-    config: SolverConfig,
-    evaluation: Optional[Evaluation] = None,
-    stat_inf: Optional[float] = None,
-) -> tuple[SolverState, IterationRecord]:
-    """Advance one iteration; returns the mutated state and its record.
+def _rows(ev: Evaluation, keep: np.ndarray) -> Evaluation:
+    jac = ev.jac if ev.jac.ndim == 2 else ev.jac[keep]
+    return Evaluation(f=ev.f[keep], grad=ev.grad[keep], c=ev.c[keep], jac=jac)
 
-    `evaluation`/`stat_inf` let `run` share work already done for the
-    termination check; when omitted they are computed here.
+
+def _step_rows(step: Optional[tuple], keep: np.ndarray) -> Optional[tuple]:
+    """Per-lane step factors and failures restricted to the rows in the mask `keep`."""
+    if step is None:
+        return None
+    factors, failed = step
+    index = np.cumsum(keep) - 1
+    return (StepFactors(*(None if a is None else a[keep] for a in factors)),
+            {int(index[i]): e for i, e in failed.items() if keep[i]})
+
+
+def _multiplier_factors(state: SolverState, J: np.ndarray):
+    """(factors, rank-deficient rows, step) for the multiplier of J.
+
+    A J shared by all lanes is factored once while its bytes stay the same.
+    For per-lane J with m = 1 the full SVD of the step gives the bits of the
+    reduced one, so one SVD per lane serves both and `step` carries the step
+    factors and their failures; otherwise `step` is None.
     """
-    ev = evaluation if evaluation is not None else evaluate(problem, state.x)
+    if J.ndim == 2:
+        state.multiplier_factors = _reuse(state.multiplier_factors, J, factor_multiplier_lanes)
+        factors, deficient = state.multiplier_factors[1]
+        return factors, list(range(len(state.lane))) if deficient else [], None
+    if J.shape[1] == 1:
+        step = factor_step_lanes(state.h, J)
+        f = step[0]
+        deficient = [i for i, e in step[1].items() if isinstance(e, RankDeficientJacobian)]
+        return (f.U, f.s, f.Vr.mT), deficient, step
+    factors, deficient = factor_multiplier_lanes(J)
+    return factors, deficient, None
+
+
+def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
+    """Evaluate every lane and measure (||c||_inf, stationarity); ends the lanes that fail here.
+
+    Returns (evaluation, ||c||_inf, stationarity, step factors or None).
+    """
+    ev, finite = evaluate_rows(problem, state.x)
+    if finite is not True:
+        keep = lanes.end(state, ~finite, FAILED,
+                         EvaluationFailure(f"{problem.name}: non-finite oracle output"))
+        ev = _rows(ev, keep)
+    factors, deficient, step = _multiplier_factors(state, ev.jac)
+    if deficient:
+        rows = np.zeros(len(state.lane), dtype=bool)
+        rows[deficient] = True
+        keep = lanes.end(state, rows, FAILED, RankDeficientJacobian("sigma_min(J) <= rank tolerance"))
+        ev = _rows(ev, keep)
+        if ev.jac.ndim == 3:
+            factors, _, step = _multiplier_factors(state, ev.jac)
+    y = least_squares_multiplier(ev.jac, ev.grad, factors)
+    stat = np.abs(ev.grad + mv(ev.jac.mT, y)).max(axis=1)
+    return ev, np.abs(ev.c).max(axis=1), stat, step
+
+
+def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Evaluation,
+             c_inf: np.ndarray, stat: np.ndarray, step: Optional[tuple], lanes: _Lanes) -> None:
+    """Take one step on every lane from its evaluation; appends records, ends lanes that fail.
+
+    `step` is the (factors, failures) pair of `_observe`, or None to factor here.
+    """
     H = state.h
-    x = state.x
-    c_l1 = float(np.abs(ev.c).sum())
-    if stat_inf is None:
-        stat_inf = _stationarity(state, ev.jac, ev.grad)
+    J = ev.jac
+    if J.ndim == 2:
+        state.step_factors = _reuse(state.step_factors, J, lambda J: factor_step_lanes(H, J))
+        factors, failed = state.step_factors[1]
+        if failed:
+            lanes.end(state, np.ones(len(state.lane), dtype=bool), FAILED, failed[0])
+            return
+    else:
+        factors, failed = factor_step_lanes(H, J) if step is None else step
+        if failed:
+            rows = np.zeros(len(state.lane), dtype=bool)
+            rows[list(failed)] = True
+            keep = lanes.end(state, rows, FAILED, failed)
+            if not keep.any():
+                return
+            ev, c_inf, stat = _rows(ev, keep), c_inf[keep], stat[keep]
+            J = ev.jac
+            factors, _ = factor_step_lanes(H, J)
+    c = ev.c
+    c_l1 = np.abs(c).sum(axis=1)
+    g = _noisy_gradients(ev.grad, state)
+    p, y, u, v, sigma_min = solve_step(H, J, g, c, factors)
 
-    g = _noisy_gradient(ev.grad, config.noise, state.stream)
-    state.step_factors = _reuse(state.step_factors, ev.jac, lambda J: factor_step(H, J))
-    ksol, u, v, sigma_min, _ = solve_step(H, ev.jac, g, ev.c, state.step_factors[1])
-
-    def c_oracle(z: np.ndarray) -> np.ndarray:
-        return evaluate_c(problem, z)
-
+    # (beta, lo, hi): a float when one value serves every lane, else an array
+    B = len(state.lane)
     beta = config.eta
     if config.strategy == "fixed":
         if config.alpha_rule != "backtrack":
             beta /= math.sqrt(max(config.max_iters, 1))
         lo = config.nu
     else:
-        state.q = math.sqrt(state.q * state.q + c_l1)
+        state.q = np.sqrt(state.q * state.q + c_l1)
         lo = config.nu / state.q
     if config.strategy == "adaptive":
-        state.b = adaptive_update(state.b, float(u @ u))
+        state.b = adaptive_update(state.b, dot(u, u))
         beta = config.eta / state.b
-        hi = lo + min(config.theta / state.b, config.theta / state.q)
+        hi = lo + np.minimum(config.theta / state.b, config.theta / state.q)
     else:
         hi = lo + config.theta * beta
-    if not (beta > 0.0 and lo > 0.0):
-        raise NonPositiveBeta(f"stepsizes underflowed: beta = {beta!r}, alpha lower end = {lo!r}")
+    beta_l, lo_l, hi_l = (a.tolist() if isinstance(a, np.ndarray) else [a] * B for a in (beta, lo, hi))
+    c_l1_l = c_l1.tolist()
+    bad = {i: NonPositiveBeta(f"stepsizes underflowed: beta = {b!r}, alpha lower end = {lo_i!r}")
+           if not (b > 0.0 and lo_i > 0.0) else
+           StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi_i!r}")
+           for i, (b, lo_i, hi_i) in enumerate(zip(beta_l, lo_l, hi_l))
+           if not (0.0 < b < math.inf and 0.0 < lo_i <= hi_i < math.inf)}
+    if bad:
+        rows = np.zeros(B, dtype=bool)
+        rows[list(bad)] = True
+        keep = lanes.end(state, rows, FAILED, bad)
+        if not keep.any():
+            return
+        c, c_inf, stat, p, y, u, v, sigma_min, beta, lo, hi = _pick(
+            keep, c, c_inf, stat, p, y, u, v, sigma_min, beta, lo, hi)
+        beta_l, lo_l, hi_l, c_l1_l = _pick(keep, beta_l, lo_l, hi_l, c_l1_l)
 
-    direction = beta * ksol.p if config.strategy == "ablation" else beta * u + v
-    n_backtracks, hit_safeguard = 0, False
+    scaled = beta[:, None] if isinstance(beta, np.ndarray) else beta
+    direction = scaled * p if config.strategy == "ablation" else scaled * u + v
     if config.strategy in ("linesearch", "ablation") or config.alpha_rule == "backtrack":
-        alpha, hit_safeguard, n_backtracks = safeguarded_backtrack(
-            c_oracle, x, direction, c_l1, hi, lo, config.xi, config.rho
-        )
+        alpha_l, hit_safeguard, n_backtracks, finite = backtrack_rows(
+            lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1_l, hi_l, lo_l,
+            config.xi, config.rho)
+        if finite is not True:
+            keep = lanes.end(state, ~np.array(finite), FAILED,
+                             EvaluationFailure(f"{problem.name}: non-finite constraint value at a trial point"))
+            if not keep.any():
+                return
+            c, c_inf, stat, y, u, v, sigma_min, direction = _pick(
+                keep, c, c_inf, stat, y, u, v, sigma_min, direction)
+            alpha_l, hit_safeguard, n_backtracks, beta_l, lo_l, hi_l, c_l1_l = _pick(
+                keep, alpha_l, hit_safeguard, n_backtracks, beta_l, lo_l, hi_l, c_l1_l)
+        alpha = np.array(alpha_l)[:, None]
     else:
-        alpha = lo if config.alpha_rule == "lower" else hi
+        alpha, alpha_l = (lo, lo_l) if config.alpha_rule == "lower" else (hi, hi_l)
+        if isinstance(alpha, np.ndarray):
+            alpha = alpha[:, None]
+        hit_safeguard, n_backtracks = [False] * len(alpha_l), [0] * len(alpha_l)
 
-    record = IterationRecord(
-        k=state.k, x=x.copy(), u=u, v=v, d=direction, y=ksol.y,
-        alpha=float(alpha), beta=float(beta), alpha_lo=float(lo), alpha_hi=float(hi),
-        n_backtracks=n_backtracks, hit_safeguard=hit_safeguard,
-        c_l1=c_l1, c_l2=float(np.linalg.norm(ev.c)), c_inf=float(np.abs(ev.c).max()),
-        stat_inf=float(stat_inf), sigma_min=float(sigma_min),
-    )
-    state.x = x + alpha * direction
+    B = len(state.lane)
+    sigma_min = sigma_min.tolist() if np.ndim(sigma_min) else [float(sigma_min)] * B
+    for row in zip(state.lane.tolist(), state.x, u, v, direction, y, alpha_l, beta_l, lo_l, hi_l,
+                   n_backtracks, hit_safeguard, c_l1_l, np.sqrt(dot(c, c)).tolist(), c_inf.tolist(),
+                   stat.tolist(), sigma_min):
+        lanes.records[row[0]].append(IterationRecord(state.k, *row[1:]))
+    state.x = state.x + alpha * direction
     state.k += 1
-    return state, record
+
+
+def _pick(keep: np.ndarray, *items):
+    """Each per-lane array or list restricted to the rows in the boolean mask `keep`;
+    floats and 0-d arrays (one value for every lane) pass through."""
+    rows = keep.tolist()
+    return [
+        [v for v, k in zip(a, rows) if k] if isinstance(a, list) else a[keep] if np.ndim(a) else a
+        for a in items
+    ]
+
+
+def step(state: SolverState, problem: Problem, config: SolverConfig) -> tuple[SolverState, IterationRecord]:
+    """Advance a one-lane state by one iteration; returns the state and its record.
+
+    Raises the lane's failure (EvaluationFailure, RankDeficientJacobian, ...)
+    instead of ending it.
+    """
+    lanes = _Lanes(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev, c_inf, stat, factors = _observe(state, problem, lanes)
+        if len(state.lane):
+            _advance(state, problem, config, ev, c_inf, stat, factors, lanes)
+    if lanes.error[0] is not None:
+        raise lanes.error[0]
+    return state, lanes.records[0][0]
+
+
+def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
+    """Run one lane per (configs[i], seeds[i]) in lockstep; returns their traces in that order.
+
+    The configs may differ only in their noise model.  Lane i's trace is
+    bitwise the trace of `run(problem, configs[i], seeds[i], x0)` (its
+    `wall_s` aside).
+    """
+    state = _init_lanes(problem, configs, seeds, x0)
+    config = configs[0]
+    lanes = _Lanes(len(configs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iters + 1):
+            ev, c_inf, stat, factors = _observe(state, problem, lanes)
+            done = lanes.observe(state, c_inf, stat, config)
+            if k == config.max_iters:
+                lanes.end(state, np.ones(len(state.lane), dtype=bool), BUDGET_EXHAUSTED)
+                break
+            if done:
+                rows = np.zeros(len(state.lane), dtype=bool)
+                rows[done] = True
+                keep = lanes.end(state, rows, CONVERGED)
+                ev, c_inf, stat, factors = _rows(ev, keep), c_inf[keep], stat[keep], _step_rows(factors, keep)
+            if not len(state.lane):
+                break
+            _advance(state, problem, config, ev, c_inf, stat, factors, lanes)
+            if not len(state.lane):
+                break
+
+    traces = []
+    for i, (lane_config, seed) in enumerate(zip(configs, seeds)):
+        first, least = lanes.first[i], lanes.least[i][1]
+        feas_error, stat_error = first if first is not None else least
+        error = lanes.error[i]
+        traces.append(Trace(
+            problem=problem.name,
+            config=lane_config,
+            status=lanes.status[i],
+            fail_reason=None if error is None else _FAIL_TOKENS[type(error)],
+            records=lanes.records[i],
+            iterations=len(lanes.records[i]),
+            feas_error=feas_error,
+            stat_error=stat_error,
+            x_final=lanes.x_final[i],
+            h_matrix=state.h,
+            seed=int(seed),
+            wall_s=lanes.wall_s[i],
+        ))
+    return traces
 
 
 def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace:
-    """Iterate until converged, out of budget, or failed.
+    """Iterate until converged, out of budget, or failed: `run_lanes` with one lane.
 
     Reported errors follow the experiment protocol: the measures at the first
     sufficiently feasible iterate when one exists, otherwise at the least
     infeasible iterate visited (terminal point included).
     """
-    state = init_state(problem, config, seed=seed, x0=x0)
-    records: list[IterationRecord] = []
-    status = BUDGET_EXHAUSTED
-    fail_reason = None
-    first_feasible: Optional[tuple[float, float]] = None
-    least_infeasible: tuple[float, tuple[float, float]] = (math.inf, (math.nan, math.nan))
-
-    def observe(k: int) -> tuple[float, float, Evaluation]:
-        """Measures at the current iterate; returns (feas_inf, stat_inf, evaluation)."""
-        nonlocal first_feasible, least_infeasible
-        ev = evaluate(problem, state.x)
-        feas = float(np.abs(ev.c).max())
-        want_stat = (k % config.stat_every == 0) or (feas <= config.feas_tol)
-        stat = _stationarity(state, ev.jac, ev.grad) if want_stat else math.nan
-        if feas <= config.feas_tol and first_feasible is None:
-            first_feasible = (feas, stat)
-        if feas < least_infeasible[0]:
-            least_infeasible = (feas, (feas, stat))
-        return feas, stat, ev
-
-    try:
-        converged = False
-        for k in range(config.max_iters):
-            feas, stat, ev = observe(k)
-            if feas <= config.feas_tol and stat <= config.stat_tol:
-                converged = True
-                break
-            state, rec = step(state, problem, config, evaluation=ev, stat_inf=stat)
-            records.append(rec)
-        else:
-            observe(config.max_iters)
-        if converged:
-            status = CONVERGED
-    except tuple(_FAIL_TOKENS) as exc:
-        status = FAILED
-        fail_reason = _FAIL_TOKENS[type(exc)]
-
-    if first_feasible is not None:
-        feas_error, stat_error = first_feasible
-    else:
-        feas_error, stat_error = least_infeasible[1]
-    return Trace(
-        problem=problem.name,
-        config=config,
-        status=status,
-        fail_reason=fail_reason,
-        records=records,
-        iterations=len(records),
-        feas_error=feas_error,
-        stat_error=stat_error,
-        x_final=state.x.copy(),
-        h_matrix=state.h,
-        seed=int(seed),
-    )
-
+    return run_lanes(problem, [config], [seed], x0)[0]

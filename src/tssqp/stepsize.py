@@ -1,5 +1,5 @@
 """Stepsize helpers: the Adagrad-Norm accumulator for beta and the safeguarded
-backtracking line search on the constraint violation.  `solver.step` holds the
+backtracking line search on the constraint violation.  `solver` holds the
 one rule that turns them into (beta, alpha range) for each strategy.
 
 The line search never consults gradient information (stochastic or exact);
@@ -7,6 +7,10 @@ it only evaluates the constraint map at its trial points, through a
 constraint-only oracle, and takes ||c(x)||_1 at the current point from the
 caller.  Its trajectory is therefore identical across noise levels whenever
 the constraint dynamics are.
+
+`backtrack_rows` runs the search for a stack of lanes at once, each lane
+backtracking until it is certified or safeguarded; `safeguarded_backtrack`
+is its one-lane form.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ import numpy as np
 from .errors import InvalidLineSearchConfig
 
 
-def adaptive_update(b: float, u_norm_sq: float) -> float:
-    """The Adagrad-Norm accumulator for beta: b <- sqrt(b^2 + ||u||^2)."""
-    if u_norm_sq < 0:
+def adaptive_update(b, u_norm_sq):
+    """The Adagrad-Norm accumulator for beta: b <- sqrt(b^2 + ||u||^2), elementwise on arrays."""
+    if np.any(np.less(u_norm_sq, 0)):
         raise ValueError("accumulator increments must be nonnegative")
-    return math.sqrt(b * b + u_norm_sq)
+    return np.sqrt(b * b + u_norm_sq)
 
 
 def backtrack_count_bound(lower: float, upper: float, rho: float) -> int:
@@ -31,6 +35,63 @@ def backtrack_count_bound(lower: float, upper: float, rho: float) -> int:
     if upper <= lower:
         return 1
     return math.ceil(math.log(lower / upper) / math.log(rho)) + 1
+
+
+def backtrack_rows(
+    c_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | bool]],
+    x: np.ndarray,
+    d: np.ndarray,
+    c_l1: list[float],
+    upper: list[float],
+    lower: list[float],
+    xi: float,
+    rho: float,
+) -> tuple[list[float], list[bool], list[int], list[bool] | bool]:
+    """The safeguarded search of each lane (row) of x, d (B, n), given c_l1, upper, lower per lane.
+
+    Each round evaluates `c_rows(z)` once at the trial points of the lanes
+    still searching; it returns their c (rows of z) and True, or a mask of
+    the rows whose value is finite.  A lane with a non-finite trial value
+    stops there.  The arguments are trusted (0 < lower <= upper, xi and rho
+    in (0, 1)).  Returns per lane (alpha, hit_safeguard, n_backtracks) and
+    True, or the per-lane list of whether every trial value was finite.
+    """
+    alpha = list(upper)
+    hit = [True] * len(alpha)
+    count = [0] * len(alpha)
+    ok: list[bool] | bool = True
+    rows = list(range(len(alpha)))
+    z = x + np.array(alpha)[:, None] * d
+    while True:
+        c, finite = c_rows(z)
+        trial = np.abs(c).sum(axis=1).tolist()
+        finite = [True] * len(rows) if finite is True else finite.tolist()
+        searching = []
+        for i, c_trial, finite_i in zip(rows, trial, finite):
+            a_i = alpha[i]
+            if not finite_i:
+                ok = [True] * len(alpha) if ok is True else ok
+                ok[i] = False
+            elif c_trial <= (1.0 - xi * a_i) * c_l1[i]:
+                if a_i >= lower[i]:
+                    hit[i] = False
+                else:
+                    alpha[i] = lower[i]
+            elif a_i > lower[i]:
+                alpha[i] = a_i * rho
+                count[i] += 1
+                searching.append(i)
+            else:
+                alpha[i] = lower[i]
+        if not searching:
+            return alpha, hit, count, ok
+        a = np.array([alpha[i] for i in searching])[:, None]
+        if len(searching) == len(alpha):
+            z = x + a * d
+        else:
+            index = np.array(searching)
+            z = x[index] + a * d[index]
+        rows = searching
 
 
 def safeguarded_backtrack(
@@ -58,17 +119,11 @@ def safeguarded_backtrack(
     if not (0.0 < xi < 1.0) or not (0.0 < rho < 1.0):
         raise InvalidLineSearchConfig(f"need xi, rho in (0, 1), got xi={xi}, rho={rho}")
 
-    def certified(a: float) -> bool:
-        c_trial = np.abs(np.atleast_1d(c_oracle(x + a * d))).sum()
-        return float(c_trial) <= (1.0 - xi * a) * c_l1
+    def c_rows(z: np.ndarray) -> tuple[np.ndarray, bool]:
+        return np.atleast_1d(np.asarray(c_oracle(z[0]), dtype=float))[None], True
 
-    alpha_hat = upper
-    n_backtracks = 0
-    ok = certified(alpha_hat)
-    while not ok and alpha_hat > lower:
-        alpha_hat *= rho
-        n_backtracks += 1
-        ok = certified(alpha_hat)
-    if ok and alpha_hat >= lower:
-        return alpha_hat, False, n_backtracks
-    return lower, True, n_backtracks
+    alpha, hit, count, _ = backtrack_rows(
+        c_rows, np.asarray(x, dtype=float)[None], np.asarray(d, dtype=float)[None],
+        [float(c_l1)], [float(upper)], [float(lower)], xi, rho,
+    )
+    return alpha[0], hit[0], count[0]

@@ -1,11 +1,15 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and test-only quantities shared by the test modules.
 
-These deliberately avoid the library's null-space construction: the KKT oracle
-factors the dense augmented saddle-point matrix directly, and the backtracking
-oracle replays the search loop from its written definition.
+The oracles deliberately avoid the library's null-space construction: the KKT
+oracle factors the dense augmented saddle-point matrix directly, and the
+backtracking oracle replays the search loop from its written definition.  The
+merit-function quantities and `error_measures` at the end are used only by
+the tests; the solver itself needs none of them.
 """
 
 import numpy as np
+
+from tssqp import DimensionMismatch, evaluate, least_squares_multiplier
 
 
 def augmented_solve(H, J, g, c):
@@ -63,3 +67,55 @@ def random_instance(rng, n_max=50, m_max=20):
     g = rng.normal(size=n)
     c = rng.normal(size=m)
     return H, J, g, c
+
+
+def merit_phi(f_val: float, c_l1: float, tau: float) -> float:
+    """Exact-penalty merit tau * f + ||c||_1."""
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if c_l1 < 0:
+        raise ValueError(f"c_l1 must be nonnegative, got {c_l1}")
+    return tau * f_val + c_l1
+
+
+def model_l(f_val, grad, c, J, tau, d) -> float:
+    """Linearized merit model tau (f + grad' d) + ||c + J d||_1."""
+    grad = np.asarray(grad, dtype=float)
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    J = np.asarray(J, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if J.shape != (c.shape[0], grad.shape[0]) or d.shape != grad.shape:
+        raise DimensionMismatch(
+            f"inconsistent shapes: grad={grad.shape}, c={c.shape}, J={J.shape}, d={d.shape}"
+        )
+    return tau * (f_val + float(grad @ d)) + float(np.abs(c + J @ d).sum())
+
+
+def model_reduction(grad, c_l1: float, tau: float, d) -> float:
+    """Closed-form model decrease -tau grad' d + ||c||_1.
+
+    Valid on directions with c + J d = 0; that precondition is the caller's
+    contract and is what the auditor verifies on recorded steps.
+    """
+    grad = np.asarray(grad, dtype=float)
+    d = np.asarray(d, dtype=float)
+    return -tau * float(grad @ d) + c_l1
+
+
+def nu_upper_bound(sigma: float, kappa_v: float, tau: float, lip_grad: float, lip_jac: float) -> float:
+    """Admissible global-stepsize bound sigma / (2 kappa_v (tau L + Gamma) + 4).
+
+    The Lipschitz constants are explicit inputs; nothing estimates them.
+    """
+    return sigma / (2.0 * kappa_v * (tau * lip_grad + lip_jac) + 4.0)
+
+
+def error_measures(problem, x):
+    """(feasibility error, stationarity error, least-squares multiplier) at x.
+
+    Both errors are infinity norms; the multiplier always comes from the true
+    gradient.
+    """
+    ev = evaluate(problem, x)
+    y = least_squares_multiplier(ev.jac, ev.grad)
+    return float(np.abs(ev.c).max()), float(np.abs(ev.grad + ev.jac.T @ y).max()), y

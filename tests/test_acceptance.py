@@ -44,13 +44,13 @@ def test_criterion_1_kkt_oracle_equivalence():
     worst_rel = 0.0
     worst_resid = 0.0
     for H, J, g, c in _instances():
-        sol, _, _, _, _ = solve_step(H, J, g, c)
+        sol_p, sol_y, _, _, _ = solve_step(H, J, g, c)
         p_ref, y_ref = augmented_solve(H, J, g, c)
-        rel_p = np.linalg.norm(sol.p - p_ref) / max(1.0, np.linalg.norm(p_ref))
-        rel_y = np.linalg.norm(sol.y - y_ref) / max(1.0, np.linalg.norm(y_ref))
+        rel_p = np.linalg.norm(sol_p - p_ref) / max(1.0, np.linalg.norm(p_ref))
+        rel_y = np.linalg.norm(sol_y - y_ref) / max(1.0, np.linalg.norm(y_ref))
         worst_rel = max(worst_rel, rel_p, rel_y)
-        r1 = np.abs(H @ sol.p + J.T @ sol.y + g).max() / max(1.0, np.abs(g).max())
-        r2 = np.abs(J @ sol.p + c).max() / max(1.0, np.abs(c).max())
+        r1 = np.abs(H @ sol_p + J.T @ sol_y + g).max() / max(1.0, np.abs(g).max())
+        r2 = np.abs(J @ sol_p + c).max() / max(1.0, np.abs(c).max())
         worst_resid = max(worst_resid, r1, r2)
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-8 and worst_resid <= 1e-8 and elapsed < 10.0
@@ -62,7 +62,7 @@ def test_criterion_2_decomposition_invariants():
     tol = 1e-8
     worst = 0.0
     for H, J, g, c in _instances():
-        _, u, v, smin, _ = solve_step(H, J, g, c)
+        _, _, u, v, smin = solve_step(H, J, g, c)
         worst = max(
             worst,
             np.abs(J @ u).max() / max(1.0, np.abs(u).max()),
@@ -110,7 +110,7 @@ def test_criterion_4_tangential_unbiasedness():
     x = np.array([2.0, 0.0, 0.0])
     ev = evaluate(pb, x)
     H = np.eye(3)
-    _, u_true, _, _, _ = solve_step(H, ev.jac, ev.grad, ev.c)
+    _, _, u_true, _, _ = solve_step(H, ev.jac, ev.grad, ev.c)
     noise = NoiseModel(1e-1, seed=2025)
     stream = noise.stream()
     n_samples = 10_000
@@ -119,7 +119,7 @@ def test_criterion_4_tangential_unbiasedness():
 
     for i in range(n_samples):
         g = ev.grad + np.sqrt(noise.epsilon_n) * standard_normal_vector(stream, 3)
-        _, u, _, _, _ = solve_step(H, ev.jac, g, ev.c)
+        _, _, u, _, _ = solve_step(H, ev.jac, g, ev.c)
         samples[i] = u
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
     gap = np.abs(samples.mean(axis=0) - u_true)
@@ -128,9 +128,9 @@ def test_criterion_4_tangential_unbiasedness():
     ratio = float((gap[se > 0] / (3.0 * se[se > 0])).max())
     rng = np.random.default_rng(7)
     g1, g2 = ev.grad + rng.normal(size=3), ev.grad + rng.normal(size=3)
-    _, u1, _, _, _ = solve_step(H, ev.jac, g1, ev.c)
-    _, u2, _, _, _ = solve_step(H, ev.jac, g2, ev.c)
-    _, um, _, _, _ = solve_step(H, ev.jac, (g1 + g2) / 2.0, ev.c)
+    _, _, u1, _, _ = solve_step(H, ev.jac, g1, ev.c)
+    _, _, u2, _, _ = solve_step(H, ev.jac, g2, ev.c)
+    _, _, um, _, _ = solve_step(H, ev.jac, (g1 + g2) / 2.0, ev.c)
     affine_gap = float(np.abs(u1 + u2 - 2.0 * um).max())
     ok = mc_ok and affine_gap <= 1e-10
     _report(4, "tangential step unbiased and affine in g", ok,

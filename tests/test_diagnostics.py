@@ -10,16 +10,18 @@ from tssqp import (
     NoiseModel,
     SolverConfig,
     audit_trace,
-    error_measures,
     load_problem,
+    run,
+    tau_min,
+)
+from oracles import (
+    error_measures,
     merit_phi,
     model_l,
     model_reduction,
     nu_upper_bound,
-    run,
-    tau_min,
+    random_instance,
 )
-from oracles import random_instance
 
 
 class TestMeritPhi:

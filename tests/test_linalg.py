@@ -24,39 +24,39 @@ TOL = 1e-8
 def normal_part(J, c):
     """v from solve_step; it depends on J and c only, so H = I and g = 0 serve."""
     n = J.shape[1]
-    return solve_step(np.eye(n), J, np.zeros(n), c)[2]
+    return solve_step(np.eye(n), J, np.zeros(n), c)[3]
 
 
 def null_space_projector(J):
     """Z Z' from solve_step: with H = I and c = 0 the tangential step is u = -Z Z' g."""
     m, n = J.shape
-    return -np.column_stack([solve_step(np.eye(n), J, e, np.zeros(m))[1] for e in np.eye(n)])
+    return -np.column_stack([solve_step(np.eye(n), J, e, np.zeros(m))[2] for e in np.eye(n)])
 
 
 class TestSolveNewtonKkt:
     def test_pure_null_space_step(self):
-        sol, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
+        sol_p, sol_y, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
                              np.array([0.0, 1.0]), np.array([0.0]))
-        np.testing.assert_allclose(sol.p, [0.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(sol.y, [0.0], atol=1e-12)
+        np.testing.assert_allclose(sol_p, [0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(sol_y, [0.0], atol=1e-12)
 
     def test_pure_restoration_step(self):
-        sol, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
+        sol_p, sol_y, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
                              np.zeros(2), np.array([2.0]))
-        np.testing.assert_allclose(sol.p, [-2.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(sol.y, [2.0], atol=1e-12)
+        np.testing.assert_allclose(sol_p, [-2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(sol_y, [2.0], atol=1e-12)
 
     def test_mixed_step_against_dense_oracle(self):
         H = 2.0 * np.eye(2)
         J = np.array([[1.0, 1.0]])
         g = np.array([1.0, 0.0])
         c = np.array([1.0])
-        sol, *_ = solve_step(H, J, g, c)
-        np.testing.assert_allclose(sol.p, [-0.75, -0.25], atol=1e-12)
-        np.testing.assert_allclose(sol.y, [0.5], atol=1e-12)
+        sol_p, sol_y, *_ = solve_step(H, J, g, c)
+        np.testing.assert_allclose(sol_p, [-0.75, -0.25], atol=1e-12)
+        np.testing.assert_allclose(sol_y, [0.5], atol=1e-12)
         p_ref, y_ref = augmented_solve(H, J, g, c)
-        np.testing.assert_allclose(sol.p, p_ref, atol=1e-12)
-        np.testing.assert_allclose(sol.y, y_ref, atol=1e-12)
+        np.testing.assert_allclose(sol_p, p_ref, atol=1e-12)
+        np.testing.assert_allclose(sol_y, y_ref, atol=1e-12)
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficientJacobian):
@@ -72,17 +72,17 @@ class TestSolveNewtonKkt:
         H = np.eye(2)
         J = np.array([[2.0, 0.0], [0.0, 3.0]])
         c = np.array([1.0, 2.0])
-        sol, u, v, _, _ = solve_step(H, J, np.array([5.0, -1.0]), c)
+        sol_p, sol_y, u, v, _ = solve_step(H, J, np.array([5.0, -1.0]), c)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
-        np.testing.assert_allclose(J @ sol.p, -c, atol=1e-12)
+        np.testing.assert_allclose(J @ sol_p, -c, atol=1e-12)
 
     def test_random_instance_against_dense_oracle(self):
         rng = np.random.default_rng(31)
         H, J, g, c = random_instance(rng)
-        sol, *_ = solve_step(H, J, g, c)
+        sol_p, sol_y, *_ = solve_step(H, J, g, c)
         p_ref, y_ref = augmented_solve(H, J, g, c)
-        np.testing.assert_allclose(sol.p, p_ref, atol=1e-9)
-        np.testing.assert_allclose(sol.y, y_ref, atol=1e-9)
+        np.testing.assert_allclose(sol_p, p_ref, atol=1e-9)
+        np.testing.assert_allclose(sol_y, y_ref, atol=1e-9)
 
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
@@ -142,8 +142,8 @@ class TestTangentialComponent:
     def test_examples(self, p, J, c, expected):
         # with H = I and g = -p the KKT solution is (p, 0); u must be p - v
         p, J = np.array(p), np.array(J)
-        sol, u, v, _, _ = solve_step(np.eye(2), J, -p, np.array(c))
-        np.testing.assert_allclose(sol.p, p, atol=1e-12)
+        sol_p, sol_y, u, v, _ = solve_step(np.eye(2), J, -p, np.array(c))
+        np.testing.assert_allclose(sol_p, p, atol=1e-12)
         np.testing.assert_allclose(u, expected, atol=1e-12)
         np.testing.assert_allclose(u, p - v, atol=1e-12)
         assert np.abs(J @ u).max() <= 1e-12
@@ -230,12 +230,22 @@ class TestReusedFactors:
             g, c = rng.normal(size=n), rng.normal(size=m)
             fresh = solve_step(H, J, g, c)
             reused = solve_step(H, J, g, c, step_factors)
-            for a, b in [(fresh[0].p, reused[0].p), (fresh[0].y, reused[0].y),
-                         (fresh[1], reused[1]), (fresh[2], reused[2])]:
+            for a, b in zip(fresh, reused):  # p, y, u, v, sigma_min
                 assert a.tobytes() == b.tobytes()
-            assert fresh[3:] == reused[3:]
             assert (least_squares_multiplier(J, g).tobytes()
                     == least_squares_multiplier(J, g, lsq_factors).tobytes())
+
+    def test_full_svd_serves_the_multiplier_when_m_is_1(self):
+        # The solver takes the multiplier factors of a one-row J from the step's
+        # full SVD; that needs the full and reduced SVDs to agree bitwise.
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 5, 8, 20, 60, 200):
+            J = rng.normal(size=(40, 1, n)) * 10.0 ** rng.integers(-6, 6, size=(40, 1, 1))
+            J[::7, 0, 0] = 0.0
+            U, s, Vt = np.linalg.svd(J, full_matrices=True)
+            Ur, sr, Vtr = np.linalg.svd(J, full_matrices=False)
+            assert U.tobytes() == Ur.tobytes() and s.tobytes() == sr.tobytes()
+            assert np.ascontiguousarray(Vt[:, :1]).tobytes() == Vtr.tobytes()
 
     def test_factorization_failures_raise_as_before(self):
         with pytest.raises(RankDeficientJacobian):
@@ -251,10 +261,10 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(2024)
         for _ in range(60):
             H, J, g, c = random_instance(rng)
-            sol, u, v, smin, _ = solve_step(H, J, g, c)
+            sol_p, sol_y, u, v, smin = solve_step(H, J, g, c)
             # KKT residuals of Eq.-style invariants
-            r1 = np.abs(H @ sol.p + J.T @ sol.y + g).max()
-            r2 = np.abs(J @ sol.p + c).max()
+            r1 = np.abs(H @ sol_p + J.T @ sol_y + g).max()
+            r2 = np.abs(J @ sol_p + c).max()
             assert r1 <= TOL * max(1.0, np.abs(g).max())
             assert r2 <= TOL * max(1.0, np.abs(c).max())
             # decomposition invariants
@@ -265,14 +275,14 @@ class TestRandomInstanceProperties:
             assert np.linalg.norm(v) <= np.linalg.norm(c) / smin + 1e-12
             # independent dense oracle
             p_ref, y_ref = augmented_solve(H, J, g, c)
-            assert np.linalg.norm(sol.p - p_ref) <= 1e-8 * max(1.0, np.linalg.norm(p_ref))
-            assert np.linalg.norm(sol.y - y_ref) <= 1e-8 * max(1.0, np.linalg.norm(y_ref))
+            assert np.linalg.norm(sol_p - p_ref) <= 1e-8 * max(1.0, np.linalg.norm(p_ref))
+            assert np.linalg.norm(sol_y - y_ref) <= 1e-8 * max(1.0, np.linalg.norm(y_ref))
 
     def test_normal_component_independent_of_gradient(self):
         rng = np.random.default_rng(5)
         H, J, g, c = random_instance(rng)
-        _, _, v1, _, _ = solve_step(H, J, g, c)
-        _, _, v2, _, _ = solve_step(H, J, rng.normal(size=g.shape), c)
+        _, _, _, v1, _ = solve_step(H, J, g, c)
+        _, _, _, v2, _ = solve_step(H, J, rng.normal(size=g.shape), c)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
 
     def test_tangential_is_affine_in_gradient(self):
@@ -280,16 +290,16 @@ class TestRandomInstanceProperties:
         H, J, _, c = random_instance(rng)
         n = H.shape[0]
         g1, g2 = rng.normal(size=n), rng.normal(size=n)
-        _, u1, _, _, _ = solve_step(H, J, g1, c)
-        _, u2, _, _, _ = solve_step(H, J, g2, c)
-        _, um, _, _, _ = solve_step(H, J, (g1 + g2) / 2.0, c)
+        _, _, u1, _, _ = solve_step(H, J, g1, c)
+        _, _, u2, _, _ = solve_step(H, J, g2, c)
+        _, _, um, _, _ = solve_step(H, J, (g1 + g2) / 2.0, c)
         assert np.abs(u1 + u2 - 2.0 * um).max() <= 1e-10
 
     def test_reduced_system_equivalence(self):
         # u must equal -Z (Z'HZ)^{-1} Z'(g + Hv) for any orthonormal Z
         rng = np.random.default_rng(17)
         H, J, g, c = random_instance(rng)
-        _, u, v, _, _ = solve_step(H, J, g, c)
+        _, _, u, v, _ = solve_step(H, J, g, c)
         Z = null_space_oracle(J)
         u_ref = -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (g + H @ v))
         np.testing.assert_allclose(u, u_ref, atol=1e-9)
@@ -298,10 +308,10 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(29)
         H, J, g_true, c = random_instance(rng, n_max=12, m_max=4)
         n = H.shape[0]
-        _, u_true, _, _, _ = solve_step(H, J, g_true, c)
+        _, _, u_true, _, _ = solve_step(H, J, g_true, c)
         samples = np.empty((2000, n))
         for i in range(2000):
-            _, u, _, _, _ = solve_step(H, J, g_true + 0.3 * rng.normal(size=n), c)
+            _, _, u, _, _ = solve_step(H, J, g_true + 0.3 * rng.normal(size=n), c)
             samples[i] = u
         se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
         assert np.all(np.abs(samples.mean(axis=0) - u_true) <= 3.0 * se + 1e-12)

@@ -8,6 +8,7 @@ from tssqp import (
     EvaluationFailure,
     NoiseModel,
     ParseError,
+    Problem,
     UnknownProblem,
     builtin_names,
     builtin_suite,
@@ -15,7 +16,9 @@ from tssqp import (
     evaluate_c,
     load_problem,
 )
-from tssqp.solver import _noisy_gradient
+from tssqp import SolverConfig, init_state
+from tssqp.problems import evaluate_c_rows, evaluate_rows
+from tssqp.solver import _noisy_gradients
 from oracles import augmented_solve
 
 
@@ -95,6 +98,61 @@ class TestConstraintOracle:
             evaluate_c(load_problem("qp2"), np.zeros(3))
 
 
+class TestStackedOracles:
+    """A stacked problem's oracles give each row of a (B, n) stack the bits of its own call."""
+
+    @pytest.mark.parametrize("name", builtin_names() + ["quadratic_linear_file"])
+    def test_rows_bitwise_equal_to_single_calls(self, tmp_path, name):
+        if name == "quadratic_linear_file":
+            name = _write_random_quadratic_linear(tmp_path / "rand.json", seed=4)
+        pb = load_problem(name)
+        assert pb.stacked
+        rng = np.random.default_rng(21)
+        for scale in (1e-3, 1.0, 1e3):
+            X = pb.x0 + rng.normal(scale=scale, size=(7, pb.n))
+            X[0] = -0.0
+            stack, finite = evaluate_rows(pb, X)
+            c_stack, c_finite = evaluate_c_rows(pb, X)
+            assert finite is True and c_finite is True
+            for i, x in enumerate(X):
+                one = evaluate(pb, x)
+                assert stack.f[i].tobytes() == np.float64(one.f).tobytes()
+                assert stack.grad[i].tobytes() == one.grad.tobytes()
+                assert stack.c[i].tobytes() == one.c.tobytes() == c_stack[i].tobytes()
+                jac = stack.jac if stack.jac.ndim == 2 else stack.jac[i]
+                assert jac.tobytes() == one.jac.tobytes()
+
+    def test_non_finite_rows_are_reported_not_raised(self):
+        pb = load_problem("sphere3")
+        X = np.array([[1.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with np.errstate(over="ignore"):
+            _, finite = evaluate_rows(pb, X)
+            _, c_finite = evaluate_c_rows(pb, X)
+        assert finite.tolist() == c_finite.tolist() == [True, False, True]
+
+    def test_one_point_problem_is_called_row_by_row(self):
+        base = load_problem("qplin5")
+        calls = []
+
+        def ev(x):
+            calls.append(x.shape)
+            return base.eval_fn(x)
+
+        pb = Problem(name="rowwise", n=5, m=2, eval_fn=ev, c_fn=base.c_fn, x0=np.zeros(5))
+        X = np.random.default_rng(3).normal(size=(3, 5))
+        stack, finite = evaluate_rows(pb, X)
+        assert calls == [(5,)] * 3 and finite is True
+        assert stack.jac.shape == (2, 5)  # one matrix for every row
+        assert stack.grad.tobytes() == base.eval_fn(X)[1].tobytes()
+
+
+def _noisy_gradient(grad, noise, stream):
+    """One draw g = grad + sqrt(eps) * z through the solver's lane noise, from `stream`."""
+    state = init_state(load_problem("qp2"), SolverConfig(noise=noise))
+    state.streams = [stream]
+    return _noisy_gradients(grad[None], state)[0]
+
+
 class TestStochasticGradient:
     """The solver's gradient draw g = grad + sqrt(eps) * z."""
 
@@ -124,8 +182,10 @@ class TestStochasticGradient:
         stream = noise.stream()
         x = np.array([1.0, 0.0])
         grad = evaluate(pb, x).grad
+        state = init_state(pb, SolverConfig(noise=noise))
+        state.streams = [stream]
         draws = np.array([
-            _noisy_gradient(grad, noise, stream) for _ in range(100_000)
+            _noisy_gradients(grad[None], state)[0] for _ in range(100_000)
         ])
         np.testing.assert_allclose(draws.mean(axis=0), grad, atol=0.01)
         var = draws.var(axis=0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from functools import partial
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestStep:
         config = _config(strategy=strategy)
         state = init_state(pb, config, x0=np.array([1.0, 0.0]))
         state, rec = step(state, pb, config)
-        np.testing.assert_allclose(state.x, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
         assert rec.stat_inf == pytest.approx(0.0, abs=1e-12)
         assert rec.c_inf == 0.0
         np.testing.assert_allclose(rec.d, 0.0, atol=1e-12)
@@ -59,13 +60,13 @@ class TestStep:
         state, rec = step(state, pb, config)
         np.testing.assert_allclose(rec.v, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(rec.u, [0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(state.x, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
 
     def test_sphere3_linesearch_certifies_or_safeguards(self):
         pb = load_problem("sphere3")
         config = _config()
         state = init_state(pb, config)
-        x0 = state.x.copy()
+        x0 = state.x[0].copy()
         state, rec = step(state, pb, config)
         c0 = np.abs(pb.eval_fn(x0)[2]).sum()
         c1 = np.abs(pb.eval_fn(x0 + rec.alpha * rec.d)[2]).sum()
@@ -103,8 +104,8 @@ class TestRun:
         # instance (sigma = 1/2, tau = 1/4, L = lambda_max(Q), linear c so the
         # Jacobian Lipschitz constant is 0, kappa_v = 1/sigma_min(A));
         # eta sized so the tangential rate is useful within the budget
-        from tssqp import nu_upper_bound
         from tssqp.problems import _QPLIN5_A, _QPLIN5_Q
+        from oracles import nu_upper_bound
 
         lip_grad = float(np.linalg.eigvalsh(_QPLIN5_Q).max())
         kappa_v = 1.0 / np.linalg.svd(_QPLIN5_A, compute_uv=False).min()
@@ -149,7 +150,7 @@ class TestRun:
         H = trace.h_matrix
         for rec in trace.records:
             _, grad, c, jac = pb.eval_fn(rec.x)
-            _, u_true, _, _, _ = solve_step(H, jac, grad, c)
+            _, _, u_true, _, _ = solve_step(H, jac, grad, c)
             assert np.abs(rec.u - u_true).max() <= 1e-8
 
     def test_decomposition_invariants_along_run(self):
@@ -169,14 +170,6 @@ class TestRun:
         assert trace.status == FAILED
         assert trace.fail_reason == "rank_deficient_jacobian"
         assert trace.records == []
-
-    def test_stat_every_sparser(self):
-        pb = load_problem("sphere3")
-        config = _config(stat_every=10, max_iters=300)
-        trace = run(pb, config, seed=0)
-        assert trace.status == CONVERGED
-        skipped = [r for r in trace.records if np.isnan(r.stat_inf)]
-        assert skipped, "some records should skip the stationarity measure"
 
     def test_adaptive_strategy_converges_deterministically(self):
         pb = load_problem("sphere3")
@@ -225,6 +218,31 @@ class TestStepsizeUnderflow:
         self._assert_underflow(run(load_problem("qp2"), _config(strategy="fixed", eta=5e-324), seed=0))
 
 
+class TestStepsizeOverflow:
+    """A beta or an alpha upper end that overflows to inf fails the run with its own token."""
+
+    @pytest.mark.parametrize("kwargs", [dict(strategy="linesearch"),
+                                        dict(strategy="fixed", alpha_rule="upper")])
+    def test_infinite_upper_end(self, kwargs):
+        # theta * beta = 1e308 * 10 (linesearch) or 1e308 * 10 / sqrt(20) (fixed) is inf
+        config = _config(theta=1e308, eta=10.0, max_iters=20, **kwargs)
+        trace = run(load_problem("sphere3"), config, seed=0)
+        assert (trace.status, trace.fail_reason) == (FAILED, "stepsize_overflow")
+        assert trace.records == []
+
+    def test_no_overflow_warning_escapes(self, tmp_path):
+        cases = [
+            (load_problem("sphere3"), _config(theta=1e308, eta=10.0, max_iters=20)),
+            (load_problem(_write_problem(tmp_path, g0=[1e160, 0.0])), _config(strategy="adaptive")),
+            (load_problem(_write_problem(tmp_path, name="big", m=2, A=[[1.0, 0.0], [0.0, 1.0]],
+                                         b=[-1e308, -1e308])), _config()),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for pb, config in cases:
+                assert run(pb, config, seed=0).status == FAILED
+
+
 class TestConstraintOnlySearch:
     def test_gradient_overflow_at_a_discarded_trial_point(self):
         # From x0 = 0 the first search tries alpha = nu/q_hat + theta * eta = 3,
@@ -256,7 +274,7 @@ class TestWorkPerIteration:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(tssqp.solver, "evaluate", counting("evaluate", tssqp.solver.evaluate))
+        monkeypatch.setattr(tssqp.solver, "evaluate_rows", counting("evaluate", tssqp.solver.evaluate_rows))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         trace = run(dataclasses.replace(pb, c_fn=counting_c_fn), config, seed=0)
         return trace, calls
@@ -295,12 +313,12 @@ class TestAblation:
         pb = load_problem("sphere3")
         config = _config(strategy="ablation", eta=1e-6, max_iters=1)
         state = init_state(pb, config)
-        x0 = state.x.copy()
+        x0 = state.x[0].copy()
         _, grad, c, jac = pb.eval_fn(x0)
-        ksol, _, _, _, _ = solve_step(np.eye(3), jac, grad, c)
+        ksol_p, _, _, _, _ = solve_step(np.eye(3), jac, grad, c)
         trace = run(pb, config, seed=0)
         moved = np.linalg.norm(trace.x_final - x0)
-        assert moved <= 1e-5 * np.linalg.norm(ksol.p) * trace.records[0].alpha_hi
+        assert moved <= 1e-5 * np.linalg.norm(ksol_p) * trace.records[0].alpha_hi
 
     def test_sphere3_noisy_medians_favor_two_stepsizes(self):
         pb = load_problem("sphere3")
@@ -319,7 +337,7 @@ class TestConfigValidation:
         dict(eta=0.0),
         dict(xi=2.0),
         dict(strategy="adaptive", alpha_rule="backtrack"),
-        dict(stat_every=0),
+        dict(rho=1.0),
         dict(nu=float("inf")),
         dict(feas_tol=float("nan")),
         dict(eta=float("nan")),
@@ -328,7 +346,7 @@ class TestConfigValidation:
         dict(noise=NoiseModel(float("nan"), seed=0)),
         dict(max_iters=2.5),
         dict(max_iters=True),
-        dict(stat_every=1.5),
+        dict(b0=0.0),
         # Built inside the raises block: NoiseModel checks its level on construction.
         dict(noise=partial(NoiseModel, -1.0)),
         dict(nu=0.0),
