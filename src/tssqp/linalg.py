@@ -71,10 +71,9 @@ def _check_shapes(J: np.ndarray, n_vecs: dict[str, np.ndarray], H: np.ndarray | 
 
 def _rank_deficient(s: np.ndarray, m: int) -> list[int]:
     """The lanes (0 for an unstacked J) whose descending singular values s fail the rank test."""
-    smin, smax = s[..., m - 1].tolist(), s[..., 0].tolist()
-    if not isinstance(smin, list):
-        smin, smax = [smin], [smax]
-    return [i for i, (lo, hi) in enumerate(zip(smin, smax)) if lo <= max(_RANK_RTOL * hi, _RANK_FLOOR)]
+    s = s.reshape(-1, m)
+    return [i for i, (hi, lo) in enumerate(zip(s[:, 0].tolist(), s[:, m - 1].tolist()))
+            if lo <= _RANK_RTOL * hi or lo <= _RANK_FLOOR]
 
 
 def _rank_error(s: np.ndarray, m: int) -> RankDeficientJacobian:
@@ -106,7 +105,7 @@ def factor_step_lanes(H: np.ndarray, J: np.ndarray) -> tuple[StepFactors, dict[i
     """
     m, n = J.shape[-2:]
     U, s, Vt = np.linalg.svd(J, full_matrices=True)
-    failed: dict[int, Exception] = {i: _rank_error(s.reshape(-1, m)[i], m) for i in _rank_deficient(s, m)}
+    failed = {i: _rank_error(s.reshape(-1, m)[i], m) for i in _rank_deficient(s, m)}
     Z = Ared = None
     if m < n:
         Zt = Vt[..., m:, :]
@@ -120,8 +119,7 @@ def factor_step_lanes(H: np.ndarray, J: np.ndarray) -> tuple[StepFactors, dict[i
                     np.linalg.cholesky(A)
                 except np.linalg.LinAlgError:
                     failed.setdefault(i, IndefiniteReducedHessian("Z' H Z is not positive definite"))
-    factors = StepFactors(U=U, s=s, Vr=Vt[..., :m, :].mT, Z=Z, Ared=Ared, sigma_min=s[..., m - 1])
-    return factors, failed
+    return StepFactors(U, s, Vt[..., :m, :].mT, Z, Ared, s[..., m - 1]), failed
 
 
 def factor_step(H: np.ndarray, J: np.ndarray) -> StepFactors:

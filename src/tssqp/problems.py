@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,9 +36,8 @@ EvalFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]
 CFn = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Deterministic oracle output at a single point."""
+class Evaluation(NamedTuple):
+    """Deterministic oracle output at a point, or stacked over the rows of a stack of points."""
 
     f: float
     grad: np.ndarray
@@ -136,7 +135,7 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
     f, grad, c, jac = _oracle_arrays(problem, out, ())
     if not (math.isfinite(f) and np.isfinite(grad).all() and np.isfinite(c).all() and np.isfinite(jac).all()):
         raise EvaluationFailure(f"{problem.name}: non-finite oracle output at x={x!r}")
-    return Evaluation(f=f, grad=grad, c=c, jac=jac)
+    return Evaluation(f, grad, c, jac)
 
 
 def _finite_rows(*arrays: np.ndarray) -> np.ndarray | bool:
@@ -178,10 +177,10 @@ def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, np.ndarr
         if any(r[3].tobytes() != jac.tobytes() for r in rows[1:]):
             jac = np.stack([r[3] for r in rows])
     if jac.ndim == 3:
-        return Evaluation(f=f, grad=grad, c=c, jac=jac), _finite_rows(f, grad, c, jac)
+        return Evaluation(f, grad, c, jac), _finite_rows(f, grad, c, jac)
     if not np.isfinite(jac).all():
-        return Evaluation(f=f, grad=grad, c=c, jac=jac), np.zeros(len(X), dtype=bool)
-    return Evaluation(f=f, grad=grad, c=c, jac=jac), _finite_rows(f, grad, c)
+        return Evaluation(f, grad, c, jac), np.zeros(len(X), dtype=bool)
+    return Evaluation(f, grad, c, jac), _finite_rows(f, grad, c)
 
 
 def _c_array(problem: Problem, c, lead: tuple) -> np.ndarray:
@@ -305,8 +304,8 @@ def _make_quadratic_linear(name, Q, g0, A, b, x0) -> Problem:
 
     def ev(x):
         # x'Qx as (x'Q) x, in the order of x @ Q @ x
-        xQ = np.matmul(x[..., None, :], Q)[..., 0, :]
-        return 0.5 * dot(xQ, x) + dot(np.broadcast_to(g0, x.shape), x), mv(Q, x) + g0, con(x), A.copy()
+        xQx = (x[..., None, :] @ Q @ x[..., :, None])[..., 0, 0]
+        return 0.5 * xQx + dot(g0, x), mv(Q, x) + g0, con(x), A.copy()
 
     return Problem(
         name=name, n=Q.shape[0], m=A.shape[0], eval_fn=ev, c_fn=con, x0=np.asarray(x0, dtype=float),

@@ -153,9 +153,9 @@ class SolverConfig:
 class SolverState:
     """Iterates, noise streams and stepsize accumulators of the lanes still running.
 
-    Row i of `x` (B, n), `scale` (B, 1), `b` and `q` (B,) and entry i of
-    `streams` belong to the lane numbered `lane[i]` in its run; a row leaves
-    when its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the
+    Row i of `x` (B, n) and `scale` (B, 1) and entry i of `streams`, `b` and
+    `q` belong to the lane numbered `lane[i]` in its run; a row leaves when
+    its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the
     rows with a nonzero one, or is None when that is every row.  `b` and `q` are the
     Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
     matrix H.  `step_factors`/`multiplier_factors` hold the bytes of the
@@ -167,8 +167,8 @@ class SolverState:
     streams: list
     scale: np.ndarray
     h: np.ndarray
-    b: np.ndarray
-    q: np.ndarray
+    b: list[float]
+    q: list[float]
     lane: np.ndarray
     step_factors: Optional[tuple[bytes, tuple]] = None
     multiplier_factors: Optional[tuple[bytes, tuple]] = None
@@ -180,9 +180,10 @@ class SolverState:
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where the boolean mask `rows` is True."""
-        self.x, self.scale, self.b, self.q, self.lane = (
-            a[rows] for a in (self.x, self.scale, self.b, self.q, self.lane))
-        self.streams = [s for s, k in zip(self.streams, rows.tolist()) if k]
+        self.x, self.scale, self.lane = self.x[rows], self.scale[rows], self.lane[rows]
+        keep = rows.tolist()
+        self.streams, self.b, self.q = ([a for a, k in zip(items, keep) if k]
+                                        for items in (self.streams, self.b, self.q))
         self.__post_init__()
 
 
@@ -281,7 +282,7 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
         k=0, x=np.repeat(x[None], B, axis=0),
         streams=[c.noise.stream(int(seed)) for c, seed in zip(configs, seeds)],
         scale=np.array([[math.sqrt(c.noise.epsilon_n)] for c in configs]),
-        h=_h_matrix(problem), b=np.full(B, config.b0), q=np.full(B, config.q0), lane=np.arange(B),
+        h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B),
     )
 
 
@@ -357,7 +358,7 @@ class _Lanes:
 
 def _rows(ev: Evaluation, keep: np.ndarray) -> Evaluation:
     jac = ev.jac if ev.jac.ndim == 2 else ev.jac[keep]
-    return Evaluation(f=ev.f[keep], grad=ev.grad[keep], c=ev.c[keep], jac=jac)
+    return Evaluation(ev.f[keep], ev.grad[keep], ev.c[keep], jac)
 
 
 def _step_rows(step: Optional[tuple], keep: np.ndarray) -> Optional[tuple]:
@@ -384,8 +385,8 @@ def _multiplier_factors(state: SolverState, J: np.ndarray):
         return factors, list(range(len(state.lane))) if deficient else [], None
     if J.shape[1] == 1:
         step = factor_step_lanes(state.h, J)
-        f = step[0]
-        deficient = [i for i, e in step[1].items() if isinstance(e, RankDeficientJacobian)]
+        f, failed = step
+        deficient = [i for i, e in failed.items() if isinstance(e, RankDeficientJacobian)] if failed else []
         return (f.U, f.s, f.Vr.mT), deficient, step
     factors, deficient = factor_multiplier_lanes(J)
     return factors, deficient, None
@@ -444,41 +445,40 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Eva
     g = _noisy_gradients(ev.grad, state)
     p, y, u, v, sigma_min = solve_step(H, J, g, c, factors)
 
-    # (beta, lo, hi): a float when one value serves every lane, else an array
+    # (beta, lo, hi) per lane, in the float arithmetic of a single run
     B = len(state.lane)
-    beta = config.eta
+    c_l1_l = c_l1.tolist()
     if config.strategy == "fixed":
+        beta = config.eta
         if config.alpha_rule != "backtrack":
             beta /= math.sqrt(max(config.max_iters, 1))
-        lo = config.nu
+        beta_l, lo_l, hi_l = [beta] * B, [config.nu] * B, [config.nu + config.theta * beta] * B
     else:
-        state.q = np.sqrt(state.q * state.q + c_l1)
-        lo = config.nu / state.q
-    if config.strategy == "adaptive":
-        state.b = adaptive_update(state.b, dot(u, u))
-        beta = config.eta / state.b
-        hi = lo + np.minimum(config.theta / state.b, config.theta / state.q)
-    else:
-        hi = lo + config.theta * beta
-    beta_l, lo_l, hi_l = (a.tolist() if isinstance(a, np.ndarray) else [a] * B for a in (beta, lo, hi))
-    c_l1_l = c_l1.tolist()
-    bad = {i: NonPositiveBeta(f"stepsizes underflowed: beta = {b!r}, alpha lower end = {lo_i!r}")
-           if not (b > 0.0 and lo_i > 0.0) else
-           StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi_i!r}")
-           for i, (b, lo_i, hi_i) in enumerate(zip(beta_l, lo_l, hi_l))
-           if not (0.0 < b < math.inf and 0.0 < lo_i <= hi_i < math.inf)}
+        state.q = [math.sqrt(q * q + l1) for q, l1 in zip(state.q, c_l1_l)]
+        lo_l = [config.nu / q for q in state.q]
+        if config.strategy == "adaptive":
+            state.b = [adaptive_update(b, uu) for b, uu in zip(state.b, dot(u, u).tolist())]
+            beta_l = [config.eta / b for b in state.b]
+            hi_l = [lo + min(config.theta / b, config.theta / q) for lo, b, q in zip(lo_l, state.b, state.q)]
+        else:
+            beta_l = [config.eta] * B
+            hi_l = [lo + config.theta * config.eta for lo in lo_l]
+    bad = {i: NonPositiveBeta(f"stepsizes underflowed: beta = {b!r}, alpha lower end = {lo!r}")
+           if not (b > 0.0 and lo > 0.0) else
+           StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi!r}")
+           for i, (b, lo, hi) in enumerate(zip(beta_l, lo_l, hi_l))
+           if not (0.0 < b < math.inf and 0.0 < lo <= hi < math.inf)}
     if bad:
         rows = np.zeros(B, dtype=bool)
         rows[list(bad)] = True
         keep = lanes.end(state, rows, FAILED, bad)
         if not keep.any():
             return
-        c, c_inf, stat, p, y, u, v, sigma_min, beta, lo, hi = _pick(
-            keep, c, c_inf, stat, p, y, u, v, sigma_min, beta, lo, hi)
-        beta_l, lo_l, hi_l, c_l1_l = _pick(keep, beta_l, lo_l, hi_l, c_l1_l)
+        c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1_l = _pick(
+            keep, c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1_l)
 
-    scaled = beta[:, None] if isinstance(beta, np.ndarray) else beta
-    direction = scaled * p if config.strategy == "ablation" else scaled * u + v
+    beta = np.array(beta_l)[:, None] if config.strategy == "adaptive" else beta_l[0]
+    direction = beta * p if config.strategy == "ablation" else beta * u + v
     if config.strategy in ("linesearch", "ablation") or config.alpha_rule == "backtrack":
         alpha_l, hit_safeguard, n_backtracks, finite = backtrack_rows(
             lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1_l, hi_l, lo_l,
@@ -492,11 +492,8 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Eva
                 keep, c, c_inf, stat, y, u, v, sigma_min, direction)
             alpha_l, hit_safeguard, n_backtracks, beta_l, lo_l, hi_l, c_l1_l = _pick(
                 keep, alpha_l, hit_safeguard, n_backtracks, beta_l, lo_l, hi_l, c_l1_l)
-        alpha = np.array(alpha_l)[:, None]
     else:
-        alpha, alpha_l = (lo, lo_l) if config.alpha_rule == "lower" else (hi, hi_l)
-        if isinstance(alpha, np.ndarray):
-            alpha = alpha[:, None]
+        alpha_l = lo_l if config.alpha_rule == "lower" else hi_l
         hit_safeguard, n_backtracks = [False] * len(alpha_l), [0] * len(alpha_l)
 
     B = len(state.lane)
@@ -505,7 +502,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Eva
                    n_backtracks, hit_safeguard, c_l1_l, np.sqrt(dot(c, c)).tolist(), c_inf.tolist(),
                    stat.tolist(), sigma_min):
         lanes.records[row[0]].append(IterationRecord(state.k, *row[1:]))
-    state.x = state.x + alpha * direction
+    state.x = state.x + np.array(alpha_l)[:, None] * direction
     state.k += 1
 
 

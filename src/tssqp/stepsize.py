@@ -23,11 +23,11 @@ import numpy as np
 from .errors import InvalidLineSearchConfig
 
 
-def adaptive_update(b, u_norm_sq):
-    """The Adagrad-Norm accumulator for beta: b <- sqrt(b^2 + ||u||^2), elementwise on arrays."""
-    if np.any(np.less(u_norm_sq, 0)):
+def adaptive_update(b: float, u_norm_sq: float) -> float:
+    """The Adagrad-Norm accumulator for beta: b <- sqrt(b^2 + ||u||^2)."""
+    if u_norm_sq < 0:
         raise ValueError("accumulator increments must be nonnegative")
-    return np.sqrt(b * b + u_norm_sq)
+    return math.sqrt(b * b + u_norm_sq)
 
 
 def backtrack_count_bound(lower: float, upper: float, rho: float) -> int:
