@@ -15,8 +15,8 @@ from .errors import (
     InvalidLineSearchConfig,
     NonPositiveBeta,
     ParseError,
-    StepsizeOverflow,
     RankDeficientJacobian,
+    StepsizeOverflow,
     TssqpError,
     UnknownProblem,
 )

@@ -28,7 +28,8 @@ vector per lane (never lanes folded into the columns of one product).
 
 `factor_step_lanes`/`factor_multiplier_lanes` report the lanes that fail the
 rank or definiteness test instead of raising; `factor_step`/
-`factor_multiplier` raise on any.  J counts as rank deficient when
+`factor_multiplier` raise on any.  All functions are pure.  J counts as rank
+deficient when
 sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 """
 

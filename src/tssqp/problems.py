@@ -140,7 +140,7 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
 
 def _finite_rows(*arrays: np.ndarray) -> np.ndarray | bool:
     """True when every entry is finite, else a mask of the rows (leading axis) that are."""
-    if np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+    if np.isfinite(np.concatenate(arrays, axis=None)).all():
         return True
     ok = True
     for a in arrays:
@@ -223,9 +223,7 @@ def standard_normal_rows(streams: list[np.random.Generator], n: int) -> np.ndarr
     own transform.
     """
     half = (n + 1) // 2
-    u = np.empty((len(streams), 2 * half))
-    for row, stream in zip(u, streams):
-        stream.random(out=row)
+    u = np.array([stream.random(2 * half) for stream in streams])
     r = np.sqrt(-2.0 * np.log(1.0 - u[:, :half]))  # 1 - u in (0, 1] keeps log() finite
     t = 2.0 * np.pi * u[:, half:]
     z = np.empty_like(u)

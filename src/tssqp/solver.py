@@ -155,9 +155,9 @@ class SolverState:
 
     Row i of `x` (B, n) and `scale` (B, 1) and entry i of `streams`, `b` and
     `q` belong to the lane numbered `lane[i]` in its run; a row leaves when
-    its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the
-    rows with a nonzero one, or is None when that is every row.  `b` and `q` are the
-    Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
+    its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the rows
+    with a nonzero one, or is None when that is every row.  `b` and `q` are
+    the Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
     matrix H.  `step_factors`/`multiplier_factors` hold the bytes of the
     last Jacobian shared by all lanes with its factors and failures.
     """
@@ -314,7 +314,7 @@ def _reuse(cached: Optional[tuple], J: np.ndarray, factor: Callable) -> tuple:
 class _Lanes:
     """What is known of each lane of a run: records, reported errors and how it ended."""
 
-    def __init__(self, B: int) -> None:
+    def __init__(self, B: int, start: float) -> None:
         self.records: list[list[IterationRecord]] = [[] for _ in range(B)]
         self.first: list[Optional[tuple[float, float]]] = [None] * B
         self.least = [(math.inf, (math.nan, math.nan))] * B
@@ -322,7 +322,7 @@ class _Lanes:
         self.error: list[Optional[Exception]] = [None] * B
         self.x_final: list[Optional[np.ndarray]] = [None] * B
         self.wall_s = [0.0] * B
-        self.start = time.perf_counter()
+        self.start = start
 
     def end(self, state: SolverState, rows: np.ndarray, status: str, error=None) -> np.ndarray:
         """End the lanes of the rows in the boolean mask `rows`; returns the mask of rows kept.
@@ -522,7 +522,7 @@ def step(state: SolverState, problem: Problem, config: SolverConfig) -> tuple[So
     Raises the lane's failure (EvaluationFailure, RankDeficientJacobian, ...)
     instead of ending it.
     """
-    lanes = _Lanes(1)
+    lanes = _Lanes(1, time.perf_counter())
     with np.errstate(over="ignore", invalid="ignore"):
         ev, c_inf, stat, factors = _observe(state, problem, lanes)
         if len(state.lane):
@@ -539,9 +539,10 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
     bitwise the trace of `run(problem, configs[i], seeds[i], x0)` (its
     `wall_s` aside).
     """
+    start = time.perf_counter()
     state = _init_lanes(problem, configs, seeds, x0)
     config = configs[0]
-    lanes = _Lanes(len(configs))
+    lanes = _Lanes(len(configs), start)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iters + 1):
             ev, c_inf, stat, factors = _observe(state, problem, lanes)
