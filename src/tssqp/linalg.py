@@ -204,4 +204,4 @@ def least_squares_multiplier(
         _check_shapes(J, {"grad": grad})
         factors = factor_multiplier(J)
     U, s, Vt = factors
-    return mv(-U, mv(Vt, grad) / s)
+    return (-U @ ((Vt @ grad[..., None]) / s[..., None]))[..., 0]
