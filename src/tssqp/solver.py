@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -158,8 +158,8 @@ class SolverState:
     its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the rows
     with a nonzero one, or is None when that is every row.  `b` and `q` are
     the Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
-    matrix H.  `step_factors`/`multiplier_factors` hold the bytes of the
-    last Jacobian shared by all lanes with its factors and failures.
+    matrix H.  `shared` holds the bytes of the last Jacobian shared by all
+    lanes with its multiplier and step factorizations and their failures.
     """
 
     k: int
@@ -170,8 +170,7 @@ class SolverState:
     b: list[float]
     q: list[float]
     lane: np.ndarray
-    step_factors: Optional[tuple[bytes, tuple]] = None
-    multiplier_factors: Optional[tuple[bytes, tuple]] = None
+    shared: Optional[tuple[bytes, tuple, tuple]] = None
     noisy: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -303,14 +302,6 @@ def _noisy_gradients(grad: np.ndarray, state: SolverState) -> np.ndarray:
     return g
 
 
-def _reuse(cached: Optional[tuple], J: np.ndarray, factor: Callable) -> tuple:
-    """The cached (J bytes, factors) pair if J has the same bytes, else (bytes, factor(J))."""
-    key = J.tobytes()
-    if cached is not None and cached[0] == key:
-        return cached
-    return key, factor(J)
-
-
 class _Lanes:
     """What is known of each lane of a run: records, reported errors and how it ended."""
 
@@ -363,8 +354,8 @@ def _rows(ev: Evaluation, keep: np.ndarray) -> Evaluation:
 
 def _step_rows(step: Optional[tuple], keep: np.ndarray) -> Optional[tuple]:
     """Per-lane step factors and failures restricted to the rows in the mask `keep`."""
-    if step is None:
-        return None
+    if step is None or step[0].s.ndim == 1:  # none, or one factorization for all lanes
+        return step
     factors, failed = step
     index = np.cumsum(keep) - 1
     return (StepFactors(*(None if a is None else a[keep] for a in factors)),
@@ -374,15 +365,18 @@ def _step_rows(step: Optional[tuple], keep: np.ndarray) -> Optional[tuple]:
 def _multiplier_factors(state: SolverState, J: np.ndarray):
     """(factors, rank-deficient rows, step) for the multiplier of J.
 
-    A J shared by all lanes is factored once while its bytes stay the same.
-    For per-lane J with m = 1 the full SVD of the step gives the bits of the
-    reduced one, so one SVD per lane serves both and `step` carries the step
-    factors and their failures; otherwise `step` is None.
+    `step` is the (factors, failures) pair of the step when it is already
+    known, else None.  A J shared by all lanes is factored once, for the
+    multiplier and the step, while its bytes stay the same.  For per-lane J
+    with m = 1 the full SVD of the step gives the bits of the reduced one, so
+    one SVD per lane serves both.
     """
     if J.ndim == 2:
-        state.multiplier_factors = _reuse(state.multiplier_factors, J, factor_multiplier_lanes)
-        factors, deficient = state.multiplier_factors[1]
-        return factors, list(range(len(state.lane))) if deficient else [], None
+        key = J.tobytes()
+        if state.shared is None or state.shared[0] != key:
+            state.shared = (key, factor_multiplier_lanes(J), factor_step_lanes(state.h, J))
+        _, (factors, deficient), step = state.shared
+        return factors, list(range(len(state.lane))) if deficient else [], step
     if J.shape[1] == 1:
         step = factor_step_lanes(state.h, J)
         f, failed = step
@@ -419,27 +413,23 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Eva
              c_inf: np.ndarray, stat: np.ndarray, step: Optional[tuple], lanes: _Lanes) -> None:
     """Take one step on every lane from its evaluation; appends records, ends lanes that fail.
 
-    `step` is the (factors, failures) pair of `_observe`, or None to factor here.
+    `step` is the (factors, failures) pair from `_observe`, or None to factor here.
     """
     H = state.h
     J = ev.jac
-    if J.ndim == 2:
-        state.step_factors = _reuse(state.step_factors, J, lambda J: factor_step_lanes(H, J))
-        factors, failed = state.step_factors[1]
-        if failed:
-            lanes.end(state, np.ones(len(state.lane), dtype=bool), FAILED, failed[0])
+    factors, failed = factor_step_lanes(H, J) if step is None else step
+    if failed and J.ndim == 2:
+        lanes.end(state, np.ones(len(state.lane), dtype=bool), FAILED, failed[0])
+        return
+    if failed:
+        rows = np.zeros(len(state.lane), dtype=bool)
+        rows[list(failed)] = True
+        keep = lanes.end(state, rows, FAILED, failed)
+        if not keep.any():
             return
-    else:
-        factors, failed = factor_step_lanes(H, J) if step is None else step
-        if failed:
-            rows = np.zeros(len(state.lane), dtype=bool)
-            rows[list(failed)] = True
-            keep = lanes.end(state, rows, FAILED, failed)
-            if not keep.any():
-                return
-            ev, c_inf, stat = _rows(ev, keep), c_inf[keep], stat[keep]
-            J = ev.jac
-            factors, _ = factor_step_lanes(H, J)
+        ev, c_inf, stat = _rows(ev, keep), c_inf[keep], stat[keep]
+        J = ev.jac
+        factors, _ = factor_step_lanes(H, J)
     c = ev.c
     c_l1 = np.abs(c).sum(axis=1)
     g = _noisy_gradients(ev.grad, state)
