@@ -1,5 +1,7 @@
 """Lanes: a cell's runs advanced as one stacked iteration give the bits of each run alone."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,12 @@ def test_lane_wall_time_is_set_per_lane():
     fast, slow = run_lanes(problem, configs, [0, 0])
     assert fast.iterations < slow.iterations
     assert 0.0 < fast.wall_s <= slow.wall_s
+
+
+@pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one shared J, and one J per lane
+def test_factorization_failure_ends_every_lane_with_its_token(name):
+    problem = dataclasses.replace(load_problem(name), h_matrix=-np.eye(load_problem(name).n))
+    configs = [SolverConfig(noise=NoiseModel(eps, seed=1)) for eps in (0.0, 0.1)]
+    lanes = run_lanes(problem, configs, [0, 1])
+    solo = [run(problem, config, seed=seed) for config, seed in zip(configs, [0, 1])]
+    assert [t.fail_reason for t in lanes] == [t.fail_reason for t in solo] == ["indefinite_reduced_hessian"] * 2
