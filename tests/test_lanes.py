@@ -148,3 +148,69 @@ def test_factorization_failure_ends_every_lane_with_its_token(name):
     lanes = run_lanes(problem, configs, [0, 1])
     solo = [run(problem, config, seed=seed) for config, seed in zip(configs, [0, 1])]
     assert [t.fail_reason for t in lanes] == [t.fail_reason for t in solo] == ["indefinite_reduced_hessian"] * 2
+
+
+def _switching(name: str, ok, bad, mover: int, h_matrix=None) -> Problem:
+    """A stacked problem whose Jacobian, one per point, switches from `ok` to `bad`
+    once |x[mover]| exceeds 0.05.
+
+    f = x[mover]^2 / 2 and c = ok x - 1, from x0 = 0.  `mover` spans Null(ok),
+    so only gradient noise moves it: a noise-free lane keeps `ok` and goes on,
+    and a noisy lane reaches `bad` and fails there.
+    """
+    ok, bad = np.array(ok, dtype=float), np.array(bad, dtype=float)
+    m, n = ok.shape
+
+    def con(x):
+        return np.matmul(ok, x[..., None])[..., 0] - 1.0
+
+    def ev(x):
+        t = x[..., mover]
+        grad = np.zeros(x.shape)
+        grad[..., mover] = t
+        jac = np.where((np.abs(t) > 0.05)[..., None, None], bad, ok)
+        return 0.5 * t * t, grad, con(x), jac
+
+    return Problem(name=name, n=n, m=m, eval_fn=ev, c_fn=con, x0=np.zeros(n),
+                   h_matrix=h_matrix, stacked=True)
+
+
+_PARTIAL_FAILURES = {
+    "rank_m1": (_switching("rank_m1", [[1.0, 0.0]], [[0.0, 0.0]], 1), "rank_deficient_jacobian"),
+    "rank_m2": (_switching("rank_m2", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                           [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], 1), "rank_deficient_jacobian"),
+    # Z spans e1 under ok (Z'HZ = 1) and e2 under bad (Z'HZ = -1)
+    "indefinite": (_switching("indefinite", [[0.0, 1.0]], [[1.0, 0.0]], 0, np.diag([1.0, -1.0])),
+                   "indefinite_reduced_hessian"),
+}
+
+
+def _assert_lanes_match_solo(problem, configs, seeds, x0=None) -> list:
+    lanes = run_lanes(problem, configs, seeds, x0)
+    for lane, config, seed in zip(lanes, configs, seeds):
+        alone = run(problem, config, seed=seed, x0=x0)
+        assert (lane.status, lane.fail_reason, lane.iterations) == (alone.status, alone.fail_reason, alone.iterations)
+        assert _digest(lane) == _digest(alone)
+    return lanes
+
+
+@pytest.mark.parametrize("case", sorted(_PARTIAL_FAILURES))
+@pytest.mark.parametrize("strategy", ["linesearch", "ablation"])
+def test_some_lanes_fail_a_factorization_and_the_others_go_on(case, strategy):
+    problem, token = _PARTIAL_FAILURES[case]
+    configs = [SolverConfig(strategy=strategy, max_iters=80, noise=NoiseModel(eps, seed=5))
+               for eps in (0.0, 1.0, 0.0, 1.0, 0.0)]
+    lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2, 3, 4])
+    assert [t.fail_reason for t in lanes[::2]] == [None] * 3
+    assert [t.fail_reason for t in lanes[1::2]] == [token] * 2
+    assert all(t.iterations > 0 for t in lanes)
+
+
+@pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one shared J, and one J per lane
+def test_converged_lanes_end_before_their_step_factorization_fails(name):
+    # Z'HZ = -Z'Z fails its check, but every lane starts at a KKT point
+    base = load_problem(name)
+    problem = dataclasses.replace(base, h_matrix=-np.eye(base.n))
+    configs = [SolverConfig(noise=NoiseModel(eps, seed=1)) for eps in (0.0, 0.1, 1e-5)]
+    lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2], x0=base.known_kkt[0])
+    assert [(t.status, t.iterations) for t in lanes] == [("converged", 0)] * 3
