@@ -49,8 +49,8 @@ def bench_kernels(reps):
     print(f"{'size':>10} {'kernel':>12} {'time':>12}")
     for n, m in SIZES:
         insts = [make_instance(rng, n, m) for _ in range(16)]
-        step_factors = [linalg.factor_step(H, J) for H, J, _, _ in insts]
-        lsq_factors = [linalg.factor_multiplier(J) for _, J, _, _ in insts]
+        step_factors = [linalg.factor_step(H, J)[0] for H, J, _, _ in insts]
+        lsq_factors = [linalg.factor_multiplier(J)[0] for _, J, _, _ in insts]
         cases = [
             ("step_factor", linalg.factor_step, [(H, J) for H, J, _, _ in insts]),
             ("step_solve", linalg.solve_step,

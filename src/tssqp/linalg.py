@@ -17,6 +17,13 @@ a caller may reuse factors while J stays bitwise the same.  The full and the
 reduced SVD are kept apart: for m >= 2 their shared factors can differ in
 the last bits.
 
+The factor functions return, beside the factors, a {lane: exception} map
+of the lanes (0 for an unstacked J) that fail the rank test or the Cholesky
+check; a failed lane's factors are meaningless.  `solve_step` and
+`least_squares_multiplier` called without factors raise the first failure.
+J counts as rank deficient when
+sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
+
 Stacks
 ------
 Every kernel also takes a stack of lanes: J of shape (B, m, n) is factored
@@ -24,13 +31,8 @@ matrix by matrix, and g, grad of shape (B, n) and c of shape (B, m) are
 solved row by row, against one shared J (m, n) or against their own.  Only
 operations that give each lane the bits of its own call are used: stacked
 `svd`, `cholesky` and `solve`, and `matmul` of one matrix per lane with one
-vector per lane (never lanes folded into the columns of one product).
-
-`factor_step_lanes`/`factor_multiplier_lanes` report the lanes that fail the
-rank or definiteness test instead of raising; `factor_step`/
-`factor_multiplier` raise on any.  All functions are pure.  J counts as rank
-deficient when
-sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
+vector per lane (never lanes folded into the columns of one product).  All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -70,16 +72,13 @@ def _check_shapes(J: np.ndarray, n_vecs: dict[str, np.ndarray], H: np.ndarray | 
             raise DimensionMismatch(f"{label} has length {vec.shape[-1]}")
 
 
-def _rank_deficient(s: np.ndarray, m: int) -> list[int]:
-    """The lanes (0 for an unstacked J) whose descending singular values s fail the rank test."""
+def _rank_failures(s: np.ndarray, m: int) -> dict[int, Exception]:
+    """{lane: RankDeficientJacobian} for the lanes (0 for an unstacked J) whose
+    descending singular values s fail the rank test."""
     s = s.reshape(-1, m)
-    return [i for i, (hi, lo) in enumerate(zip(s[:, 0].tolist(), s[:, m - 1].tolist()))
-            if lo <= _RANK_RTOL * hi or lo <= _RANK_FLOOR]
-
-
-def _rank_error(s: np.ndarray, m: int) -> RankDeficientJacobian:
-    return RankDeficientJacobian(
-        f"sigma_min(J) = {s[m - 1]:.3e} <= rank tolerance (sigma_max = {s[0]:.3e})")
+    return {i: RankDeficientJacobian(f"sigma_min(J) = {lo:.3e} <= rank tolerance (sigma_max = {hi:.3e})")
+            for i, (hi, lo) in enumerate(zip(s[:, 0].tolist(), s[:, m - 1].tolist()))
+            if lo <= _RANK_RTOL * hi or lo <= _RANK_FLOOR}
 
 
 class StepFactors(NamedTuple):
@@ -94,19 +93,17 @@ class StepFactors(NamedTuple):
     Vr: np.ndarray
     Z: np.ndarray | None
     Ared: np.ndarray | None
-    sigma_min: np.ndarray
 
 
-def factor_step_lanes(H: np.ndarray, J: np.ndarray) -> tuple[StepFactors, dict[int, Exception]]:
-    """`factor_step` of J (m, n) or of each J in a (B, m, n) stack.
+def factor_step(H: np.ndarray, J: np.ndarray) -> tuple[StepFactors, dict[int, Exception]]:
+    """Full SVD of J (m, n) or of each J in a (B, m, n) stack, rank test, null-space
+    basis Z and the reduced Hessian Z' H Z with its Cholesky check.
 
-    Returns the factors and the failures, keyed by lane (0 for an unstacked
-    J): RankDeficientJacobian, else IndefiniteReducedHessian.  The factors of
-    a failed lane are meaningless.
+    Returns the factors and the {lane: exception} map of the lanes that fail.
     """
     m, n = J.shape[-2:]
     U, s, Vt = np.linalg.svd(J, full_matrices=True)
-    failed = {i: _rank_error(s.reshape(-1, m)[i], m) for i in _rank_deficient(s, m)}
+    failed = _rank_failures(s, m)
     Z = Ared = None
     if m < n:
         Zt = Vt[..., m:, :]
@@ -120,22 +117,7 @@ def factor_step_lanes(H: np.ndarray, J: np.ndarray) -> tuple[StepFactors, dict[i
                     np.linalg.cholesky(A)
                 except np.linalg.LinAlgError:
                     failed.setdefault(i, IndefiniteReducedHessian("Z' H Z is not positive definite"))
-    return StepFactors(U, s, Vt[..., :m, :].mT, Z, Ared, s[..., m - 1]), failed
-
-
-def factor_step(H: np.ndarray, J: np.ndarray) -> StepFactors:
-    """Full SVD of J, rank test, null-space basis Z and the reduced Hessian Z' H Z.
-
-    Raises RankDeficientJacobian when J fails the rank test and
-    IndefiniteReducedHessian when Z' H Z fails its Cholesky factorization.
-    """
-    H = np.ascontiguousarray(H, dtype=float)
-    J = np.ascontiguousarray(J, dtype=float)
-    _check_shapes(J, {}, H)
-    factors, failed = factor_step_lanes(H, J)
-    if failed:
-        raise failed[min(failed)]
-    return factors
+    return StepFactors(U, s, Vt[..., :m, :].mT, Z, Ared), failed
 
 
 def solve_step(
@@ -146,18 +128,16 @@ def solve_step(
 
     (p, y) solves the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c];
     p = u + v with u in Null(J) and v the minimum-norm solution of J v = -c in
-    Range(J').  `factors` must be `factor_step(H, J)` (or
-    `factor_step_lanes`) and is trusted as given, with the arrays; when
-    omitted the inputs are checked and factored here, raising as
-    `factor_step` does.
+    Range(J').  `factors` must be the factors of `factor_step(H, J)` and are
+    trusted as given, with the arrays, and J is not read; when omitted the
+    inputs are checked and factored here, and the first failure is raised.
     """
     if factors is None:
-        H = np.ascontiguousarray(H, dtype=float)
-        J = np.ascontiguousarray(J, dtype=float)
-        g = np.ascontiguousarray(g, dtype=float)
-        c = np.ascontiguousarray(c, dtype=float)
+        H, J, g, c = (np.ascontiguousarray(a, dtype=float) for a in (H, J, g, c))
         _check_shapes(J, {"g": g, "c": c}, H)
-        factors = factor_step(H, J)
+        factors, failed = factor_step(H, J)
+        if failed:
+            raise failed[min(failed)]
     f = factors
     # column vectors (..., k, 1) throughout, one matvec per lane
     g = g[..., None]
@@ -170,24 +150,14 @@ def solve_step(
         u = np.zeros(g.shape)
     p = u + v
     y = -f.U @ ((f.Vr.mT @ (g + H @ p)) / s)
-    return p[..., 0], y[..., 0], u[..., 0], v[..., 0], f.sigma_min
+    return p[..., 0], y[..., 0], u[..., 0], v[..., 0], f.s[..., -1]
 
 
-def factor_multiplier_lanes(J: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
-    """Reduced SVD (U, s, Vt) of J or of each J in a stack, and the lanes that fail the rank test."""
+def factor_multiplier(J: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, Exception]]:
+    """Reduced SVD (U, s, Vt) of J or of each J in a stack, and the {lane: exception}
+    map of the lanes that fail the rank test."""
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    return (U, s, Vt), _rank_deficient(s, J.shape[-2])
-
-
-def factor_multiplier(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced SVD (U, s, Vt) of J after the rank test; raises RankDeficientJacobian."""
-    J = np.ascontiguousarray(J, dtype=float)
-    _check_shapes(J, {})
-    factors, deficient = factor_multiplier_lanes(J)
-    if deficient:
-        m = J.shape[-2]
-        raise _rank_error(factors[1].reshape(-1, m)[deficient[0]], m)
-    return factors
+    return (U, s, Vt), _rank_failures(s, J.shape[-2])
 
 
 def least_squares_multiplier(
@@ -195,13 +165,15 @@ def least_squares_multiplier(
 ) -> np.ndarray:
     """y = argmin_y ||grad + J' y||_2 = -(J J')^{-1} J grad for full row rank J.
 
-    `factors` must be `factor_multiplier(J)` and is trusted as given, with the
-    arrays; when omitted the inputs are checked and factored here.
+    `factors` must be the factors of `factor_multiplier(J)` and are trusted as
+    given, with the arrays; when omitted the inputs are checked and factored
+    here, and the first failure is raised.
     """
     if factors is None:
-        J = np.ascontiguousarray(J, dtype=float)
-        grad = np.ascontiguousarray(grad, dtype=float)
+        J, grad = (np.ascontiguousarray(a, dtype=float) for a in (J, grad))
         _check_shapes(J, {"grad": grad})
-        factors = factor_multiplier(J)
+        factors, failed = factor_multiplier(J)
+        if failed:
+            raise failed[min(failed)]
     U, s, Vt = factors
     return (-U @ ((Vt @ grad[..., None]) / s[..., None]))[..., 0]

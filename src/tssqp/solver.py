@@ -18,6 +18,17 @@ trace is bitwise the trace of `run(problem, configs[i], seeds[i])`.  `run`
 is the B = 1 case of the same code.  A lane leaves the stack when it
 finishes; a failure ends only its own lane.
 
+Every lane leaves through `_Lanes.end`, which takes a {row: exception}
+map, ends those lanes and restricts every per-lane value, factors included,
+to the rows left; nothing is factored again.  Within an iteration a lane
+ends when (1) its oracle output is not finite, (2) its J fails the rank test
+of the multiplier, (3) its iterate meets both tolerances or the budget is
+spent, (4) its step factorization fails, (5) a stepsize under- or overflows,
+or (6) a trial point of the line search has a non-finite c.  So a lane that
+has converged ends converged even where its step cannot be taken.  A J
+shared by all lanes has no rows: its factors stay in the state, and its
+failure is every lane's.
+
 Stepsizes
 ---------
 Every strategy moves by x <- x + alpha d with d = beta u + v (ablation:
@@ -69,16 +80,14 @@ from .errors import (
     check_count,
 )
 from .linalg import (
-    StepFactors,
     dot,
-    factor_multiplier_lanes,
-    factor_step_lanes,
+    factor_multiplier,
+    factor_step,
     least_squares_multiplier,
     mv,
     solve_step,
 )
 from .problems import (
-    Evaluation,
     NoiseModel,
     Problem,
     evaluate_c_rows,
@@ -179,10 +188,8 @@ class SolverState:
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where the boolean mask `rows` is True."""
-        self.x, self.scale, self.lane = self.x[rows], self.scale[rows], self.lane[rows]
-        keep = rows.tolist()
-        self.streams, self.b, self.q = ([a for a, k in zip(items, keep) if k]
-                                        for items in (self.streams, self.b, self.q))
+        self.x, self.scale, self.lane, self.streams, self.b, self.q = _restrict(
+            (self.x, self.scale, self.lane, self.streams, self.b, self.q), rows, [])
         self.__post_init__()
 
 
@@ -315,136 +322,128 @@ class _Lanes:
         self.wall_s = [0.0] * B
         self.start = start
 
-    def end(self, state: SolverState, rows: np.ndarray, status: str, error=None) -> np.ndarray:
-        """End the lanes of the rows in the boolean mask `rows`; returns the mask of rows kept.
+    def end(self, state: SolverState, ended: dict, status: str, *values) -> tuple:
+        """End the lane of each row in `ended`, a {row: exception or None} map, with `status`.
 
-        `error` is one exception for all of them or a {row: exception} dict.
+        Returns `values` restricted to the rows left: arrays and lists row by
+        row, tuples (factors, (factors, failures) pairs) item by item, and
+        {row: ...} maps re-keyed to the rows left; None passes through.
+        Every value passed must have one row per lane.
         """
+        if not ended:
+            return values
         now = time.perf_counter() - self.start
-        for i in np.flatnonzero(rows).tolist():
-            lane = int(state.lane[i])
-            self.status[lane] = status
-            self.error[lane] = error.get(i) if isinstance(error, dict) else error
-            self.x_final[lane] = state.x[i].copy()
+        for row, error in ended.items():
+            lane = int(state.lane[row])
+            self.status[lane], self.error[lane] = status, error
+            self.x_final[lane] = state.x[row].copy()
             self.wall_s[lane] = now
-        keep = ~rows
+        keep = np.ones(len(state.lane), dtype=bool)
+        keep[list(ended)] = False
         state.keep(keep)
-        return keep
+        return _restrict(values, keep, (np.cumsum(keep) - 1).tolist())
 
     def observe(self, state: SolverState, feas: np.ndarray, stat: np.ndarray,
-                config: SolverConfig) -> list[int]:
+                config: SolverConfig) -> dict:
         """Note the errors at the current iterates for the protocol's reported
-        measures; returns the rows whose iterate meets both tolerances."""
-        done = []
+        measures; returns {row: None} for the rows whose iterate meets both tolerances."""
+        done = {}
         for row, (lane, f, s) in enumerate(zip(state.lane.tolist(), feas.tolist(), stat.tolist())):
             if f <= config.feas_tol:
                 if self.first[lane] is None:
                     self.first[lane] = (f, s)
                 if s <= config.stat_tol:
-                    done.append(row)
+                    done[row] = None
             if f < self.least[lane][0]:
                 self.least[lane] = (f, (f, s))
         return done
 
 
-def _rows(ev: Evaluation, keep: np.ndarray) -> Evaluation:
-    jac = ev.jac if ev.jac.ndim == 2 else ev.jac[keep]
-    return Evaluation(ev.f[keep], ev.grad[keep], ev.c[keep], jac)
+def _restrict(value, keep: np.ndarray, new_row: list[int]):
+    """`value` restricted to the rows in the boolean mask `keep` (see `_Lanes.end`)."""
+    if value is None:
+        return None
+    if isinstance(value, dict):
+        return {new_row[i]: e for i, e in value.items() if keep[i]}
+    if isinstance(value, list):
+        return [v for v, k in zip(value, keep.tolist()) if k]
+    if isinstance(value, tuple):
+        items = [_restrict(v, keep, new_row) for v in value]
+        return value._make(items) if hasattr(value, "_make") else tuple(items)
+    return value[keep]
 
 
-def _step_rows(step: Optional[tuple], keep: np.ndarray) -> Optional[tuple]:
-    """Per-lane step factors and failures restricted to the rows in the mask `keep`."""
-    if step is None or step[0].s.ndim == 1:  # none, or one factorization for all lanes
-        return step
-    factors, failed = step
-    index = np.cumsum(keep) - 1
-    return (StepFactors(*(None if a is None else a[keep] for a in factors)),
-            {int(index[i]): e for i, e in failed.items() if keep[i]})
+def _failures(finite, error: Exception) -> dict:
+    """{row: error} for the rows outside the finite-row mask `finite` (True: no row)."""
+    return {} if finite is True else dict.fromkeys(np.flatnonzero(~np.asarray(finite)).tolist(), error)
 
 
-def _multiplier_factors(state: SolverState, J: np.ndarray):
-    """(factors, rank-deficient rows, step) for the multiplier of J.
-
-    `step` is the (factors, failures) pair of the step when it is already
-    known, else None.  A J shared by all lanes is factored once, for the
-    multiplier and the step, while its bytes stay the same.  For per-lane J
-    with m = 1 the full SVD of the step gives the bits of the reduced one, so
-    one SVD per lane serves both.
-    """
-    if J.ndim == 2:
-        key = J.tobytes()
-        if state.shared is None or state.shared[0] != key:
-            state.shared = (key, factor_multiplier_lanes(J), factor_step_lanes(state.h, J))
-        _, (factors, deficient), step = state.shared
-        return factors, list(range(len(state.lane))) if deficient else [], step
-    if J.shape[1] == 1:
-        step = factor_step_lanes(state.h, J)
-        f, failed = step
-        deficient = [i for i, e in failed.items() if isinstance(e, RankDeficientJacobian)] if failed else []
-        return (f.U, f.s, f.Vr.mT), deficient, step
-    factors, deficient = factor_multiplier_lanes(J)
-    return factors, deficient, None
+def _every(state: SolverState, error: Optional[Exception]) -> dict:
+    return dict.fromkeys(range(len(state.lane)), error)
 
 
 def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
     """Evaluate every lane and measure (||c||_inf, stationarity); ends the lanes that fail here.
 
-    Returns (evaluation, ||c||_inf, stationarity, step factors or None).
+    Returns (grad, c, ||c||_inf, stationarity, step factors, step failures)
+    of the lanes left, or None when no lane is.  The step factors are None
+    for a J shared by all lanes: they are `state.shared`'s, and a failure of
+    that J is every lane's.
     """
+    if not len(state.lane):
+        return None
     ev, finite = evaluate_rows(problem, state.x)
-    if finite is not True:
-        keep = lanes.end(state, ~finite, FAILED,
-                         EvaluationFailure(f"{problem.name}: non-finite oracle output"))
-        ev = _rows(ev, keep)
-    factors, deficient, step = _multiplier_factors(state, ev.jac)
-    if deficient:
-        rows = np.zeros(len(state.lane), dtype=bool)
-        rows[deficient] = True
-        keep = lanes.end(state, rows, FAILED, RankDeficientJacobian("sigma_min(J) <= rank tolerance"))
-        ev = _rows(ev, keep)
-        if ev.jac.ndim == 3:
-            factors, _, step = _multiplier_factors(state, ev.jac)
-    y = least_squares_multiplier(ev.jac, ev.grad, factors)
-    stat = np.abs(ev.grad + mv(ev.jac.mT, y)).max(axis=1)
-    return ev, np.abs(ev.c).max(axis=1), stat, step
-
-
-def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Evaluation,
-             c_inf: np.ndarray, stat: np.ndarray, step: Optional[tuple], lanes: _Lanes) -> None:
-    """Take one step on every lane from its evaluation; appends records, ends lanes that fail.
-
-    `step` is the (factors, failures) pair from `_observe`, or None to factor here.
-    """
-    H = state.h
+    failed = _failures(finite, EvaluationFailure(f"{problem.name}: non-finite oracle output"))
     J = ev.jac
-    factors, failed = factor_step_lanes(H, J) if step is None else step
-    if failed and J.ndim == 2:
-        lanes.end(state, np.ones(len(state.lane), dtype=bool), FAILED, failed[0])
+    if J.ndim == 2:  # one J for all lanes, factored once while its bytes stay the same
+        grad, c = lanes.end(state, failed, FAILED, ev.grad, ev.c)
+        if not len(c):
+            return None
+        key = J.tobytes()
+        if state.shared is None or state.shared[0] != key:
+            state.shared = (key, factor_multiplier(J), factor_step(state.h, J))
+        (mult, deficient), (_, failed) = state.shared[1:]
+        if deficient:
+            lanes.end(state, _every(state, deficient[0]), FAILED)
+            return None
+        factors, failed = None, _every(state, failed[0]) if failed else {}
+    else:
+        grad, c, J = lanes.end(state, failed, FAILED, ev.grad, ev.c, J)
+        factors, failed = factor_step(state.h, J)
+        if J.shape[1] == 1:  # the full SVD of a one-row J gives the bits of the reduced one
+            mult = ((factors.U, factors.s, factors.Vr.mT),
+                    {i: e for i, e in failed.items() if isinstance(e, RankDeficientJacobian)})
+        else:
+            mult = factor_multiplier(J)
+        grad, c, J, (mult, _), factors, failed = lanes.end(
+            state, mult[1], FAILED, grad, c, J, mult, factors, failed)
+    y = least_squares_multiplier(J, grad, mult)
+    stat = np.abs(grad + mv(J.mT, y)).max(axis=1)
+    return grad, c, np.abs(c).max(axis=1), stat, factors, failed
+
+
+def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: np.ndarray, c: np.ndarray,
+             c_inf: np.ndarray, stat: np.ndarray, factors, failed: dict, lanes: _Lanes) -> None:
+    """Take one step on every lane from `_observe`'s values; appends records, ends lanes that fail."""
+    grad, c, c_inf, stat, factors = lanes.end(state, failed, FAILED, grad, c, c_inf, stat, factors)
+    if not len(c):
         return
-    if failed:
-        rows = np.zeros(len(state.lane), dtype=bool)
-        rows[list(failed)] = True
-        keep = lanes.end(state, rows, FAILED, failed)
-        if not keep.any():
-            return
-        ev, c_inf, stat = _rows(ev, keep), c_inf[keep], stat[keep]
-        J = ev.jac
-        factors, _ = factor_step_lanes(H, J)
-    c = ev.c
-    c_l1 = np.abs(c).sum(axis=1)
-    g = _noisy_gradients(ev.grad, state)
-    p, y, u, v, sigma_min = solve_step(H, J, g, c, factors)
+    c_l1 = np.abs(c).sum(axis=1).tolist()
+    g = _noisy_gradients(grad, state)
+    if factors is None:  # the factors of a J shared by all lanes
+        factors = state.shared[2][0]
+    p, y, u, v, sigma_min = solve_step(state.h, None, g, c, factors)
+    B = len(c)
+    sigma_min = sigma_min.tolist() if np.ndim(sigma_min) else [float(sigma_min)] * B
 
     # (beta, lo, hi) per lane, in the float arithmetic of a single run
-    B = len(state.lane)
-    c_l1_l = c_l1.tolist()
     if config.strategy == "fixed":
         beta = config.eta
         if config.alpha_rule != "backtrack":
             beta /= math.sqrt(max(config.max_iters, 1))
         beta_l, lo_l, hi_l = [beta] * B, [config.nu] * B, [config.nu + config.theta * beta] * B
     else:
-        state.q = [math.sqrt(q * q + l1) for q, l1 in zip(state.q, c_l1_l)]
+        state.q = [math.sqrt(q * q + l1) for q, l1 in zip(state.q, c_l1)]
         lo_l = [config.nu / q for q in state.q]
         if config.strategy == "adaptive":
             state.b = [adaptive_update(b, uu) for b, uu in zip(state.b, dot(u, u).tolist())]
@@ -458,52 +457,35 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, ev: Eva
            StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi!r}")
            for i, (b, lo, hi) in enumerate(zip(beta_l, lo_l, hi_l))
            if not (0.0 < b < math.inf and 0.0 < lo <= hi < math.inf)}
-    if bad:
-        rows = np.zeros(B, dtype=bool)
-        rows[list(bad)] = True
-        keep = lanes.end(state, rows, FAILED, bad)
-        if not keep.any():
-            return
-        c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1_l = _pick(
-            keep, c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1_l)
+    c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1 = lanes.end(
+        state, bad, FAILED, c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1)
+    if not len(c):
+        return
 
     beta = np.array(beta_l)[:, None] if config.strategy == "adaptive" else beta_l[0]
     direction = beta * p if config.strategy == "ablation" else beta * u + v
     if config.strategy in ("linesearch", "ablation") or config.alpha_rule == "backtrack":
         alpha_l, hit_safeguard, n_backtracks, finite = backtrack_rows(
-            lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1_l, hi_l, lo_l,
+            lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
-        if finite is not True:
-            keep = lanes.end(state, ~np.array(finite), FAILED,
-                             EvaluationFailure(f"{problem.name}: non-finite constraint value at a trial point"))
-            if not keep.any():
-                return
-            c, c_inf, stat, y, u, v, sigma_min, direction = _pick(
-                keep, c, c_inf, stat, y, u, v, sigma_min, direction)
-            alpha_l, hit_safeguard, n_backtracks, beta_l, lo_l, hi_l, c_l1_l = _pick(
-                keep, alpha_l, hit_safeguard, n_backtracks, beta_l, lo_l, hi_l, c_l1_l)
+        failed = _failures(finite, EvaluationFailure(
+            f"{problem.name}: non-finite constraint value at a trial point"))
+        (c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard, n_backtracks,
+         beta_l, lo_l, hi_l, c_l1) = lanes.end(
+            state, failed, FAILED, c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard,
+            n_backtracks, beta_l, lo_l, hi_l, c_l1)
+        if not len(c):
+            return
     else:
         alpha_l = lo_l if config.alpha_rule == "lower" else hi_l
-        hit_safeguard, n_backtracks = [False] * len(alpha_l), [0] * len(alpha_l)
+        hit_safeguard, n_backtracks = [False] * B, [0] * B
 
-    B = len(state.lane)
-    sigma_min = sigma_min.tolist() if np.ndim(sigma_min) else [float(sigma_min)] * B
     for row in zip(state.lane.tolist(), state.x, u, v, direction, y, alpha_l, beta_l, lo_l, hi_l,
-                   n_backtracks, hit_safeguard, c_l1_l, np.sqrt(dot(c, c)).tolist(), c_inf.tolist(),
+                   n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)).tolist(), c_inf.tolist(),
                    stat.tolist(), sigma_min):
         lanes.records[row[0]].append(IterationRecord(state.k, *row[1:]))
     state.x = state.x + np.array(alpha_l)[:, None] * direction
     state.k += 1
-
-
-def _pick(keep: np.ndarray, *items):
-    """Each per-lane array or list restricted to the rows in the boolean mask `keep`;
-    floats and 0-d arrays (one value for every lane) pass through."""
-    rows = keep.tolist()
-    return [
-        [v for v, k in zip(a, rows) if k] if isinstance(a, list) else a[keep] if np.ndim(a) else a
-        for a in items
-    ]
 
 
 def step(state: SolverState, problem: Problem, config: SolverConfig) -> tuple[SolverState, IterationRecord]:
@@ -514,9 +496,9 @@ def step(state: SolverState, problem: Problem, config: SolverConfig) -> tuple[So
     """
     lanes = _Lanes(1, time.perf_counter())
     with np.errstate(over="ignore", invalid="ignore"):
-        ev, c_inf, stat, factors = _observe(state, problem, lanes)
-        if len(state.lane):
-            _advance(state, problem, config, ev, c_inf, stat, factors, lanes)
+        observed = _observe(state, problem, lanes)
+        if observed is not None:
+            _advance(state, problem, config, *observed, lanes)
     if lanes.error[0] is not None:
         raise lanes.error[0]
     return state, lanes.records[0][0]
@@ -535,21 +517,16 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
     lanes = _Lanes(len(configs), start)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iters + 1):
-            ev, c_inf, stat, factors = _observe(state, problem, lanes)
-            done = lanes.observe(state, c_inf, stat, config)
+            observed = _observe(state, problem, lanes)
+            if observed is None:
+                break
+            done = lanes.observe(state, observed[2], observed[3], config)
             if k == config.max_iters:
-                lanes.end(state, np.ones(len(state.lane), dtype=bool), BUDGET_EXHAUSTED)
+                lanes.end(state, _every(state, None), BUDGET_EXHAUSTED)
                 break
-            if done:
-                rows = np.zeros(len(state.lane), dtype=bool)
-                rows[done] = True
-                keep = lanes.end(state, rows, CONVERGED)
-                ev, c_inf, stat, factors = _rows(ev, keep), c_inf[keep], stat[keep], _step_rows(factors, keep)
-            if not len(state.lane):
-                break
-            _advance(state, problem, config, ev, c_inf, stat, factors, lanes)
-            if not len(state.lane):
-                break
+            observed = lanes.end(state, done, CONVERGED, *observed)
+            if len(state.lane):
+                _advance(state, problem, config, *observed, lanes)
 
     traces = []
     for i, (lane_config, seed) in enumerate(zip(configs, seeds)):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tssqp.solver
 from tssqp import (
     ConfigError,
     ExperimentPlan,
@@ -214,3 +215,34 @@ def test_converged_lanes_end_before_their_step_factorization_fails(name):
     configs = [SolverConfig(noise=NoiseModel(eps, seed=1)) for eps in (0.0, 0.1, 1e-5)]
     lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2], x0=base.known_kkt[0])
     assert [(t.status, t.iterations) for t in lanes] == [("converged", 0)] * 3
+
+
+def _svds_per_iteration(monkeypatch, problem, configs) -> tuple[list, list[int]]:
+    """The traces of a cell and the numpy.linalg.svd calls of each of its full iterations."""
+    svds, marks = [0], []
+
+    def counting_svd(*args, svd=np.linalg.svd, **kwargs):
+        svds[0] += 1
+        return svd(*args, **kwargs)
+
+    def marking_evaluate(*args, evaluate=tssqp.solver.evaluate_rows, **kwargs):
+        marks.append(svds[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(tssqp.solver, "evaluate_rows", marking_evaluate)
+    traces = run_lanes(problem, configs, list(range(len(configs))))
+    return traces, [b - a for a, b in zip(marks, marks[1:])]
+
+
+@pytest.mark.parametrize("case, per_iteration", [("rank_m1", 1), ("rank_m2", 2), ("indefinite", 1)])
+def test_failed_lanes_cost_no_factorization(monkeypatch, case, per_iteration):
+    # the survivors' factors are restricted, never computed again
+    problem, token = _PARTIAL_FAILURES[case]
+    configs = [SolverConfig(strategy="ablation", max_iters=20, noise=NoiseModel(eps, seed=5))
+               for eps in (0.0, 1.0, 1.0)]
+    traces, svds = _svds_per_iteration(monkeypatch, problem, configs)
+    assert [t.fail_reason for t in traces] == [None, token, token]
+    assert svds == [per_iteration] * 20
+    _, svds = _svds_per_iteration(monkeypatch, problem, configs[:1])
+    assert svds == [per_iteration] * 20

@@ -225,7 +225,8 @@ class TestReusedFactors:
             J = rng.normal(size=(3, 3))
             H = np.eye(3)
         m, n = J.shape
-        step_factors, lsq_factors = factor_step(H, J), factor_multiplier(J)
+        (step_factors, step_failed), (lsq_factors, lsq_failed) = factor_step(H, J), factor_multiplier(J)
+        assert step_failed == lsq_failed == {}
         for _ in range(5):
             g, c = rng.normal(size=n), rng.normal(size=m)
             fresh = solve_step(H, J, g, c)
@@ -247,13 +248,28 @@ class TestReusedFactors:
             assert U.tobytes() == Ur.tobytes() and s.tobytes() == sr.tobytes()
             assert np.ascontiguousarray(Vt[:, :1]).tobytes() == Vtr.tobytes()
 
-    def test_factorization_failures_raise_as_before(self):
+    def test_factorization_failures_are_reported_and_raised_by_the_solves(self):
+        deficient = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        _, failed = factor_step(np.eye(3), deficient)
+        assert list(failed) == [0] and isinstance(failed[0], RankDeficientJacobian)
+        _, failed = factor_multiplier(deficient)
+        assert list(failed) == [0] and isinstance(failed[0], RankDeficientJacobian)
+        _, failed = factor_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
+        assert list(failed) == [0] and isinstance(failed[0], IndefiniteReducedHessian)
         with pytest.raises(RankDeficientJacobian):
-            factor_step(np.eye(3), np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+            solve_step(np.eye(3), deficient, np.zeros(3), np.zeros(2))
         with pytest.raises(RankDeficientJacobian):
-            factor_multiplier(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+            least_squares_multiplier(deficient, np.zeros(3))
         with pytest.raises(IndefiniteReducedHessian):
-            factor_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
+            solve_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
+
+    def test_stacked_failures_are_keyed_by_lane(self):
+        J = np.array([[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
+        _, failed = factor_step(np.diag([1.0, -1.0]), J)
+        assert sorted(failed) == [0, 1]  # Z'HZ = -1 on lane 0, +1 on lane 2
+        assert isinstance(failed[0], IndefiniteReducedHessian) and isinstance(failed[1], RankDeficientJacobian)
+        _, failed = factor_multiplier(J)
+        assert list(failed) == [1] and isinstance(failed[1], RankDeficientJacobian)
 
 
 class TestRandomInstanceProperties:
