@@ -274,24 +274,15 @@ _QPLIN5_A = np.array([
     [-1.53, -0.48, -0.98, -0.81, 1.06],
 ])
 _QPLIN5_B = np.array([-0.81, -0.03])
+# Its KKT pair, from a dense solve of the (n+m) stationarity system.
+_QPLIN5_KKT = (
+    np.array([-0.4583868544816681, 0.2678075263944699, 0.3704236901929116, 0.07904345405993235,
+              -0.1657960948207623]),
+    np.array([-0.14603667797891676, 0.3622919231074468]),
+)
 
 
-def _quadratic_linear_kkt(Q: np.ndarray, g0: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Dense solve of the (n+m) x (n+m) stationarity system for f = 0.5 x'Qx + g0'x, Ax = b."""
-    n, m = Q.shape[0], A.shape[0]
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = Q
-    kkt[:n, n:] = A.T
-    kkt[n:, :n] = A
-    rhs = np.concatenate([-g0, b])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return sol[:n], sol[n:]
-
-
-def _make_quadratic_linear(name, Q, g0, A, b, x0) -> Problem:
+def _make_quadratic_linear(name, Q, g0, A, b, x0, known_kkt=None) -> Problem:
     Q = np.asarray(Q, dtype=float)
     g0 = np.asarray(g0, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -307,12 +298,13 @@ def _make_quadratic_linear(name, Q, g0, A, b, x0) -> Problem:
 
     return Problem(
         name=name, n=Q.shape[0], m=A.shape[0], eval_fn=ev, c_fn=con, x0=np.asarray(x0, dtype=float),
-        known_kkt=_quadratic_linear_kkt(Q, g0, A, b), stacked=True,
+        known_kkt=known_kkt, stacked=True,
     )
 
 
 def _qplin5() -> Problem:
-    return _make_quadratic_linear("qplin5", _QPLIN5_Q, _QPLIN5_G0, _QPLIN5_A, _QPLIN5_B, np.zeros(5))
+    return _make_quadratic_linear("qplin5", _QPLIN5_Q, _QPLIN5_G0, _QPLIN5_A, _QPLIN5_B, np.zeros(5),
+                                  _QPLIN5_KKT)
 
 
 def _sphere(x, radius_sq: float):

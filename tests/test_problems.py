@@ -225,6 +225,9 @@ class TestBuiltins:
         x_star, y_star = augmented_solve(_QPLIN5_Q, _QPLIN5_A, _QPLIN5_G0, -_QPLIN5_B)
         np.testing.assert_allclose(x_star, pb.known_kkt[0], atol=1e-9)
         np.testing.assert_allclose(y_star, pb.known_kkt[1], atol=1e-9)
+        ev = evaluate(pb, x_star)
+        assert np.abs(ev.grad + ev.jac.T @ y_star).max() <= 1e-10
+        assert np.abs(ev.c).max() <= 1e-10
 
     def test_infeasible_starts(self):
         # the experiment protocol starts every built-in away from feasibility
@@ -247,13 +250,15 @@ class TestLoadProblem:
         path.write_text(json.dumps(spec))
         pb = load_problem(str(path))
         assert (pb.n, pb.m) == (2, 1)
-        # independent check: dense KKT solve of the stationarity system
+        assert pb.known_kkt is None
+        # the dense KKT solve of the stationarity system is a KKT pair of the loaded problem
         x_ref, y_ref = augmented_solve(np.eye(2), np.array([[1.0, 1.0]]),
                                        np.zeros(2), np.array([-1.0]))
-        np.testing.assert_allclose(pb.known_kkt[0], [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(pb.known_kkt[1], [-0.5], atol=1e-12)
-        np.testing.assert_allclose(pb.known_kkt[0], x_ref, atol=1e-12)
-        np.testing.assert_allclose(pb.known_kkt[1], y_ref, atol=1e-12)
+        np.testing.assert_allclose(x_ref, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(y_ref, [-0.5], atol=1e-12)
+        ev = evaluate(pb, x_ref)
+        assert np.abs(ev.grad + ev.jac.T @ y_ref).max() <= 1e-12
+        assert np.abs(ev.c).max() <= 1e-12
         ev = evaluate(pb, np.array([2.0, 0.0]))
         assert ev.f == 2.0
         np.testing.assert_array_equal(ev.c, [1.0])
