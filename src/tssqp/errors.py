@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check behind ConfigError."""
+"""Exception types shared across the package, and the number checks behind ConfigError."""
 
+import math
 import numbers
 
 
@@ -60,3 +61,11 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, finite: bool = True) -> None:
+    """Raise ConfigError unless `value` is a real number (not a bool), and a finite one when `finite`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")

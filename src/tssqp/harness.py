@@ -21,7 +21,7 @@ statistics (Hyndman-Fan type 7, numpy's default).
 from __future__ import annotations
 
 import hashlib
-import math
+import json
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import solver
 from .diagnostics import AuditReport, audit_trace
-from .errors import ConfigError, EmptyInput, check_count
+from .errors import ConfigError, EmptyInput, check_count, check_real
 from .problems import NoiseModel, Problem, load_problem
 from .solver import SolverConfig, Trace
 
@@ -62,16 +62,18 @@ class ExperimentPlan:
             raise ConfigError("plan needs at least one strategy")
         check_count("trials", self.trials, 1)
         check_count("base_seed", self.base_seed, 0)
+        for strategy in self.strategies:
+            self.config_for(strategy, 0.0).validate()
         if self.config.max_iters < 1:
             raise ConfigError("budget (config.max_iters) must be >= 1")
-        if any(not (math.isfinite(e) and e >= 0) for e in self.noise_levels):
-            raise ConfigError("noise levels must be finite and nonnegative")
+        for e in self.noise_levels:
+            check_real("noise level", e)
+            if e < 0:
+                raise ConfigError(f"noise levels must be nonnegative, got {e!r}")
         for label, entries in (("problem", self.problems), ("strategy", self.strategies),
                                ("noise level", self.noise_levels)):
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"plan repeats a {label}: {entries!r}")
-        for strategy in self.strategies:
-            self.config_for(strategy, 0.0).validate()
 
     def config_for(self, strategy: str, noise_level: float) -> SolverConfig:
         return replace(
@@ -167,8 +169,6 @@ def to_csv(rows: Iterable[ResultRow]) -> str:
 
 
 def to_json(rows: Iterable[ResultRow]) -> str:
-    import json
-
     payload = [
         {
             "problem": r.problem, "strategy": r.strategy, "noise": r.noise,
@@ -181,8 +181,6 @@ def to_json(rows: Iterable[ResultRow]) -> str:
 
 
 def audits_to_json(rows: Iterable[ResultRow]) -> str:
-    import json
-
     payload = [
         {
             "problem": r.problem, "strategy": r.strategy, "noise": r.noise,

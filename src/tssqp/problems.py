@@ -29,7 +29,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem, check_count
+from .errors import (ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem,
+                     check_count, check_real)
 from .linalg import dot, mv
 
 EvalFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
@@ -57,6 +58,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_real("epsilon_n", self.epsilon_n, finite=False)
         if self.epsilon_n < 0:
             raise ConfigError(f"epsilon_n must be nonnegative, got {self.epsilon_n}")
         check_count("noise seed", self.seed, 0)

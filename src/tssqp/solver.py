@@ -78,6 +78,7 @@ from .errors import (
     RankDeficientJacobian,
     StepsizeOverflow,
     check_count,
+    check_real,
 )
 from .linalg import (
     dot,
@@ -138,10 +139,8 @@ class SolverConfig:
     def validate(self) -> None:
         check_count("max_iters", self.max_iters, 0)
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not math.isfinite(self.noise.epsilon_n):
-            raise ConfigError(f"noise level must be finite, got {self.noise.epsilon_n!r}")
+            check_real(name, getattr(self, name))
+        check_real("noise level", self.noise.epsilon_n)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.feas_tol <= 0 or self.stat_tol <= 0:
@@ -280,6 +279,8 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
     config = _lane_config(configs)
     if len(seeds) != len(configs):
         raise ConfigError(f"{len(configs)} lanes but {len(seeds)} seeds")
+    for seed in seeds:
+        check_count("seed", seed, 0)
     x = np.asarray(problem.x0 if x0 is None else x0, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"{problem.name}: x0 has shape {x.shape}, expected ({problem.n},)")

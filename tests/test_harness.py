@@ -108,7 +108,8 @@ class TestRunExperiment:
             _plan(noise_levels=(float("nan"),)).validate()
         for bad in (dict(trials=2.5), dict(trials=True), dict(base_seed=-1),
                     dict(problems=("qp2", "qp2")), dict(strategies=("fixed", "fixed")),
-                    dict(noise_levels=(0.1, 0.1))):
+                    dict(noise_levels=(0.1, 0.1)), dict(noise_levels=("a",)),
+                    dict(config=SolverConfig(max_iters="5"))):
             with pytest.raises(ConfigError):
                 _plan(**bad).validate()
 

@@ -352,10 +352,21 @@ class TestConfigValidation:
         dict(nu=0.0),
         dict(alpha_rule="newton"),
         dict(noise=partial(NoiseModel, 0.0, seed=-1)),
+        dict(eta="0.1"),
+        dict(theta=True),
+        dict(noise=partial(NoiseModel, "x")),
+        # A seed is checked when a run starts.
+        dict(seed=-1),
+        dict(seed=2.5),
+        dict(seed=True),
     ])
     def test_invalid(self, kwargs):
         from tssqp import ConfigError
 
         with pytest.raises(ConfigError):
             built = {k: v() if isinstance(v, partial) else v for k, v in kwargs.items()}
-            _config(**built).validate()
+            seed = built.pop("seed", None)
+            if seed is None:
+                _config(**built).validate()
+            else:
+                run(load_problem("qp2"), _config(**built), seed=seed)
