@@ -21,7 +21,6 @@ statistics (Hyndman-Fan type 7, numpy's default).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -169,6 +168,8 @@ def to_csv(rows: Iterable[ResultRow]) -> str:
 
 
 def to_json(rows: Iterable[ResultRow]) -> str:
+    import json
+
     payload = [
         {
             "problem": r.problem, "strategy": r.strategy, "noise": r.noise,
@@ -181,6 +182,8 @@ def to_json(rows: Iterable[ResultRow]) -> str:
 
 
 def audits_to_json(rows: Iterable[ResultRow]) -> str:
+    import json
+
     payload = [
         {
             "problem": r.problem, "strategy": r.strategy, "noise": r.noise,

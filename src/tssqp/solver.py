@@ -57,7 +57,9 @@ Work per iteration: one full oracle evaluation of the stack, shared by the
 termination check and the step, and one constraint-only evaluation per
 line-search round.  H is built once per run.  A Jacobian that is one matrix
 for all lanes (linear constraints) is factored once and its factors are kept
-while its bytes stay the same; per-lane Jacobians are factored as a stack.
+while its bytes stay the same; per-lane Jacobians are factored as a stack,
+for the multiplier and the step, once per iteration before the convergence
+test (one SVD serves both when m = 1).
 """
 
 from __future__ import annotations
@@ -374,9 +376,11 @@ def _restrict(value, keep: np.ndarray, new_row: list[int]):
     return value[keep]
 
 
-def _failures(finite, error: Exception) -> dict:
-    """{row: error} for the rows outside the finite-row mask `finite` (True: no row)."""
-    return {} if finite is True else dict.fromkeys(np.flatnonzero(~np.asarray(finite)).tolist(), error)
+def _failures(finite, message: str) -> dict:
+    """{row: EvaluationFailure(message)} for the rows outside the finite-row mask `finite` (True: no row)."""
+    if finite is True:
+        return {}
+    return dict.fromkeys(np.flatnonzero(~np.asarray(finite)).tolist(), EvaluationFailure(message))
 
 
 def _every(state: SolverState, error: Optional[Exception]) -> dict:
@@ -394,7 +398,7 @@ def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
     if not len(state.lane):
         return None
     ev, finite = evaluate_rows(problem, state.x)
-    failed = _failures(finite, EvaluationFailure(f"{problem.name}: non-finite oracle output"))
+    failed = _failures(finite, f"{problem.name}: non-finite oracle output")
     J = ev.jac
     if J.ndim == 2:  # one J for all lanes, factored once while its bytes stay the same
         grad, c = lanes.end(state, failed, FAILED, ev.grad, ev.c)
@@ -469,8 +473,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
         alpha_l, hit_safeguard, n_backtracks, finite = backtrack_rows(
             lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
-        failed = _failures(finite, EvaluationFailure(
-            f"{problem.name}: non-finite constraint value at a trial point"))
+        failed = _failures(finite, f"{problem.name}: non-finite constraint value at a trial point")
         (c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard, n_backtracks,
          beta_l, lo_l, hi_l, c_l1) = lanes.end(
             state, failed, FAILED, c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard,
