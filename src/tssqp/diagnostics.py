@@ -31,7 +31,6 @@ _MERIT_NOTE = (
 class MeritInputs:
     """Caller-supplied constants for the merit-parameter lower bound."""
 
-    tau: float = 1.0
     sigma: float = 0.5
     kappa_beta: float = 1.0
     kappa_h: float = 1.0
@@ -40,7 +39,7 @@ class MeritInputs:
     kappa_v: float = 1.0
 
     def __post_init__(self) -> None:
-        vals = (self.tau, self.kappa_beta, self.kappa_h, self.kappa_u, self.kappa_g, self.kappa_v)
+        vals = (self.kappa_beta, self.kappa_h, self.kappa_u, self.kappa_g, self.kappa_v)
         if any(v <= 0 for v in vals):
             raise ValueError("all merit constants must be positive")
         if not (0.0 < self.sigma < 1.0):
@@ -139,11 +138,13 @@ def audit_trace(
         grads.append(ev.grad)
         J, c = ev.jac, ev.c
         u_scale = max(1.0, float(np.abs(rec.u).max(initial=0.0)))
-        c_scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+        # backward-error scale: J v = -c is solved to about eps ||J|| ||v||, which grows with cond(J)
+        v_scale = max(1.0, float(np.abs(c).max(initial=0.0)),
+                      float(np.abs(J).sum(axis=1).max()) * float(np.abs(rec.v).max(initial=0.0)))
         r = float(np.abs(J @ rec.u).max()) - tol * u_scale
         if r > 0:
             null_resid.record(rec.k, r)
-        r = float(np.abs(J @ rec.v + c).max()) - tol * c_scale
+        r = float(np.abs(J @ rec.v + c).max()) - tol * v_scale
         if r > 0:
             range_resid.record(rec.k, r)
         r = abs(float(rec.u @ rec.v)) - tol * rec.u_norm * rec.v_norm

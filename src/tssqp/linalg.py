@@ -17,22 +17,22 @@ a caller may reuse factors while J stays bitwise the same.  The full and the
 reduced SVD are kept apart: for m >= 2 their shared factors can differ in
 the last bits.
 
-The factor functions return, beside the factors, a {lane: exception} map
-of the lanes (0 for an unstacked J) that fail the rank test or the Cholesky
-check; a failed lane's factors are meaningless.  `solve_step` and
-`least_squares_multiplier` called without factors raise the first failure.
-J counts as rank deficient when
-sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
+The factor functions return, beside the factors, the {lane: exception}
+map of the lanes that fail the rank test or the Cholesky check (key 0 for a
+single J), the form in which every layer reports lane failures; a failed
+lane's factors are meaningless.  `solve_step` and `least_squares_multiplier`
+called without factors raise the first failure.  J counts as rank deficient
+when sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 
 Stacks
 ------
 Every kernel also takes a stack of lanes: J of shape (B, m, n) is factored
 matrix by matrix, and g, grad of shape (B, n) and c of shape (B, m) are
-solved row by row, against one shared J (m, n) or against their own.  Only
-operations that give each lane the bits of its own call are used: stacked
-`svd`, `cholesky` and `solve`, and `matmul` of one matrix per lane with one
-vector per lane (never lanes folded into the columns of one product).  All
-functions are pure.
+solved row by row, each against its own J; the solver always passes such a
+stack.  Only operations that give each lane the bits of its own call are
+used: stacked `svd`, `cholesky` and `solve`, and `matmul` of one matrix per
+lane with one vector per lane (never lanes folded into the columns of one
+product).  All functions are pure.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _check_shapes(J: np.ndarray, n_vecs: dict[str, np.ndarray], H: np.ndarray | 
 
 
 def _rank_failures(s: np.ndarray, m: int) -> dict[int, Exception]:
-    """{lane: RankDeficientJacobian} for the lanes (0 for an unstacked J) whose
+    """{lane: RankDeficientJacobian} for the lanes (0 for a single J) whose
     descending singular values s fail the rank test."""
     s = s.reshape(-1, m)
     return {i: RankDeficientJacobian(f"sigma_min(J) = {lo:.3e} <= rank tolerance (sigma_max = {hi:.3e})")

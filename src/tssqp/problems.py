@@ -17,7 +17,10 @@ The solver advances several lanes (runs) at once and evaluates them through
 ``stacked`` (every built-in and every ``quadratic_linear`` file) takes the
 whole ``(B, n)`` stack of points in one call; any other problem is called
 once per row.  Either way row ``i`` of the result has the bits of the call
-at ``x[i]``.
+at ``x[i]``, ``J`` comes back as a ``(B, m, n)`` stack, and the rows that
+fail (non-finite output, or a one-point oracle raising EvaluationFailure)
+are reported as a ``{row: exception}`` map, not raised.  :func:`evaluate`
+and :func:`evaluate_c` are the one-row case and raise that row's failure.
 """
 
 from __future__ import annotations
@@ -101,27 +104,18 @@ class Problem:
             raise ValueError(f"need 0 < m <= n, got n={self.n}, m={self.m}")
 
 
-def _point(problem: Problem, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise DimensionMismatch(
-            f"{problem.name}: x has shape {x.shape}, expected ({problem.n},)"
-        )
-    return x
-
-
 def _oracle_arrays(problem: Problem, out, lead: tuple) -> tuple:
-    """Oracle output `out` as float arrays (f a float for one point), with shapes checked against n, m."""
+    """Oracle output `out` as float arrays (f a float for one point), with shapes checked against n, m.
+
+    A one-matrix J returned for a stack of points is repeated on each row.
+    """
     f, grad, c, jac = out
     f = np.asarray(f, dtype=float) if lead else float(f)
-    grad = np.ascontiguousarray(grad, dtype=float)
-    c = np.ascontiguousarray(c, dtype=float)
-    if c.ndim == 0:
-        c = c[None]
-    jac = np.ascontiguousarray(jac, dtype=float)
+    grad, c, jac = (np.ascontiguousarray(a, dtype=float) for a in (grad, c, jac))  # a scalar c becomes (1,)
     n, m = problem.n, problem.m
-    if (np.shape(f) != lead or grad.shape != lead + (n,) or c.shape != lead + (m,)
-            or jac.shape not in (lead + (m, n), (m, n))):
+    if lead and jac.shape == (m, n):
+        jac = jac[None].repeat(lead[0], axis=0)
+    if np.shape(f) != lead or grad.shape != lead + (n,) or c.shape != lead + (m,) or jac.shape != lead + (m, n):
         raise DimensionMismatch(
             f"{problem.name}: oracle shapes f={np.shape(f)} grad={grad.shape} c={c.shape} jac={jac.shape} "
             f"inconsistent with n={n}, m={m}"
@@ -129,92 +123,90 @@ def _oracle_arrays(problem: Problem, out, lead: tuple) -> tuple:
     return f, grad, c, jac
 
 
-def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
-    """Evaluate the deterministic oracles, checking shapes and finiteness."""
-    x = _point(problem, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = problem.eval_fn(x)
-    f, grad, c, jac = _oracle_arrays(problem, out, ())
-    if not (math.isfinite(f) and np.isfinite(grad).all() and np.isfinite(c).all() and np.isfinite(jac).all()):
-        raise EvaluationFailure(f"{problem.name}: non-finite oracle output at x={x!r}")
-    return Evaluation(f, grad, c, jac)
-
-
-def _finite_rows(*arrays: np.ndarray) -> np.ndarray | bool:
-    """True when every entry is finite, else a mask of the rows (leading axis) that are."""
+def _failures(problem: Problem, X: np.ndarray, what: str, *arrays: np.ndarray) -> dict[int, Exception]:
+    """{row: EvaluationFailure} for the rows of X whose `arrays` (leading axis: rows) hold a non-finite entry."""
     if np.isfinite(np.concatenate(arrays, axis=None)).all():
-        return True
+        return {}
     ok = True
     for a in arrays:
         ok = ok & np.isfinite(a).reshape(len(a), -1).all(axis=1)
-    return ok
+    return {i: EvaluationFailure(f"{problem.name}: non-finite {what} at x={X[i]!r}")
+            for i in np.flatnonzero(~ok).tolist()}
 
 
-def _call_row(problem: Problem, oracle: Callable, x: np.ndarray, failed):
-    """oracle(x), or the non-finite stand-in `failed` when the oracle raises EvaluationFailure."""
-    try:
-        return oracle(x)
-    except EvaluationFailure:
-        return failed
+def _call_rows(oracle: Callable, X: np.ndarray, stand_in) -> tuple[list, dict[int, Exception]]:
+    """oracle(x) at each row of X, with `stand_in` (non-finite) for the rows where it raises
+    EvaluationFailure, and the {row: exception} map of those rows."""
+    out, raised = [], {}
+    for i, x in enumerate(X):
+        try:
+            out.append(oracle(x))
+        except EvaluationFailure as exc:
+            out.append(stand_in)
+            raised[i] = exc
+    return out, raised
 
 
-def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, np.ndarray | bool]:
-    """:func:`evaluate` at each row of X (B, n), without raising on non-finite output.
+def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, dict[int, Exception]]:
+    """The deterministic oracles at each row of X (B, n), without raising on non-finite output.
 
     Returns the stacked evaluation (``f`` (B,), ``grad`` (B, n), ``c`` (B, m),
-    ``jac`` (B, m, n), or (m, n) when every row has the same bytes) and True
-    when every row is finite, else a mask of the finite rows.  Shapes are
+    ``jac`` (B, m, n)) and the {row: EvaluationFailure} map of the rows whose
+    output is not finite or whose one-point oracle raised it.  Shapes are
     checked on every call and raise DimensionMismatch.  Floating-point
     warnings follow the caller's ``np.errstate``.
     """
     if problem.stacked:
         f, grad, c, jac = _oracle_arrays(problem, problem.eval_fn(X), (len(X),))
+        raised = {}
     else:
-        rows = [_call_row(problem, lambda x: _oracle_arrays(problem, problem.eval_fn(x), ()), x,
-                          (math.nan, np.full(problem.n, math.nan), np.full(problem.m, math.nan),
-                           np.full((problem.m, problem.n), math.nan)))
-                for x in X]
-        f, grad, c = (np.array([r[i] for r in rows]) for i in range(3))
-        jac = rows[0][3]
-        if any(r[3].tobytes() != jac.tobytes() for r in rows[1:]):
-            jac = np.stack([r[3] for r in rows])
-    if jac.ndim == 3:
-        return Evaluation(f, grad, c, jac), _finite_rows(f, grad, c, jac)
-    if not np.isfinite(jac).all():
-        return Evaluation(f, grad, c, jac), np.zeros(len(X), dtype=bool)
-    return Evaluation(f, grad, c, jac), _finite_rows(f, grad, c)
+        n, m = problem.n, problem.m
+        rows, raised = _call_rows(lambda x: _oracle_arrays(problem, problem.eval_fn(x), ()), X,
+                                  (math.nan, np.full(n, math.nan), np.full(m, math.nan), np.full((m, n), math.nan)))
+        f, grad, c, jac = (np.array([r[i] for r in rows]) for i in range(4))
+    return Evaluation(f, grad, c, jac), _failures(problem, X, "oracle output", f, grad, c, jac) | raised
+
+
+def _at_point(rows: Callable, problem: Problem, x: np.ndarray):
+    """`rows(problem, X)` at the one-row stack of the point x (n,); raises the row's failure."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.n,):
+        raise DimensionMismatch(f"{problem.name}: x has shape {x.shape}, expected ({problem.n},)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, failed = rows(problem, x[None])
+    if failed:
+        raise failed[0]
+    return out
+
+
+def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
+    """The deterministic oracles at one point: the one-row case of :func:`evaluate_rows`, raising its failure."""
+    f, grad, c, jac = _at_point(evaluate_rows, problem, x)
+    return Evaluation(float(f[0]), grad[0], c[0], jac[0])
 
 
 def _c_array(problem: Problem, c, lead: tuple) -> np.ndarray:
-    c = np.ascontiguousarray(c, dtype=float)
-    if c.ndim == 0:
-        c = c[None]
+    c = np.ascontiguousarray(c, dtype=float)  # a scalar c becomes (1,)
     if c.shape != lead + (problem.m,):
         raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with m={problem.m}")
     return c
 
 
-def evaluate_c(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Evaluate the constraint-only oracle ``c_fn`` with the checks of :func:`evaluate`."""
-    x = _point(problem, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _c_array(problem, problem.c_fn(x), ())
-    if not np.isfinite(c).all():
-        raise EvaluationFailure(f"{problem.name}: non-finite constraint value at x={x!r}")
-    return c
-
-
-def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
-    """:func:`evaluate_c` at each row of X (B, n): c (B, m) and the finite-row mask, as in :func:`evaluate_rows`."""
+def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The constraint-only oracle ``c_fn`` at each row of X (B, n): c (B, m) and the failure map,
+    as in :func:`evaluate_rows`."""
     if problem.stacked:
         c = _c_array(problem, problem.c_fn(X), (len(X),))
+        raised = {}
     else:
-        c = np.stack([_call_row(problem, lambda x: _c_array(problem, problem.c_fn(x), ()), x,
-                                np.full(problem.m, math.nan))
-                      for x in X])
-    if np.isfinite(c).all():
-        return c, True
-    return c, np.isfinite(c).all(axis=1)
+        rows, raised = _call_rows(lambda x: _c_array(problem, problem.c_fn(x), ()), X, np.full(problem.m, math.nan))
+        c = np.array(rows)
+    return c, _failures(problem, X, "constraint value", c) | raised
+
+
+def evaluate_c(problem: Problem, x: np.ndarray) -> np.ndarray:
+    """The constraint-only oracle at one point: the one-row case of :func:`evaluate_c_rows`."""
+    return _at_point(evaluate_c_rows, problem, x)[0]
 
 
 def standard_normal_rows(streams: list[np.random.Generator], n: int) -> np.ndarray:

@@ -18,16 +18,15 @@ trace is bitwise the trace of `run(problem, configs[i], seeds[i])`.  `run`
 is the B = 1 case of the same code.  A lane leaves the stack when it
 finishes; a failure ends only its own lane.
 
-Every lane leaves through `_Lanes.end`, which takes a {row: exception}
-map, ends those lanes and restricts every per-lane value, factors included,
-to the rows left; nothing is factored again.  Within an iteration a lane
-ends when (1) its oracle output is not finite, (2) its J fails the rank test
-of the multiplier, (3) its iterate meets both tolerances or the budget is
-spent, (4) its step factorization fails, (5) a stepsize under- or overflows,
-or (6) a trial point of the line search has a non-finite c.  So a lane that
-has converged ends converged even where its step cannot be taken.  A J
-shared by all lanes has no rows: its factors stay in the state, and its
-failure is every lane's.
+Every layer reports the lanes that fail as a {row: exception} map.  Every
+lane leaves through `_Lanes.end`, which takes such a map, ends those lanes
+and restricts every per-lane value, the cached factors included, to the rows
+left; nothing is factored again.  Within an iteration a lane ends when (1)
+its oracle output is not finite, (2) its J fails the rank test of the
+multiplier, (3) its iterate meets both tolerances or the budget is spent,
+(4) its step factorization fails, (5) a stepsize under- or overflows, or (6)
+a trial point of the line search has a non-finite c.  So a lane that has
+converged ends converged even where its step cannot be taken.
 
 Stepsizes
 ---------
@@ -55,11 +54,11 @@ multiplier, never with the stochastic gradient.
 
 Work per iteration: one full oracle evaluation of the stack, shared by the
 termination check and the step, and one constraint-only evaluation per
-line-search round.  H is built once per run.  A Jacobian that is one matrix
-for all lanes (linear constraints) is factored once and its factors are kept
-while its bytes stay the same; per-lane Jacobians are factored as a stack,
-for the multiplier and the step, once per iteration before the convergence
-test (one SVD serves both when m = 1).
+line-search round.  H is built once per run.  J is a (B, m, n) stack, one
+matrix per lane; its factors for the multiplier and the step are computed
+as a stack before the convergence test (one SVD serves both when m = 1) and
+cached until the stack's bytes change, so a constant J (linear constraints)
+is factored once per lane per run.
 """
 
 from __future__ import annotations
@@ -99,8 +98,9 @@ from .problems import (
 )
 from .stepsize import adaptive_update, backtrack_rows
 
-# The one-point forms of the layers, bound here by name like the stacked
-# forms, so that a profiler wrapping tssqp.solver.<name> finds every layer.
+# The one-point forms of the layers.  The iteration no longer calls them;
+# they stay bound only because the benchmark's tracer looks each one up by
+# name (ROADMAP item 1 retargets it to the stacked forms).
 from .problems import evaluate, standard_normal_vector  # noqa: F401
 from .stepsize import safeguarded_backtrack  # noqa: F401
 
@@ -168,8 +168,8 @@ class SolverState:
     its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the rows
     with a nonzero one, or is None when that is every row.  `b` and `q` are
     the Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
-    matrix H.  `shared` holds the bytes of the last Jacobian shared by all
-    lanes with its multiplier and step factorizations and their failures.
+    matrix H.  `factors` caches (J, multiplier factors, step factors, step
+    failures) for the last J stack factored, restricted to the rows left.
     """
 
     k: int
@@ -180,7 +180,7 @@ class SolverState:
     b: list[float]
     q: list[float]
     lane: np.ndarray
-    shared: Optional[tuple[bytes, tuple, tuple]] = None
+    factors: Optional[tuple] = None
     noisy: Optional[np.ndarray] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -189,8 +189,8 @@ class SolverState:
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where the boolean mask `rows` is True."""
-        self.x, self.scale, self.lane, self.streams, self.b, self.q = _restrict(
-            (self.x, self.scale, self.lane, self.streams, self.b, self.q), rows, [])
+        self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors = _restrict(
+            (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors), rows)
         self.__post_init__()
 
 
@@ -328,10 +328,8 @@ class _Lanes:
     def end(self, state: SolverState, ended: dict, status: str, *values) -> tuple:
         """End the lane of each row in `ended`, a {row: exception or None} map, with `status`.
 
-        Returns `values` restricted to the rows left: arrays and lists row by
-        row, tuples (factors, (factors, failures) pairs) item by item, and
-        {row: ...} maps re-keyed to the rows left; None passes through.
-        Every value passed must have one row per lane.
+        Returns `values` restricted to the rows left (see `_restrict`); every
+        value passed must have one row per lane.
         """
         if not ended:
             return values
@@ -344,7 +342,7 @@ class _Lanes:
         keep = np.ones(len(state.lane), dtype=bool)
         keep[list(ended)] = False
         state.keep(keep)
-        return _restrict(values, keep, (np.cumsum(keep) - 1).tolist())
+        return _restrict(values, keep)
 
     def observe(self, state: SolverState, feas: np.ndarray, stat: np.ndarray,
                 config: SolverConfig) -> dict:
@@ -362,84 +360,63 @@ class _Lanes:
         return done
 
 
-def _restrict(value, keep: np.ndarray, new_row: list[int]):
-    """`value` restricted to the rows in the boolean mask `keep` (see `_Lanes.end`)."""
+def _restrict(value, keep: np.ndarray):
+    """`value` restricted to the rows in the boolean mask `keep`: arrays and lists row
+    by row, tuples item by item, {row: ...} maps re-keyed to the rows left; None passes."""
     if value is None:
         return None
     if isinstance(value, dict):
-        return {new_row[i]: e for i, e in value.items() if keep[i]}
+        new_row = np.cumsum(keep) - 1
+        return {int(new_row[i]): e for i, e in value.items() if keep[i]}
     if isinstance(value, list):
         return [v for v, k in zip(value, keep.tolist()) if k]
     if isinstance(value, tuple):
-        items = [_restrict(v, keep, new_row) for v in value]
+        items = [_restrict(v, keep) for v in value]
         return value._make(items) if hasattr(value, "_make") else tuple(items)
     return value[keep]
-
-
-def _failures(finite, message: str) -> dict:
-    """{row: EvaluationFailure(message)} for the rows outside the finite-row mask `finite` (True: no row)."""
-    if finite is True:
-        return {}
-    return dict.fromkeys(np.flatnonzero(~np.asarray(finite)).tolist(), EvaluationFailure(message))
-
-
-def _every(state: SolverState, error: Optional[Exception]) -> dict:
-    return dict.fromkeys(range(len(state.lane)), error)
 
 
 def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
     """Evaluate every lane and measure (||c||_inf, stationarity); ends the lanes that fail here.
 
-    Returns (grad, c, ||c||_inf, stationarity, step factors, step failures)
-    of the lanes left, or None when no lane is.  The step factors are None
-    for a J shared by all lanes: they are `state.shared`'s, and a failure of
-    that J is every lane's.
+    Returns (grad, c, ||c||_inf, stationarity) of the lanes left, or None
+    when no lane is.  Factors the J stack into `state.factors` unless its
+    bytes are those of the cached one.
     """
     if not len(state.lane):
         return None
-    ev, finite = evaluate_rows(problem, state.x)
-    failed = _failures(finite, f"{problem.name}: non-finite oracle output")
-    J = ev.jac
-    if J.ndim == 2:  # one J for all lanes, factored once while its bytes stay the same
-        grad, c = lanes.end(state, failed, FAILED, ev.grad, ev.c)
-        if not len(c):
-            return None
-        key = J.tobytes()
-        if state.shared is None or state.shared[0] != key:
-            state.shared = (key, factor_multiplier(J), factor_step(state.h, J))
-        (mult, deficient), (_, failed) = state.shared[1:]
-        if deficient:
-            lanes.end(state, _every(state, deficient[0]), FAILED)
-            return None
-        factors, failed = None, _every(state, failed[0]) if failed else {}
-    else:
-        grad, c, J = lanes.end(state, failed, FAILED, ev.grad, ev.c, J)
+    ev, failed = evaluate_rows(problem, state.x)
+    grad, c, J = lanes.end(state, failed, FAILED, ev.grad, ev.c, ev.jac)
+    if not len(c):
+        return None
+    if state.factors is None or state.factors[0].tobytes() != J.tobytes():
         factors, failed = factor_step(state.h, J)
         if J.shape[1] == 1:  # the full SVD of a one-row J gives the bits of the reduced one
             mult = ((factors.U, factors.s, factors.Vr.mT),
                     {i: e for i, e in failed.items() if isinstance(e, RankDeficientJacobian)})
         else:
             mult = factor_multiplier(J)
-        grad, c, J, (mult, _), factors, failed = lanes.end(
-            state, mult[1], FAILED, grad, c, J, mult, factors, failed)
+        state.factors = (J, mult[0], factors, failed)
+        grad, c = lanes.end(state, mult[1], FAILED, grad, c)
+        if not len(c):
+            return None
+    J, mult = state.factors[:2]
     y = least_squares_multiplier(J, grad, mult)
     stat = np.abs(grad + mv(J.mT, y)).max(axis=1)
-    return grad, c, np.abs(c).max(axis=1), stat, factors, failed
+    return grad, c, np.abs(c).max(axis=1), stat
 
 
 def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: np.ndarray, c: np.ndarray,
-             c_inf: np.ndarray, stat: np.ndarray, factors, failed: dict, lanes: _Lanes) -> None:
+             c_inf: np.ndarray, stat: np.ndarray, lanes: _Lanes) -> None:
     """Take one step on every lane from `_observe`'s values; appends records, ends lanes that fail."""
-    grad, c, c_inf, stat, factors = lanes.end(state, failed, FAILED, grad, c, c_inf, stat, factors)
+    grad, c, c_inf, stat = lanes.end(state, state.factors[3], FAILED, grad, c, c_inf, stat)
     if not len(c):
         return
     c_l1 = np.abs(c).sum(axis=1).tolist()
     g = _noisy_gradients(grad, state)
-    if factors is None:  # the factors of a J shared by all lanes
-        factors = state.shared[2][0]
-    p, y, u, v, sigma_min = solve_step(state.h, None, g, c, factors)
+    p, y, u, v, sigma_min = solve_step(state.h, None, g, c, state.factors[2])
     B = len(c)
-    sigma_min = sigma_min.tolist() if np.ndim(sigma_min) else [float(sigma_min)] * B
+    sigma_min = sigma_min.tolist()
 
     # (beta, lo, hi) per lane, in the float arithmetic of a single run
     if config.strategy == "fixed":
@@ -470,10 +447,9 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
     beta = np.array(beta_l)[:, None] if config.strategy == "adaptive" else beta_l[0]
     direction = beta * p if config.strategy == "ablation" else beta * u + v
     if config.strategy in ("linesearch", "ablation") or config.alpha_rule == "backtrack":
-        alpha_l, hit_safeguard, n_backtracks, finite = backtrack_rows(
+        alpha_l, hit_safeguard, n_backtracks, failed = backtrack_rows(
             lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
-        failed = _failures(finite, f"{problem.name}: non-finite constraint value at a trial point")
         (c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard, n_backtracks,
          beta_l, lo_l, hi_l, c_l1) = lanes.end(
             state, failed, FAILED, c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard,
@@ -526,7 +502,7 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
                 break
             done = lanes.observe(state, observed[2], observed[3], config)
             if k == config.max_iters:
-                lanes.end(state, _every(state, None), BUDGET_EXHAUSTED)
+                lanes.end(state, dict.fromkeys(range(len(state.lane))), BUDGET_EXHAUSTED)
                 break
             observed = lanes.end(state, done, CONVERGED, *observed)
             if len(state.lane):

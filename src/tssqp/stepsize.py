@@ -38,7 +38,7 @@ def backtrack_count_bound(lower: float, upper: float, rho: float) -> int:
 
 
 def backtrack_rows(
-    c_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | bool]],
+    c_rows: Callable[[np.ndarray], tuple[np.ndarray, dict[int, Exception]]],
     x: np.ndarray,
     d: np.ndarray,
     c_l1: list[float],
@@ -46,33 +46,33 @@ def backtrack_rows(
     lower: list[float],
     xi: float,
     rho: float,
-) -> tuple[list[float], list[bool], list[int], list[bool] | bool]:
+) -> tuple[list[float], list[bool], list[int], dict[int, Exception]]:
     """The safeguarded search of each lane (row) of x, d (B, n), given c_l1, upper, lower per lane.
 
     Each round evaluates `c_rows(z)` once at the trial points of the lanes
-    still searching; it returns their c (rows of z) and True, or a mask of
-    the rows whose value is finite.  A lane with a non-finite trial value
-    stops there.  The arguments are trusted (0 < lower <= upper, xi and rho
-    in (0, 1)).  Returns per lane (alpha, hit_safeguard, n_backtracks) and
-    True, or the per-lane list of whether every trial value was finite.
+    still searching; it returns their c (rows of z) and the {row of z:
+    exception} map of the rows whose value failed.  A lane with a failed
+    trial value stops there.  The arguments are trusted (0 < lower <= upper,
+    xi and rho in (0, 1)).  Returns per lane (alpha, hit_safeguard,
+    n_backtracks) and the {lane: exception} map of the lanes that stopped on
+    a failed trial value.
     """
     alpha = list(upper)
     hit = [True] * len(alpha)
     count = [0] * len(alpha)
-    ok: list[bool] | bool = True
+    failed: dict[int, Exception] = {}
     rows = list(range(len(alpha)))
     z = x + np.array(alpha)[:, None] * d
     while True:
-        c, finite = c_rows(z)
+        c, bad = c_rows(z)
         trial = np.abs(c).sum(axis=1).tolist()
-        finite = [True] * len(rows) if finite is True else finite.tolist()
+        failed.update((rows[j], e) for j, e in bad.items())
         searching = []
-        for i, c_trial, finite_i in zip(rows, trial, finite):
+        for i, c_trial in zip(rows, trial):
             a_i = alpha[i]
-            if not finite_i:
-                ok = [True] * len(alpha) if ok is True else ok
-                ok[i] = False
-            elif c_trial <= (1.0 - xi * a_i) * c_l1[i]:
+            if i in failed:
+                continue
+            if c_trial <= (1.0 - xi * a_i) * c_l1[i]:
                 if a_i >= lower[i]:
                     hit[i] = False
                 else:
@@ -84,7 +84,7 @@ def backtrack_rows(
             else:
                 alpha[i] = lower[i]
         if not searching:
-            return alpha, hit, count, ok
+            return alpha, hit, count, failed
         a = np.array([alpha[i] for i in searching])[:, None]
         if len(searching) == len(alpha):
             z = x + a * d
@@ -119,8 +119,8 @@ def safeguarded_backtrack(
     if not (0.0 < xi < 1.0) or not (0.0 < rho < 1.0):
         raise InvalidLineSearchConfig(f"need xi, rho in (0, 1), got xi={xi}, rho={rho}")
 
-    def c_rows(z: np.ndarray) -> tuple[np.ndarray, bool]:
-        return np.atleast_1d(np.asarray(c_oracle(z[0]), dtype=float))[None], True
+    def c_rows(z: np.ndarray) -> tuple[np.ndarray, dict]:
+        return np.atleast_1d(np.asarray(c_oracle(z[0]), dtype=float))[None], {}
 
     alpha, hit, count, _ = backtrack_rows(
         c_rows, np.asarray(x, dtype=float)[None], np.asarray(d, dtype=float)[None],

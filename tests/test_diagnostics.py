@@ -167,6 +167,39 @@ class TestAuditTrace:
         assert not check.passed
         assert check.worst_iteration == bad.k
 
+    def test_ill_conditioned_square_jacobians_pass_the_normal_check(self, tmp_path):
+        # J v = -c is solved to about eps ||J|| ||v||; with one row of A within
+        # 1e-8 of another (cond(A) ~ 1e9) ||v|| is large, and so is the residual
+        ran = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = m = 11
+            A = rng.normal(size=(m, n))
+            A[-1] = A[0] + 1e-8 * rng.normal(size=n)
+            B = rng.normal(size=(n, n))
+            Q = B @ B.T / n + 0.1 * np.eye(n)
+            path = tmp_path / f"ill{seed}.json"
+            path.write_text(json.dumps({
+                "name": path.stem, "n": n, "m": m, "kind": "quadratic_linear", "Q": ((Q + Q.T) / 2).tolist(),
+                "g0": rng.normal(size=n).tolist(), "A": A.tolist(), "b": rng.normal(size=m).tolist()}))
+            pb = load_problem(str(path))
+            trace = run(pb, SolverConfig(strategy="linesearch", max_iters=30), seed=0)
+            if trace.status == "failed":
+                continue
+            ran += 1
+            report = audit_trace(trace, pb)
+            assert report.passed, report.to_json()
+        assert ran >= 30
+
+    def test_perturbed_normal_component_fails_the_normal_check(self):
+        pb, trace = self._trace(max_iters=40)
+        rec = trace.records[0]
+        v = rec.v + 1e-6 * np.abs(rec.v).max()
+        corrupted = dataclasses.replace(trace, records=[dataclasses.replace(rec, v=v)] + trace.records[1:])
+        check = {c.name: c for c in audit_trace(corrupted, pb).checks}["normal_solves_linearized"]
+        assert {c.name: c.passed for c in audit_trace(trace, pb).checks}["normal_solves_linearized"]
+        assert not check.passed and check.worst_iteration == rec.k
+
     def test_json_round_trip(self):
         pb, trace = self._trace(max_iters=40)
         payload = json.loads(audit_trace(trace, pb).to_json())

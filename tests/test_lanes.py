@@ -8,6 +8,7 @@ import pytest
 import tssqp.solver
 from tssqp import (
     ConfigError,
+    EvaluationFailure,
     ExperimentPlan,
     NoiseModel,
     Problem,
@@ -19,6 +20,7 @@ from tssqp import (
     run_seed,
 )
 from tssqp.harness import ResultRow, _status_token, audits_to_json, run_experiment, to_csv
+from tssqp.problems import evaluate_c_rows, evaluate_rows
 from tssqp.solver import _init_lanes, _noisy_gradients
 from test_alpha_rules import _digest
 
@@ -88,13 +90,16 @@ def test_a_failed_lane_leaves_the_others_alone(monkeypatch):
     assert audits_to_json(rows) == audits_to_json(solo)
 
 
-def _ridge2() -> Problem:
-    """c = x1 - 1 and f = x2^2 / 2, with c non-finite beyond the ridge x2 = 0.05.
+def _ridge2(raises: bool = False) -> Problem:
+    """c = x1 - 1 and f = x2^2 / 2, with c non-finite beyond the ridge x2 = 0.05
+    (with `raises`, both oracles raise EvaluationFailure there instead).
 
     A one-point problem (not stacked), so lanes call its oracles row by row.
     Only gradient noise moves x2 off 0, so only a noisy lane can cross.
     """
     def con(x):
+        if raises and x[1] > 0.05:
+            raise EvaluationFailure("beyond the ridge")
         return np.array([x[0] - 1.0 if x[1] <= 0.05 else np.inf])
 
     def ev(x):
@@ -113,6 +118,19 @@ def test_a_lane_failing_in_the_search_ends_alone():
         alone = run(problem, config, seed=seed)
         assert (lane.status, lane.fail_reason, lane.iterations) == (alone.status, alone.fail_reason, alone.iterations)
         assert _digest(lane) == _digest(alone)
+
+
+def test_a_row_whose_oracle_raises_fails_alone():
+    problem = _ridge2(raises=True)
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, -1.0]])
+    _, failed = evaluate_rows(problem, X)
+    _, c_failed = evaluate_c_rows(problem, X)
+    assert list(failed) == list(c_failed) == [1]
+    assert str(failed[1]) == str(c_failed[1]) == "beyond the ridge"
+    configs = [SolverConfig(max_iters=60, noise=NoiseModel(eps, seed=4)) for eps in (0.0, 1.0, 1e-6)]
+    lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2])
+    assert [(lane.status, lane.fail_reason) for lane in lanes] == [
+        ("converged", None), ("failed", "evaluation_failure"), ("converged", None)]
 
 
 def test_configs_may_differ_only_in_noise():
@@ -142,7 +160,7 @@ def test_lane_wall_time_is_set_per_lane():
     assert 0.0 < fast.wall_s <= slow.wall_s
 
 
-@pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one shared J, and one J per lane
+@pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one J for every point, and one J per point
 def test_factorization_failure_ends_every_lane_with_its_token(name):
     problem = dataclasses.replace(load_problem(name), h_matrix=-np.eye(load_problem(name).n))
     configs = [SolverConfig(noise=NoiseModel(eps, seed=1)) for eps in (0.0, 0.1)]
@@ -207,7 +225,7 @@ def test_some_lanes_fail_a_factorization_and_the_others_go_on(case, strategy):
     assert all(t.iterations > 0 for t in lanes)
 
 
-@pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one shared J, and one J per lane
+@pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one J for every point, and one J per point
 def test_converged_lanes_end_before_their_step_factorization_fails(name):
     # Z'HZ = -Z'Z fails its check, but every lane starts at a KKT point
     base = load_problem(name)
@@ -237,12 +255,15 @@ def _svds_per_iteration(monkeypatch, problem, configs) -> tuple[list, list[int]]
 
 @pytest.mark.parametrize("case, per_iteration", [("rank_m1", 1), ("rank_m2", 2), ("indefinite", 1)])
 def test_failed_lanes_cost_no_factorization(monkeypatch, case, per_iteration):
-    # the survivors' factors are restricted, never computed again
+    # the survivors' factors are restricted, never computed again; a J stack
+    # whose bytes stay the same is not factored again either
     problem, token = _PARTIAL_FAILURES[case]
     configs = [SolverConfig(strategy="ablation", max_iters=20, noise=NoiseModel(eps, seed=5))
                for eps in (0.0, 1.0, 1.0)]
     traces, svds = _svds_per_iteration(monkeypatch, problem, configs)
     assert [t.fail_reason for t in traces] == [None, token, token]
-    assert svds == [per_iteration] * 20
+    left = max(t.iterations for t in traces[1:])  # the iteration whose factorization ends the last failing lane
+    assert svds[0] == svds[left] == per_iteration and set(svds[:left]) <= {0, per_iteration}
+    assert svds[left + 1:] == [0] * (19 - left)
     _, svds = _svds_per_iteration(monkeypatch, problem, configs[:1])
-    assert svds == [per_iteration] * 20
+    assert svds == [per_iteration] + [0] * 19

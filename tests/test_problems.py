@@ -111,24 +111,27 @@ class TestStackedOracles:
         for scale in (1e-3, 1.0, 1e3):
             X = pb.x0 + rng.normal(scale=scale, size=(7, pb.n))
             X[0] = -0.0
-            stack, finite = evaluate_rows(pb, X)
-            c_stack, c_finite = evaluate_c_rows(pb, X)
-            assert finite is True and c_finite is True
+            stack, failed = evaluate_rows(pb, X)
+            c_stack, c_failed = evaluate_c_rows(pb, X)
+            assert failed == c_failed == {}
+            assert stack.jac.shape == (7, pb.m, pb.n)
             for i, x in enumerate(X):
-                one = evaluate(pb, x)
-                assert stack.f[i].tobytes() == np.float64(one.f).tobytes()
-                assert stack.grad[i].tobytes() == one.grad.tobytes()
-                assert stack.c[i].tobytes() == one.c.tobytes() == c_stack[i].tobytes()
-                jac = stack.jac if stack.jac.ndim == 2 else stack.jac[i]
-                assert jac.tobytes() == one.jac.tobytes()
+                f, grad, c, jac = pb.eval_fn(x)
+                assert stack.f[i].tobytes() == np.float64(f).tobytes()
+                assert stack.grad[i].tobytes() == np.asarray(grad, dtype=float).tobytes()
+                c = np.atleast_1d(np.asarray(c, dtype=float))
+                assert stack.c[i].tobytes() == c.tobytes() == c_stack[i].tobytes()
+                assert c_stack[i].tobytes() == np.atleast_1d(np.asarray(pb.c_fn(x), dtype=float)).tobytes()
+                assert stack.jac[i].tobytes() == np.asarray(jac, dtype=float).tobytes()
 
     def test_non_finite_rows_are_reported_not_raised(self):
         pb = load_problem("sphere3")
         X = np.array([[1.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with np.errstate(over="ignore"):
-            _, finite = evaluate_rows(pb, X)
-            _, c_finite = evaluate_c_rows(pb, X)
-        assert finite.tolist() == c_finite.tolist() == [True, False, True]
+            _, failed = evaluate_rows(pb, X)
+            _, c_failed = evaluate_c_rows(pb, X)
+        assert list(failed) == list(c_failed) == [1]
+        assert isinstance(failed[1], EvaluationFailure) and isinstance(c_failed[1], EvaluationFailure)
 
     def test_one_point_problem_is_called_row_by_row(self):
         base = load_problem("qplin5")
@@ -140,9 +143,9 @@ class TestStackedOracles:
 
         pb = Problem(name="rowwise", n=5, m=2, eval_fn=ev, c_fn=base.c_fn, x0=np.zeros(5))
         X = np.random.default_rng(3).normal(size=(3, 5))
-        stack, finite = evaluate_rows(pb, X)
-        assert calls == [(5,)] * 3 and finite is True
-        assert stack.jac.shape == (2, 5)  # one matrix for every row
+        stack, failed = evaluate_rows(pb, X)
+        assert calls == [(5,)] * 3 and failed == {}
+        assert stack.jac.shape == (3, 2, 5)
         assert stack.grad.tobytes() == base.eval_fn(X)[1].tobytes()
 
 
