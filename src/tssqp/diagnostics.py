@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError, check_real
 from .problems import Problem, evaluate, evaluate_c
 from .solver import Trace
 from .stepsize import backtrack_count_bound
@@ -112,7 +113,12 @@ def audit_trace(
     """Re-verify per-iteration invariants of a finished trace.
 
     The line-search parameters `xi`/`rho` come from the trace's own config.
+    `tol` must be finite and positive and `sigma` lie in (0, 1); ConfigError otherwise.
     """
+    check_real("tol", tol)
+    check_real("sigma", sigma)
+    if not (tol > 0 and 0 < sigma < 1):
+        raise ConfigError(f"need tol > 0 and sigma in (0, 1), got tol={tol!r}, sigma={sigma!r}")
     report = AuditReport(
         trace_problem=trace.problem,
         trace_strategy=trace.strategy,

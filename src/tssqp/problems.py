@@ -13,20 +13,16 @@ transform applied to PCG64 uniforms so that a given seed yields the same draw
 sequence on every platform (up to floating-point ULPs in ``log``/``cos``/``sin``).
 
 The solver advances several lanes (runs) at once and evaluates them through
-:func:`evaluate_rows`/:func:`evaluate_c_rows`.  A problem whose oracles are
-``stacked`` (every built-in and every ``quadratic_linear`` file) takes the
-whole ``(B, n)`` stack of points in one call; any other problem is called
-once per row.  Either way row ``i`` of the result has the bits of the call
-at ``x[i]``, ``J`` comes back as a ``(B, m, n)`` stack, and the rows that
-fail (non-finite output, or a one-point oracle raising EvaluationFailure)
-are reported as a ``{row: exception}`` map, not raised.  :func:`evaluate`
-and :func:`evaluate_c` are the one-row case and raise that row's failure.
+:func:`evaluate_rows`/:func:`evaluate_c_rows`, which call each oracle once
+on the whole ``(B, n)`` stack of points.  ``J`` comes back as a
+``(B, m, n)`` stack, and the rows whose output is not finite are reported
+as a ``{row: exception}`` map, not raised.  :func:`evaluate` and
+:func:`evaluate_c` are the one-row case and raise that row's failure.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -36,7 +32,7 @@ from .errors import (ConfigError, DimensionMismatch, EvaluationFailure, ParseErr
                      check_count, check_real)
 from .linalg import dot, mv
 
-EvalFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray, np.ndarray]]
+EvalFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 CFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -75,18 +71,18 @@ class NoiseModel:
 class Problem:
     """An equality-constrained problem min f(x) s.t. c(x) = 0.
 
-    ``eval_fn(x)`` returns ``(f, grad, c, jac)`` and must be a pure function
-    of ``x``.  ``c_fn(x)`` returns ``c`` alone and must be bitwise equal to the
-    ``c`` of ``eval_fn(x)``: the line search and the auditor call it at trial
-    points, so no gradient or Jacobian is computed there.  ``known_kkt``
-    optionally carries a first-order stationary pair ``(x_star, y_star)`` used
-    by tests.  ``h_matrix`` optionally fixes the constant quadratic model
-    matrix used by the solver for this problem.
-
-    ``stacked`` says that both oracles also take a ``(B, n)`` stack of points
-    and return ``f`` (B,), ``grad`` (B, n), ``c`` (B, m) and ``jac`` (B, m, n),
-    or ``jac`` (m, n) when it is one matrix for every point; row ``i`` must
-    be bitwise equal to the call at ``x[i]``.
+    Both oracles take a ``(B, n)`` stack of points ``X`` and must be pure
+    functions of it, row by row: row ``i`` of the output depends on ``X[i]``
+    alone.  ``eval_fn(X)`` returns ``f`` (B,), ``grad`` (B, n), ``c`` (B, m)
+    and ``jac`` (B, m, n), or ``jac`` (m, n) when it is one matrix for every
+    point.  ``c_fn(X)`` returns ``c`` alone and must be bitwise equal to the
+    ``c`` of ``eval_fn(X)``: the line search and the auditor call it at trial
+    points, so no gradient or Jacobian is computed there.  An oracle reports
+    a point where it fails by returning a non-finite value there; output of
+    any other shape raises DimensionMismatch.  ``known_kkt`` optionally
+    carries a first-order stationary pair ``(x_star, y_star)`` used by tests.
+    ``h_matrix`` optionally fixes the constant quadratic model matrix used by
+    the solver for this problem.
     """
 
     name: str
@@ -97,30 +93,18 @@ class Problem:
     x0: np.ndarray
     known_kkt: Optional[tuple[np.ndarray, np.ndarray]] = None
     h_matrix: Optional[np.ndarray] = None
-    stacked: bool = False
 
     def __post_init__(self) -> None:
-        if self.n <= 0 or self.m <= 0 or self.m > self.n:
-            raise ValueError(f"need 0 < m <= n, got n={self.n}, m={self.m}")
-
-
-def _oracle_arrays(problem: Problem, out, lead: tuple) -> tuple:
-    """Oracle output `out` as float arrays (f a float for one point), with shapes checked against n, m.
-
-    A one-matrix J returned for a stack of points is repeated on each row.
-    """
-    f, grad, c, jac = out
-    f = np.asarray(f, dtype=float) if lead else float(f)
-    grad, c, jac = (np.ascontiguousarray(a, dtype=float) for a in (grad, c, jac))  # a scalar c becomes (1,)
-    n, m = problem.n, problem.m
-    if lead and jac.shape == (m, n):
-        jac = jac[None].repeat(lead[0], axis=0)
-    if np.shape(f) != lead or grad.shape != lead + (n,) or c.shape != lead + (m,) or jac.shape != lead + (m, n):
-        raise DimensionMismatch(
-            f"{problem.name}: oracle shapes f={np.shape(f)} grad={grad.shape} c={c.shape} jac={jac.shape} "
-            f"inconsistent with n={n}, m={m}"
-        )
-    return f, grad, c, jac
+        check_count(f"{self.name}: n", self.n, 1)
+        check_count(f"{self.name}: m", self.m, 1)
+        if self.m > self.n:
+            raise ConfigError(f"{self.name}: need m <= n, got n={self.n}, m={self.m}")
+        if self.h_matrix is not None:
+            if np.shape(self.h_matrix) != (self.n, self.n):
+                raise DimensionMismatch(f"{self.name}: h_matrix has shape {np.shape(self.h_matrix)}, "
+                                        f"expected ({self.n}, {self.n})")
+            if not np.isfinite(self.h_matrix).all():
+                raise ConfigError(f"{self.name}: h_matrix must be finite")
 
 
 def _failures(problem: Problem, X: np.ndarray, what: str, *arrays: np.ndarray) -> dict[int, Exception]:
@@ -134,37 +118,27 @@ def _failures(problem: Problem, X: np.ndarray, what: str, *arrays: np.ndarray) -
             for i in np.flatnonzero(~ok).tolist()}
 
 
-def _call_rows(oracle: Callable, X: np.ndarray, stand_in) -> tuple[list, dict[int, Exception]]:
-    """oracle(x) at each row of X, with `stand_in` (non-finite) for the rows where it raises
-    EvaluationFailure, and the {row: exception} map of those rows."""
-    out, raised = [], {}
-    for i, x in enumerate(X):
-        try:
-            out.append(oracle(x))
-        except EvaluationFailure as exc:
-            out.append(stand_in)
-            raised[i] = exc
-    return out, raised
-
-
 def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, dict[int, Exception]]:
-    """The deterministic oracles at each row of X (B, n), without raising on non-finite output.
+    """The deterministic oracles at each row of X (B, n), in one call, without raising on non-finite output.
 
     Returns the stacked evaluation (``f`` (B,), ``grad`` (B, n), ``c`` (B, m),
-    ``jac`` (B, m, n)) and the {row: EvaluationFailure} map of the rows whose
-    output is not finite or whose one-point oracle raised it.  Shapes are
-    checked on every call and raise DimensionMismatch.  Floating-point
-    warnings follow the caller's ``np.errstate``.
+    ``jac`` (B, m, n); a one-matrix J is repeated on each row) and the
+    {row: EvaluationFailure} map of the rows whose output is not finite.
+    Shapes are checked on every call and raise DimensionMismatch.
+    Floating-point warnings follow the caller's ``np.errstate``.
     """
-    if problem.stacked:
-        f, grad, c, jac = _oracle_arrays(problem, problem.eval_fn(X), (len(X),))
-        raised = {}
-    else:
-        n, m = problem.n, problem.m
-        rows, raised = _call_rows(lambda x: _oracle_arrays(problem, problem.eval_fn(x), ()), X,
-                                  (math.nan, np.full(n, math.nan), np.full(m, math.nan), np.full((m, n), math.nan)))
-        f, grad, c, jac = (np.array([r[i] for r in rows]) for i in range(4))
-    return Evaluation(f, grad, c, jac), _failures(problem, X, "oracle output", f, grad, c, jac) | raised
+    f, grad, c, jac = problem.eval_fn(X)
+    f = np.asarray(f, dtype=float)
+    grad, c, jac = (np.ascontiguousarray(a, dtype=float) for a in (grad, c, jac))
+    B, n, m = len(X), problem.n, problem.m
+    if jac.shape == (m, n):
+        jac = jac[None].repeat(B, axis=0)
+    if f.shape != (B,) or grad.shape != (B, n) or c.shape != (B, m) or jac.shape != (B, m, n):
+        raise DimensionMismatch(
+            f"{problem.name}: oracle shapes f={f.shape} grad={grad.shape} c={c.shape} jac={jac.shape} "
+            f"inconsistent with {B} points, n={n}, m={m}"
+        )
+    return Evaluation(f, grad, c, jac), _failures(problem, X, "oracle output", f, grad, c, jac)
 
 
 def _at_point(rows: Callable, problem: Problem, x: np.ndarray):
@@ -185,23 +159,14 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
     return Evaluation(float(f[0]), grad[0], c[0], jac[0])
 
 
-def _c_array(problem: Problem, c, lead: tuple) -> np.ndarray:
-    c = np.ascontiguousarray(c, dtype=float)  # a scalar c becomes (1,)
-    if c.shape != lead + (problem.m,):
-        raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with m={problem.m}")
-    return c
-
-
 def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """The constraint-only oracle ``c_fn`` at each row of X (B, n): c (B, m) and the failure map,
-    as in :func:`evaluate_rows`."""
-    if problem.stacked:
-        c = _c_array(problem, problem.c_fn(X), (len(X),))
-        raised = {}
-    else:
-        rows, raised = _call_rows(lambda x: _c_array(problem, problem.c_fn(x), ()), X, np.full(problem.m, math.nan))
-        c = np.array(rows)
-    return c, _failures(problem, X, "constraint value", c) | raised
+    """The constraint-only oracle ``c_fn`` at each row of X (B, n), in one call: c (B, m) and the
+    failure map, as in :func:`evaluate_rows`."""
+    c = np.ascontiguousarray(problem.c_fn(X), dtype=float)
+    if c.shape != (len(X), problem.m):
+        raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with "
+                                f"{len(X)} points, m={problem.m}")
+    return c, _failures(problem, X, "constraint value", c)
 
 
 def evaluate_c(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -250,7 +215,6 @@ def _qp2() -> Problem:
         name="qp2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.zeros(2),
         known_kkt=(np.array([1.0, 0.0]), np.array([-1.0])),
-        stacked=True,
     )
 
 
@@ -292,7 +256,7 @@ def _make_quadratic_linear(name, Q, g0, A, b, x0, known_kkt=None) -> Problem:
 
     return Problem(
         name=name, n=Q.shape[0], m=A.shape[0], eval_fn=ev, c_fn=con, x0=np.asarray(x0, dtype=float),
-        known_kkt=known_kkt, stacked=True,
+        known_kkt=known_kkt,
     )
 
 
@@ -318,7 +282,6 @@ def _sphere3() -> Problem:
         name="sphere3", n=3, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([2.0, 0.0, 0.0]),
         known_kkt=(np.array([-1.0, -1.0, -1.0]), np.array([0.5])),
-        stacked=True,
     )
 
 
@@ -352,7 +315,6 @@ def _rosenlin2() -> Problem:
         x0=np.array([-1.2, 1.0]),
         known_kkt=(np.array([_ROSEN_T, 1.0 - _ROSEN_T]), np.array([_ROSEN_Y])),
         h_matrix=150.0 * np.eye(2),
-        stacked=True,
     )
 
 
@@ -370,7 +332,6 @@ def _lincirc2() -> Problem:
         name="lincirc2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([3.0, 0.0]),
         known_kkt=(np.array([-1.0, -2.0]), np.array([0.5])),
-        stacked=True,
     )
 
 
@@ -389,7 +350,6 @@ def _projball2() -> Problem:
         name="projball2", n=2, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([0.5, 1.5]),
         known_kkt=(np.array([1.0, 0.0]), np.array([0.5])),
-        stacked=True,
     )
 
 
@@ -408,7 +368,6 @@ def _quadsphere4() -> Problem:
         name="quadsphere4", n=4, m=1, eval_fn=ev, c_fn=con,
         x0=np.array([0.5, 1.0, 1.0, 1.0]),
         known_kkt=(np.array([2.0, 0.0, 0.0, 0.0]), np.array([-0.5])),
-        stacked=True,
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tssqp import (
+    ConfigError,
     DimensionMismatch,
     MeritInputs,
     NoiseModel,
@@ -153,6 +154,16 @@ class TestAuditTrace:
         assert trace.config.xi == 1e-8 and trace.config.rho == 0.9
         report = audit_trace(trace, pb)
         assert report.passed, report.to_json()
+
+    @pytest.mark.parametrize("bad", [
+        {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")},
+        {"sigma": 1.5}, {"sigma": 0.0}, {"sigma": 1.0}, {"sigma": float("nan")},
+    ])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])  # the merit check runs only without noise
+    def test_bad_tolerances_are_rejected(self, bad, eps):
+        pb, trace = self._trace("qp2", noise=NoiseModel(eps, seed=1), max_iters=30)
+        with pytest.raises(ConfigError):
+            audit_trace(trace, pb, **bad)
 
     def test_fault_injection_breaks_range_check(self):
         pb, trace = self._trace(max_iters=60)

@@ -8,7 +8,6 @@ import pytest
 import tssqp.solver
 from tssqp import (
     ConfigError,
-    EvaluationFailure,
     ExperimentPlan,
     NoiseModel,
     Problem,
@@ -20,7 +19,6 @@ from tssqp import (
     run_seed,
 )
 from tssqp.harness import ResultRow, _status_token, audits_to_json, run_experiment, to_csv
-from tssqp.problems import evaluate_c_rows, evaluate_rows
 from tssqp.solver import _init_lanes, _noisy_gradients
 from test_alpha_rules import _digest
 
@@ -90,20 +88,18 @@ def test_a_failed_lane_leaves_the_others_alone(monkeypatch):
     assert audits_to_json(rows) == audits_to_json(solo)
 
 
-def _ridge2(raises: bool = False) -> Problem:
-    """c = x1 - 1 and f = x2^2 / 2, with c non-finite beyond the ridge x2 = 0.05
-    (with `raises`, both oracles raise EvaluationFailure there instead).
+def _ridge2() -> Problem:
+    """c = x1 - 1 and f = x2^2 / 2, with c non-finite beyond the ridge x2 = 0.05.
 
-    A one-point problem (not stacked), so lanes call its oracles row by row.
     Only gradient noise moves x2 off 0, so only a noisy lane can cross.
     """
     def con(x):
-        if raises and x[1] > 0.05:
-            raise EvaluationFailure("beyond the ridge")
-        return np.array([x[0] - 1.0 if x[1] <= 0.05 else np.inf])
+        return np.where(x[..., 1:] <= 0.05, x[..., :1] - 1.0, np.inf)
 
     def ev(x):
-        return 0.5 * x[1] ** 2, np.array([0.0, x[1]]), con(x), np.array([[1.0, 0.0]])
+        grad = np.zeros(x.shape)
+        grad[..., 1] = x[..., 1]
+        return 0.5 * x[..., 1] ** 2, grad, con(x), np.array([[1.0, 0.0]])
 
     return Problem(name="ridge2", n=2, m=1, eval_fn=ev, c_fn=con, x0=np.zeros(2))
 
@@ -118,19 +114,6 @@ def test_a_lane_failing_in_the_search_ends_alone():
         alone = run(problem, config, seed=seed)
         assert (lane.status, lane.fail_reason, lane.iterations) == (alone.status, alone.fail_reason, alone.iterations)
         assert _digest(lane) == _digest(alone)
-
-
-def test_a_row_whose_oracle_raises_fails_alone():
-    problem = _ridge2(raises=True)
-    X = np.array([[0.0, 0.0], [0.0, 1.0], [0.5, -1.0]])
-    _, failed = evaluate_rows(problem, X)
-    _, c_failed = evaluate_c_rows(problem, X)
-    assert list(failed) == list(c_failed) == [1]
-    assert str(failed[1]) == str(c_failed[1]) == "beyond the ridge"
-    configs = [SolverConfig(max_iters=60, noise=NoiseModel(eps, seed=4)) for eps in (0.0, 1.0, 1e-6)]
-    lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2])
-    assert [(lane.status, lane.fail_reason) for lane in lanes] == [
-        ("converged", None), ("failed", "evaluation_failure"), ("converged", None)]
 
 
 def test_configs_may_differ_only_in_noise():
@@ -170,7 +153,7 @@ def test_factorization_failure_ends_every_lane_with_its_token(name):
 
 
 def _switching(name: str, ok, bad, mover: int, h_matrix=None) -> Problem:
-    """A stacked problem whose Jacobian, one per point, switches from `ok` to `bad`
+    """A problem whose Jacobian, one per point, switches from `ok` to `bad`
     once |x[mover]| exceeds 0.05.
 
     f = x[mover]^2 / 2 and c = ok x - 1, from x0 = 0.  `mover` spans Null(ok),
@@ -190,8 +173,7 @@ def _switching(name: str, ok, bad, mover: int, h_matrix=None) -> Problem:
         jac = np.where((np.abs(t) > 0.05)[..., None, None], bad, ok)
         return 0.5 * t * t, grad, con(x), jac
 
-    return Problem(name=name, n=n, m=m, eval_fn=ev, c_fn=con, x0=np.zeros(n),
-                   h_matrix=h_matrix, stacked=True)
+    return Problem(name=name, n=n, m=m, eval_fn=ev, c_fn=con, x0=np.zeros(n), h_matrix=h_matrix)
 
 
 _PARTIAL_FAILURES = {

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from tssqp import (
+    ConfigError,
     DimensionMismatch,
     EvaluationFailure,
     NoiseModel,
@@ -16,7 +18,7 @@ from tssqp import (
     evaluate_c,
     load_problem,
 )
-from tssqp import SolverConfig, init_state
+from tssqp import SolverConfig, init_state, run
 from tssqp.problems import evaluate_c_rows, evaluate_rows
 from tssqp.solver import _noisy_gradients
 from oracles import augmented_solve
@@ -99,14 +101,13 @@ class TestConstraintOracle:
 
 
 class TestStackedOracles:
-    """A stacked problem's oracles give each row of a (B, n) stack the bits of its own call."""
+    """The oracles give each row of a (B, n) stack the bits of its own call."""
 
     @pytest.mark.parametrize("name", builtin_names() + ["quadratic_linear_file"])
     def test_rows_bitwise_equal_to_single_calls(self, tmp_path, name):
         if name == "quadratic_linear_file":
             name = _write_random_quadratic_linear(tmp_path / "rand.json", seed=4)
         pb = load_problem(name)
-        assert pb.stacked
         rng = np.random.default_rng(21)
         for scale in (1e-3, 1.0, 1e3):
             X = pb.x0 + rng.normal(scale=scale, size=(7, pb.n))
@@ -133,20 +134,64 @@ class TestStackedOracles:
         assert list(failed) == list(c_failed) == [1]
         assert isinstance(failed[1], EvaluationFailure) and isinstance(c_failed[1], EvaluationFailure)
 
-    def test_one_point_problem_is_called_row_by_row(self):
+    def test_each_oracle_is_called_once_per_stack(self):
         base = load_problem("qplin5")
         calls = []
 
-        def ev(x):
-            calls.append(x.shape)
-            return base.eval_fn(x)
+        def counted(oracle):
+            def wrapper(X):
+                calls.append((oracle.__name__, X.shape))
+                return oracle(X)
+            return wrapper
 
-        pb = Problem(name="rowwise", n=5, m=2, eval_fn=ev, c_fn=base.c_fn, x0=np.zeros(5))
+        pb = dataclasses.replace(base, eval_fn=counted(base.eval_fn), c_fn=counted(base.c_fn))
         X = np.random.default_rng(3).normal(size=(3, 5))
         stack, failed = evaluate_rows(pb, X)
-        assert calls == [(5,)] * 3 and failed == {}
+        c, c_failed = evaluate_c_rows(pb, X)
+        assert calls == [("ev", (3, 5)), ("con", (3, 5))] and failed == c_failed == {}
         assert stack.jac.shape == (3, 2, 5)
-        assert stack.grad.tobytes() == base.eval_fn(X)[1].tobytes()
+        assert stack.c.tobytes() == c.tobytes() == base.c_fn(X).tobytes()
+
+
+def _one_point_c(x):
+    return np.array([x[0] - 1.0])
+
+
+class TestOracleShapes:
+    """Output whose shape does not fit the (B, n) stack raises DimensionMismatch."""
+
+    def test_one_point_constraint_oracle(self):
+        pb = dataclasses.replace(load_problem("qp2"), c_fn=_one_point_c)
+        with pytest.raises(DimensionMismatch):
+            evaluate_c_rows(pb, np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            run(pb, SolverConfig(strategy="linesearch", max_iters=5), seed=0)
+
+    def test_gradient_without_the_row_axis(self):
+        base = load_problem("qp2")
+
+        def ev(x):
+            f, grad, c, jac = base.eval_fn(x)
+            return f, grad[0], c, jac
+
+        with pytest.raises(DimensionMismatch):
+            evaluate_rows(dataclasses.replace(base, eval_fn=ev), np.zeros((3, 2)))
+
+
+class TestProblemFields:
+    @pytest.mark.parametrize("fields, error", [
+        ({"n": 2.5}, ConfigError),
+        ({"n": 0}, ConfigError),
+        ({"m": 0}, ConfigError),
+        ({"m": True}, ConfigError),
+        ({"m": 4}, ConfigError),
+        ({"h_matrix": np.eye(2)}, DimensionMismatch),
+        ({"h_matrix": np.full((3, 3), np.nan)}, ConfigError),
+        ({"h_matrix": np.diag([1.0, np.inf, 1.0])}, ConfigError),
+    ])
+    def test_bad_fields_raise_package_errors(self, fields, error):
+        with pytest.raises(error):
+            dataclasses.replace(load_problem("sphere3"), **fields)
 
 
 def _noisy_gradient(grad, noise, stream):

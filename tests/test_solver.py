@@ -186,11 +186,12 @@ class TestRun:
 def _steep2() -> Problem:
     """Linear c = x1 - 1 with f = exp(300 x1) + x2^2 / 2, whose gradient overflows past x1 ~ 2.37."""
     def con(x):
-        return np.array([x[0] - 1.0])
+        return x[..., :1] - 1.0
 
     def ev(x):
-        e = np.exp(300.0 * x[0])
-        return float(e) + 0.5 * x[1] ** 2, np.array([300.0 * e, x[1]]), con(x), np.array([[1.0, 0.0]])
+        e = np.exp(300.0 * x[..., 0])
+        grad = np.stack([300.0 * e, x[..., 1]], axis=-1)
+        return e + 0.5 * x[..., 1] ** 2, grad, con(x), np.array([[1.0, 0.0]])
 
     return Problem(name="steep2", n=2, m=1, eval_fn=ev, c_fn=con, x0=np.zeros(2))
 
