@@ -11,6 +11,7 @@ from tssqp import (
     NoiseModel,
     SolverConfig,
     audit_trace,
+    evaluate,
     load_problem,
     run,
     tau_min,
@@ -177,6 +178,59 @@ class TestAuditTrace:
         check = {c.name: c for c in report.checks}["alpha_in_range"]
         assert not check.passed
         assert check.worst_iteration == bad.k
+
+    @staticmethod
+    def _corrupt(trace, i, **fields):
+        """The trace with record i replaced by a copy that has `fields`."""
+        records = list(trace.records)
+        records[i] = dataclasses.replace(records[i], **fields)
+        return dataclasses.replace(trace, records=records)
+
+    @staticmethod
+    def _check(report, name):
+        return {c.name: c for c in report.checks}[name]
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("tangential_in_null_space", lambda pb, r: {"u": r.u + 1e-3 * evaluate(pb, r.x).jac[0]}),
+        ("u_v_orthogonal", lambda pb, r: {"u": r.u + 1e-3 * r.v}),
+        ("normal_component_bound", lambda pb, r: {"sigma_min": r.sigma_min * 1e6}),
+        ("backtrack_count_bound", lambda pb, r: {"n_backtracks": 10**6}),
+        ("decrease_certificate", lambda pb, r: {"c_l1": 0.0}),
+        ("safeguard_semantics", lambda pb, r: {"hit_safeguard": True, "alpha": r.alpha_hi}),
+    ])
+    def test_fault_injection_fails_its_check(self, name, corrupt):
+        pb, trace = self._trace(max_iters=60)
+        assert audit_trace(trace, pb).passed
+        # a certified record past the first, with ||c|| and so v and the trial c nonzero
+        i = next(i for i, r in enumerate(trace.records) if r.k > 0 and not r.hit_safeguard and r.c_l1 > 1e-3)
+        rec = trace.records[i]
+        check = self._check(audit_trace(self._corrupt(trace, i, **corrupt(pb, rec)), pb), name)
+        assert not check.passed and check.violations == 1
+        assert check.worst_iteration == rec.k and check.worst_margin > 0
+
+    @pytest.mark.parametrize("shift_j, worst", [(2.0, "second"), (1.0, "first")])
+    def test_two_violations_keep_the_larger_margin_and_the_first_of_a_tie(self, shift_j, worst):
+        # fixed/lower: alpha_hi is the same on every record, so equal shifts give equal margins
+        pb, trace = self._trace(strategy="fixed", max_iters=40)
+        i, j = 5, 20
+        hi = trace.records[i].alpha_hi
+        assert trace.records[j].alpha_hi == hi
+        corrupted = self._corrupt(self._corrupt(trace, i, alpha=hi + 1.0), j, alpha=hi + shift_j)
+        check = self._check(audit_trace(corrupted, pb), "alpha_in_range")
+        assert not check.passed and check.violations == 2
+        assert check.worst_margin == (hi + shift_j) - hi
+        assert check.worst_iteration == trace.records[j if worst == "second" else i].k
+
+    def test_zero_record_trace_passes_without_calling_an_oracle(self):
+        pb, trace = self._trace(max_iters=0)
+        assert trace.records == []
+
+        def never(X):
+            raise AssertionError("the audit of a trace without records called an oracle")
+
+        report = audit_trace(trace, dataclasses.replace(pb, eval_fn=never, c_fn=never))
+        assert len(report.checks) == 9
+        assert all(c.passed and c.violations == 0 and c.worst_iteration is None for c in report.checks)
 
     def test_ill_conditioned_square_jacobians_pass_the_normal_check(self, tmp_path):
         # J v = -c is solved to about eps ||J|| ||v||; with one row of A within
