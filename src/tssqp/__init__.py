@@ -37,7 +37,6 @@ from .problems import (
     builtin_names,
     builtin_suite,
     evaluate,
-    evaluate_c,
     load_problem,
     standard_normal_vector,
 )

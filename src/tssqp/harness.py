@@ -146,6 +146,12 @@ def run_experiment(plan: ExperimentPlan, audit: bool = False) -> list[ResultRow]
     """
     plan.validate()
     problems = {name: load_problem(name) for name in plan.problems}
+    sources: dict[str, str] = {}
+    for source, problem in problems.items():
+        first = sources.setdefault(problem.name, source)
+        if first != source:
+            raise ConfigError(f"{first!r} and {source!r} both name their problem {problem.name!r}; "
+                              "rows are keyed and seeded by that name")
     timing = os.environ.get("TSSQP_TIMING", "0").lower() in ("1", "true", "yes")
     rows = [
         row

@@ -16,8 +16,8 @@ The solver advances several lanes (runs) at once and evaluates them through
 :func:`evaluate_rows`/:func:`evaluate_c_rows`, which call each oracle once
 on the whole ``(B, n)`` stack of points.  ``J`` comes back as a
 ``(B, m, n)`` stack, and the rows whose output is not finite are reported
-as a ``{row: exception}`` map, not raised.  :func:`evaluate` and
-:func:`evaluate_c` are the one-row case and raise that row's failure.
+as a ``{row: exception}`` map, not raised.  :func:`evaluate` is the
+one-row case and raises that row's failure.
 """
 
 from __future__ import annotations
@@ -141,21 +141,15 @@ def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, dict[int
     return Evaluation(f, grad, c, jac), _failures(problem, X, "oracle output", f, grad, c, jac)
 
 
-def _at_point(rows: Callable, problem: Problem, x: np.ndarray):
-    """`rows(problem, X)` at the one-row stack of the point x (n,); raises the row's failure."""
+def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
+    """The deterministic oracles at one point: the one-row case of :func:`evaluate_rows`, raising its failure."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"{problem.name}: x has shape {x.shape}, expected ({problem.n},)")
     with np.errstate(over="ignore", invalid="ignore"):
-        out, failed = rows(problem, x[None])
+        (f, grad, c, jac), failed = evaluate_rows(problem, x[None])
     if failed:
         raise failed[0]
-    return out
-
-
-def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
-    """The deterministic oracles at one point: the one-row case of :func:`evaluate_rows`, raising its failure."""
-    f, grad, c, jac = _at_point(evaluate_rows, problem, x)
     return Evaluation(float(f[0]), grad[0], c[0], jac[0])
 
 
@@ -167,11 +161,6 @@ def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[i
         raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with "
                                 f"{len(X)} points, m={problem.m}")
     return c, _failures(problem, X, "constraint value", c)
-
-
-def evaluate_c(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """The constraint-only oracle at one point: the one-row case of :func:`evaluate_c_rows`."""
-    return _at_point(evaluate_c_rows, problem, x)[0]
 
 
 def standard_normal_rows(streams: list[np.random.Generator], n: int) -> np.ndarray:
@@ -452,6 +441,10 @@ def _parse_problem_file(path: str) -> Problem:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise ParseError(f"{path}: field 'name' must be a nonempty string")
+    if any(ch in name for ch in ',"\r\n'):
+        # the name is a field of every CSV row, written unquoted
+        raise ParseError(f"{path}: field 'name' must not contain a comma, a double quote or a line break, "
+                         f"got {name!r}")
     return _make_quadratic_linear(name, Q, g0, A, b, np.zeros(n))
 
 

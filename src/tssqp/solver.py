@@ -158,6 +158,11 @@ class SolverConfig:
         if self.strategy == "adaptive" and self.alpha_rule == "backtrack":
             raise ConfigError("the adaptive strategy takes range endpoints only (alpha_rule lower/upper)")
 
+    @property
+    def searches(self) -> bool:
+        """Whether alpha comes from the safeguarded backtracking search."""
+        return self.strategy in ("linesearch", "ablation") or self.alpha_rule == "backtrack"
+
 
 @dataclass
 class SolverState:
@@ -219,14 +224,6 @@ class IterationRecord:
     c_inf: float
     stat_inf: float
     sigma_min: float
-
-    @property
-    def u_norm(self) -> float:
-        return float(np.linalg.norm(self.u))
-
-    @property
-    def v_norm(self) -> float:
-        return float(np.linalg.norm(self.v))
 
 
 @dataclass(frozen=True)
@@ -446,7 +443,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
 
     beta = np.array(beta_l)[:, None] if config.strategy == "adaptive" else beta_l[0]
     direction = beta * p if config.strategy == "ablation" else beta * u + v
-    if config.strategy in ("linesearch", "ablation") or config.alpha_rule == "backtrack":
+    if config.searches:
         alpha_l, hit_safeguard, n_backtracks, failed = backtrack_rows(
             lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)

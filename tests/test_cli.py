@@ -112,6 +112,18 @@ class TestExitCodes:
         assert main(_args("--base-seed", "-1")) == 2
         assert "base_seed" in capsys.readouterr().err
 
+    def test_two_files_of_one_problem_name_exit_2(self, tmp_path, capsys):
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"p{i}.json"
+            path.write_text(json.dumps({
+                "name": "same", "n": 2, "m": 1, "kind": "quadratic_linear",
+                "Q": [[1.0, 0.0], [0.0, 1.0]], "g0": [0.0, float(i)], "A": [[1.0, 1.0]], "b": [1.0],
+            }))
+            paths += ["--problem", str(path)]
+        assert main(["run", *paths, "--strategy", "linesearch", "--iters", "5"]) == 2
+        assert "'same'" in capsys.readouterr().err
+
     def test_malformed_problem_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

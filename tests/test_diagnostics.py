@@ -276,9 +276,55 @@ class TestAuditTrace:
         }
 
     def test_fixed_backtrack_trace_audits(self):
+        # the fixed strategy with alpha_rule backtrack runs the safeguarded search, so
+        # the search's checks (count, certificate, safeguard) apply as for linesearch
         pb, trace = self._trace(strategy="fixed", alpha_rule="backtrack",
                                 nu=0.5, eta=0.1, max_iters=150)
         report = audit_trace(trace, pb)
-        # range and count checks apply; certificate check is line-search only
-        assert {c.name: c.passed for c in report.checks}["alpha_in_range"]
-        assert {c.name: c.passed for c in report.checks}["backtrack_count_bound"]
+        assert report.passed, report.to_json()
+        i = next(i for i, r in enumerate(trace.records) if r.k > 0 and not r.hit_safeguard and r.c_l1 > 1e-3)
+        check = self._check(audit_trace(self._corrupt(trace, i, c_l1=0.0), pb), "decrease_certificate")
+        assert not check.passed and check.worst_iteration == trace.records[i].k
+
+    @pytest.mark.parametrize("strategy", ["linesearch", "fixed"])
+    def test_one_oracle_call_of_each_kind_per_trace(self, strategy):
+        pb, trace = self._trace(strategy=strategy, max_iters=200)
+        calls = []
+
+        def counted(oracle):
+            def wrapper(X):
+                calls.append((oracle.__name__, len(X)))
+                return oracle(X)
+            return wrapper
+
+        assert audit_trace(trace, dataclasses.replace(pb, eval_fn=counted(pb.eval_fn), c_fn=counted(pb.c_fn))).passed
+        certified = sum(not r.hit_safeguard for r in trace.records) if strategy == "linesearch" else 0
+        assert calls == [("ev", len(trace.records))] + ([("con", certified)] if certified else [])
+
+    def test_diverged_trace_fails_without_a_warning(self, tmp_path):
+        # fixed alpha = nu = 3 on the one linear constraint x1 = 1 doubles |x1 - 1| and
+        # flips its sign every step, until ||v|| overflows (k >= 513) and the run fails
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({
+            "name": "diverge", "n": 3, "m": 1, "kind": "quadratic_linear", "Q": (1e-3 * np.eye(3)).tolist(),
+            "g0": [0.0, 0.0, 0.0], "A": [[1.0, 0.0, 0.0]], "b": [1.0]}))
+        pb = load_problem(str(path))
+        trace = run(pb, SolverConfig(strategy="fixed", nu=3.0), seed=0)
+        assert (trace.status, trace.fail_reason, trace.iterations) == ("failed", "evaluation_failure", 517)
+        report = audit_trace(trace, pb)  # pytest turns a RuntimeWarning into an error
+        assert not report.passed
+        for name in ("u_v_orthogonal", "normal_component_bound"):
+            check = self._check(report, name)
+            assert not check.passed and check.violations == 4 and check.worst_iteration == 513
+            assert np.isnan(check.worst_margin)
+        assert json.loads(report.to_json())["passed"] is False
+
+    def test_problem_must_be_the_traced_one(self):
+        pb, trace = self._trace("lincirc2", max_iters=20)
+        other = load_problem("projball2")
+        assert (other.n, other.m) == (pb.n, pb.m)
+        with pytest.raises(ConfigError, match="projball2"):
+            audit_trace(trace, other)
+        renamed = dataclasses.replace(load_problem("sphere3"), name="lincirc2")
+        with pytest.raises(ConfigError, match="n=3"):
+            audit_trace(trace, renamed)

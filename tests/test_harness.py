@@ -67,6 +67,21 @@ class TestRunExperiment:
         failed = [r for r in rows if r.problem == "singular"]
         assert all(r.status == "failed:rank_deficient_jacobian" for r in failed)
 
+    def test_two_sources_of_one_problem_name_are_rejected(self, tmp_path):
+        # rows are keyed and seeded by problem name, so two sources of one name would collide
+        paths = []
+        for i, name in enumerate(("same", "same", "qp2")):
+            path = tmp_path / f"p{i}.json"
+            path.write_text(json.dumps({
+                "name": name, "n": 2, "m": 1, "kind": "quadratic_linear",
+                "Q": [[1.0, 0.0], [0.0, 1.0]], "g0": [0.0, float(i)], "A": [[1.0, 1.0]], "b": [1.0],
+            }))
+            paths.append(str(path))
+        for sources in ((paths[0], paths[1]), ("qp2", paths[2])):
+            with pytest.raises(ConfigError) as exc:
+                run_experiment(_plan(problems=sources))
+            assert all(repr(source) in str(exc.value) for source in sources)
+
     def test_seed_hash_is_stable_and_keyed(self):
         s = run_seed(0, "qp2", "linesearch", 0.1, 3)
         assert s == run_seed(0, "qp2", "linesearch", 0.1, 3)

@@ -15,7 +15,6 @@ from tssqp import (
     builtin_names,
     builtin_suite,
     evaluate,
-    evaluate_c,
     load_problem,
 )
 from tssqp import SolverConfig, init_state, run
@@ -89,15 +88,20 @@ class TestConstraintOracle:
             x = pb.x0 + rng.normal(scale=2.0, size=pb.n)
             full = evaluate(pb, x).c
             assert np.asarray(pb.c_fn(x), dtype=float).tobytes() == full.tobytes()
-            assert evaluate_c(pb, x).tobytes() == full.tobytes()
+            assert evaluate_c_rows(pb, x[None])[0][0].tobytes() == full.tobytes()
 
     def test_non_finite_constraint_raises(self):
+        x = np.array([[1e200, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            _, failed = evaluate_c_rows(load_problem("sphere3"), x)
+        assert list(failed) == [0] and isinstance(failed[0], EvaluationFailure)
         with pytest.raises(EvaluationFailure):
-            evaluate_c(load_problem("sphere3"), np.array([1e200, 0.0, 0.0]))
+            evaluate(load_problem("sphere3"), x[0])
 
     def test_dimension_mismatch(self):
+        # one point where a (B, n) stack is due: c_fn gives one row for three "points"
         with pytest.raises(DimensionMismatch):
-            evaluate_c(load_problem("qp2"), np.zeros(3))
+            evaluate_c_rows(load_problem("qp2"), np.zeros(3))
 
 
 class TestStackedOracles:
@@ -330,6 +334,10 @@ class TestLoadProblem:
         (lambda s: s.update(extra=1), "unknown"),
         (lambda s: s.update(n=0), "0 < m <= n"),
         (lambda s: s.update(A=[[1.0]]), "'A'"),
+        (lambda s: s.update(name="a,b"), "'name'"),
+        (lambda s: s.update(name='say "hi"'), "'name'"),
+        (lambda s: s.update(name="two\nlines"), "'name'"),
+        (lambda s: s.update(name="cr\r"), "'name'"),
     ])
     def test_malformed_files(self, tmp_path, mutation, fragment):
         spec = {
