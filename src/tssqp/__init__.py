@@ -45,10 +45,8 @@ from .solver import (
     SolverConfig,
     SolverState,
     Trace,
-    init_state,
     run,
     run_lanes,
-    step,
 )
 from .stepsize import adaptive_update, backtrack_count_bound, safeguarded_backtrack
 

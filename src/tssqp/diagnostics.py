@@ -19,6 +19,7 @@ computation are used (see `linalg`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,7 +49,8 @@ _CHECKS = (
 
 @dataclass(frozen=True)
 class MeritInputs:
-    """Caller-supplied constants for the merit-parameter lower bound."""
+    """Caller-supplied constants for the merit-parameter lower bound: finite reals,
+    sigma in (0, 1) and every kappa > 0; ConfigError otherwise."""
 
     sigma: float = 0.5
     kappa_beta: float = 1.0
@@ -58,11 +60,13 @@ class MeritInputs:
     kappa_v: float = 1.0
 
     def __post_init__(self) -> None:
-        vals = (self.kappa_beta, self.kappa_h, self.kappa_u, self.kappa_g, self.kappa_v)
-        if any(v <= 0 for v in vals):
-            raise ValueError("all merit constants must be positive")
+        kappas = ("kappa_beta", "kappa_h", "kappa_u", "kappa_g", "kappa_v")
+        for name in ("sigma",) + kappas:
+            check_real(name, getattr(self, name))
+        if any(getattr(self, name) <= 0 for name in kappas):
+            raise ConfigError("all merit constants must be positive")
         if not (0.0 < self.sigma < 1.0):
-            raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
+            raise ConfigError(f"sigma must lie in (0, 1), got {self.sigma!r}")
 
 
 def tau_min(inputs: MeritInputs) -> float:
@@ -105,6 +109,7 @@ class AuditReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
+        """Strict JSON: a non-finite margin is written as the string "nan", "inf" or "-inf"."""
         payload = {
             "problem": self.trace_problem,
             "strategy": self.trace_strategy,
@@ -116,13 +121,13 @@ class AuditReport:
                     "check": c.name,
                     "passed": c.passed,
                     "violations": c.violations,
-                    "worst_margin": c.worst_margin,
+                    "worst_margin": c.worst_margin if math.isfinite(c.worst_margin) else str(c.worst_margin),
                     "iteration": c.worst_iteration,
                 }
                 for c in self.checks
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def audit_trace(

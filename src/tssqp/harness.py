@@ -198,7 +198,7 @@ def audits_to_json(rows: Iterable[ResultRow]) -> str:
         for r in rows
         if r.audit is not None
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _five_numbers(values: np.ndarray) -> dict[str, float]:

@@ -156,6 +156,8 @@ def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
 def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """The constraint-only oracle ``c_fn`` at each row of X (B, n), in one call: c (B, m) and the
     failure map, as in :func:`evaluate_rows`."""
+    if np.shape(X) != (len(X), problem.n):
+        raise DimensionMismatch(f"{problem.name}: points have shape {np.shape(X)}, expected (B, {problem.n})")
     c = np.ascontiguousarray(problem.c_fn(X), dtype=float)
     if c.shape != (len(X), problem.m):
         raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with "

@@ -15,13 +15,14 @@ their noise model and seed.  Every operation on the stack gives each lane
 the bits it gets alone (see `linalg`), and each lane keeps its own noise
 stream, accumulators, termination, failure token and records, so lane i's
 trace is bitwise the trace of `run(problem, configs[i], seeds[i])`.  `run`
-is the B = 1 case of the same code.  A lane leaves the stack when it
-finishes; a failure ends only its own lane.
+is the B = 1 case of the same code.  One `SolverState` holds a run's lanes,
+and `step` takes one lockstep iteration of them.  A lane leaves the stack
+when it finishes; a failure ends only its own lane.
 
 Every layer reports the lanes that fail as a {row: exception} map.  Every
-lane leaves through `_Lanes.end`, which takes such a map, ends those lanes
-and restricts every per-lane value, the cached factors included, to the rows
-left; nothing is factored again.  Within an iteration a lane ends when (1)
+lane leaves through `SolverState.end`, which takes such a map, ends those
+lanes and restricts every per-lane value, the cached factors included, to the
+rows left; nothing is factored again.  Within an iteration a lane ends when (1)
 its oracle output is not finite, (2) its J fails the rank test of the
 multiplier, (3) its iterate meets both tolerances or the budget is spent,
 (4) its step factorization fails, (5) a stepsize under- or overflows, or (6)
@@ -166,15 +167,19 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Iterates, noise streams and stepsize accumulators of the lanes still running.
+    """Every lane of one run: the rows still running and what is known of each lane.
 
     Row i of `x` (B, n) and `scale` (B, 1) and entry i of `streams`, `b` and
     `q` belong to the lane numbered `lane[i]` in its run; a row leaves when
-    its lane finishes.  `scale` is sqrt(noise level); `noisy` lists the rows
-    with a nonzero one, or is None when that is every row.  `b` and `q` are
-    the Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model
-    matrix H.  `factors` caches (J, multiplier factors, step factors, step
-    failures) for the last J stack factored, restricted to the rows left.
+    its lane ends.  `scale` is sqrt(noise level).  `b` and `q` are the
+    Adagrad-Norm accumulators, started at b0 and q0.  `h` is the model matrix
+    H.  `factors` caches (J, multiplier factors, step factors, step failures)
+    for the last J stack factored, restricted to the rows left.
+
+    Entry j of `records`, `first`, `least`, `status`, `error`, `x_final` and
+    `wall_s` belong to lane j, whether it still runs or not: its records, the
+    errors at its first sufficiently feasible and at its least infeasible
+    iterate, how it ended, and its final iterate and time since `start`.
     """
 
     k: int
@@ -185,18 +190,56 @@ class SolverState:
     b: list[float]
     q: list[float]
     lane: np.ndarray
+    start: float
     factors: Optional[tuple] = None
-    noisy: Optional[np.ndarray] = field(init=False, default=None)
+    records: list[list[IterationRecord]] = field(init=False)
+    first: list[Optional[tuple[float, float]]] = field(init=False)
+    least: list[tuple[float, tuple[float, float]]] = field(init=False)
+    status: list[str] = field(init=False)
+    error: list[Optional[Exception]] = field(init=False)
+    x_final: list[Optional[np.ndarray]] = field(init=False)
+    wall_s: list[float] = field(init=False)
 
     def __post_init__(self) -> None:
-        noisy = np.flatnonzero(self.scale[:, 0] > 0.0)
-        self.noisy = None if len(noisy) == len(self.scale) else noisy
+        B = len(self.lane)
+        self.records = [[] for _ in range(B)]
+        self.first, self.error, self.x_final = [None] * B, [None] * B, [None] * B
+        self.least = [(math.inf, (math.nan, math.nan))] * B
+        self.status, self.wall_s = [BUDGET_EXHAUSTED] * B, [0.0] * B
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the rows where the boolean mask `rows` is True."""
+    def end(self, ended: dict, status: str, *values) -> tuple:
+        """End the lane of each row in `ended`, a {row: exception or None} map, with `status`.
+
+        Returns `values` restricted to the rows left (see `_restrict`); every
+        value passed must have one row per row of `x`.
+        """
+        if not ended:
+            return values
+        now = time.perf_counter() - self.start
+        for row, error in ended.items():
+            lane = int(self.lane[row])
+            self.status[lane], self.error[lane] = status, error
+            self.x_final[lane] = self.x[row].copy()
+            self.wall_s[lane] = now
+        keep = np.ones(len(self.lane), dtype=bool)
+        keep[list(ended)] = False
         self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors = _restrict(
-            (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors), rows)
-        self.__post_init__()
+            (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors), keep)
+        return _restrict(values, keep)
+
+    def observe(self, feas: np.ndarray, stat: np.ndarray, config: SolverConfig) -> dict:
+        """Note the errors at the current iterates for the protocol's reported
+        measures; returns {row: None} for the rows whose iterate meets both tolerances."""
+        done = {}
+        for row, (lane, f, s) in enumerate(zip(self.lane.tolist(), feas.tolist(), stat.tolist())):
+            if f <= config.feas_tol:
+                if self.first[lane] is None:
+                    self.first[lane] = (f, s)
+                if s <= config.stat_tol:
+                    done[row] = None
+            if f < self.least[lane][0]:
+                self.least[lane] = (f, (f, s))
+        return done
 
 
 @dataclass(slots=True)
@@ -275,6 +318,7 @@ def _lane_config(configs) -> SolverConfig:
 
 
 def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
+    start = time.perf_counter()
     config = _lane_config(configs)
     if len(seeds) != len(configs):
         raise ConfigError(f"{len(configs)} lanes but {len(seeds)} seeds")
@@ -288,73 +332,20 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
         k=0, x=np.repeat(x[None], B, axis=0),
         streams=[c.noise.stream(int(seed)) for c, seed in zip(configs, seeds)],
         scale=np.array([[math.sqrt(c.noise.epsilon_n)] for c in configs]),
-        h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B),
+        h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B), start=start,
     )
-
-
-def init_state(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> SolverState:
-    """The state of a one-lane run of `config` from x0 (default problem.x0)."""
-    return _init_lanes(problem, [config], [seed], x0)
 
 
 def _noisy_gradients(grad: np.ndarray, state: SolverState) -> np.ndarray:
     """grad + sqrt(eps) z per lane; a noise-free lane keeps grad's bits and draws nothing."""
-    if state.noisy is None:
+    noisy = np.flatnonzero(state.scale[:, 0] > 0.0)
+    if len(noisy) == len(grad):
         return grad + state.scale * standard_normal_rows(state.streams, grad.shape[1])
     g = grad.copy()
-    if len(state.noisy):
-        rows = state.noisy
-        z = standard_normal_rows([state.streams[i] for i in rows.tolist()], grad.shape[1])
-        g[rows] = grad[rows] + state.scale[rows] * z
+    if len(noisy):
+        z = standard_normal_rows([state.streams[i] for i in noisy.tolist()], grad.shape[1])
+        g[noisy] = grad[noisy] + state.scale[noisy] * z
     return g
-
-
-class _Lanes:
-    """What is known of each lane of a run: records, reported errors and how it ended."""
-
-    def __init__(self, B: int, start: float) -> None:
-        self.records: list[list[IterationRecord]] = [[] for _ in range(B)]
-        self.first: list[Optional[tuple[float, float]]] = [None] * B
-        self.least = [(math.inf, (math.nan, math.nan))] * B
-        self.status = [BUDGET_EXHAUSTED] * B
-        self.error: list[Optional[Exception]] = [None] * B
-        self.x_final: list[Optional[np.ndarray]] = [None] * B
-        self.wall_s = [0.0] * B
-        self.start = start
-
-    def end(self, state: SolverState, ended: dict, status: str, *values) -> tuple:
-        """End the lane of each row in `ended`, a {row: exception or None} map, with `status`.
-
-        Returns `values` restricted to the rows left (see `_restrict`); every
-        value passed must have one row per lane.
-        """
-        if not ended:
-            return values
-        now = time.perf_counter() - self.start
-        for row, error in ended.items():
-            lane = int(state.lane[row])
-            self.status[lane], self.error[lane] = status, error
-            self.x_final[lane] = state.x[row].copy()
-            self.wall_s[lane] = now
-        keep = np.ones(len(state.lane), dtype=bool)
-        keep[list(ended)] = False
-        state.keep(keep)
-        return _restrict(values, keep)
-
-    def observe(self, state: SolverState, feas: np.ndarray, stat: np.ndarray,
-                config: SolverConfig) -> dict:
-        """Note the errors at the current iterates for the protocol's reported
-        measures; returns {row: None} for the rows whose iterate meets both tolerances."""
-        done = {}
-        for row, (lane, f, s) in enumerate(zip(state.lane.tolist(), feas.tolist(), stat.tolist())):
-            if f <= config.feas_tol:
-                if self.first[lane] is None:
-                    self.first[lane] = (f, s)
-                if s <= config.stat_tol:
-                    done[row] = None
-            if f < self.least[lane][0]:
-                self.least[lane] = (f, (f, s))
-        return done
 
 
 def _restrict(value, keep: np.ndarray):
@@ -373,17 +364,15 @@ def _restrict(value, keep: np.ndarray):
     return value[keep]
 
 
-def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
+def _observe(state: SolverState, problem: Problem):
     """Evaluate every lane and measure (||c||_inf, stationarity); ends the lanes that fail here.
 
     Returns (grad, c, ||c||_inf, stationarity) of the lanes left, or None
     when no lane is.  Factors the J stack into `state.factors` unless its
     bytes are those of the cached one.
     """
-    if not len(state.lane):
-        return None
     ev, failed = evaluate_rows(problem, state.x)
-    grad, c, J = lanes.end(state, failed, FAILED, ev.grad, ev.c, ev.jac)
+    grad, c, J = state.end(failed, FAILED, ev.grad, ev.c, ev.jac)
     if not len(c):
         return None
     if state.factors is None or state.factors[0].tobytes() != J.tobytes():
@@ -394,7 +383,7 @@ def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
         else:
             mult = factor_multiplier(J)
         state.factors = (J, mult[0], factors, failed)
-        grad, c = lanes.end(state, mult[1], FAILED, grad, c)
+        grad, c = state.end(mult[1], FAILED, grad, c)
         if not len(c):
             return None
     J, mult = state.factors[:2]
@@ -404,9 +393,9 @@ def _observe(state: SolverState, problem: Problem, lanes: _Lanes):
 
 
 def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: np.ndarray, c: np.ndarray,
-             c_inf: np.ndarray, stat: np.ndarray, lanes: _Lanes) -> None:
+             c_inf: np.ndarray, stat: np.ndarray) -> None:
     """Take one step on every lane from `_observe`'s values; appends records, ends lanes that fail."""
-    grad, c, c_inf, stat = lanes.end(state, state.factors[3], FAILED, grad, c, c_inf, stat)
+    grad, c, c_inf, stat = state.end(state.factors[3], FAILED, grad, c, c_inf, stat)
     if not len(c):
         return
     c_l1 = np.abs(c).sum(axis=1).tolist()
@@ -436,8 +425,8 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
            StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi!r}")
            for i, (b, lo, hi) in enumerate(zip(beta_l, lo_l, hi_l))
            if not (0.0 < b < math.inf and 0.0 < lo <= hi < math.inf)}
-    c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1 = lanes.end(
-        state, bad, FAILED, c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1)
+    c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1 = state.end(
+        bad, FAILED, c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1)
     if not len(c):
         return
 
@@ -448,37 +437,45 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
             lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
         (c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard, n_backtracks,
-         beta_l, lo_l, hi_l, c_l1) = lanes.end(
-            state, failed, FAILED, c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard,
+         beta_l, lo_l, hi_l, c_l1) = state.end(
+            failed, FAILED, c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard,
             n_backtracks, beta_l, lo_l, hi_l, c_l1)
         if not len(c):
             return
     else:
         alpha_l = lo_l if config.alpha_rule == "lower" else hi_l
-        hit_safeguard, n_backtracks = [False] * B, [0] * B
+        hit_safeguard, n_backtracks = [False] * len(c), [0] * len(c)
 
     for row in zip(state.lane.tolist(), state.x, u, v, direction, y, alpha_l, beta_l, lo_l, hi_l,
                    n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)).tolist(), c_inf.tolist(),
                    stat.tolist(), sigma_min):
-        lanes.records[row[0]].append(IterationRecord(state.k, *row[1:]))
+        state.records[row[0]].append(IterationRecord(state.k, *row[1:]))
     state.x = state.x + np.array(alpha_l)[:, None] * direction
     state.k += 1
 
 
-def step(state: SolverState, problem: Problem, config: SolverConfig) -> tuple[SolverState, IterationRecord]:
-    """Advance a one-lane state by one iteration; returns the state and its record.
+def step(state: SolverState, problem: Problem, config: SolverConfig) -> bool:
+    """One lockstep iteration of the lanes still running; returns whether any lane runs on.
 
-    Raises the lane's failure (EvaluationFailure, RankDeficientJacobian, ...)
-    instead of ending it.
+    Observes every lane, ends those that meet both tolerances or, at k =
+    max_iters, every lane left, and advances the rest by one step.  It runs
+    under `run_lanes`' np.errstate, which turns overflow and invalid-value
+    warnings off: a lane whose values stop being finite ends with its
+    failure token instead.  `run_lanes` is its only caller; the function
+    keeps its name because the benchmark's tracer times the iteration under
+    `tssqp.solver.step`.
     """
-    lanes = _Lanes(1, time.perf_counter())
-    with np.errstate(over="ignore", invalid="ignore"):
-        observed = _observe(state, problem, lanes)
-        if observed is not None:
-            _advance(state, problem, config, *observed, lanes)
-    if lanes.error[0] is not None:
-        raise lanes.error[0]
-    return state, lanes.records[0][0]
+    observed = _observe(state, problem)
+    if observed is None:
+        return False
+    done = state.observe(observed[2], observed[3], config)
+    if state.k == config.max_iters:
+        state.end(dict.fromkeys(range(len(state.lane))), BUDGET_EXHAUSTED)
+        return False
+    observed = state.end(done, CONVERGED, *observed)
+    if len(state.lane):
+        _advance(state, problem, config, *observed)
+    return len(state.lane) > 0
 
 
 def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
@@ -488,41 +485,29 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
     bitwise the trace of `run(problem, configs[i], seeds[i], x0)` (its
     `wall_s` aside).
     """
-    start = time.perf_counter()
     state = _init_lanes(problem, configs, seeds, x0)
-    config = configs[0]
-    lanes = _Lanes(len(configs), start)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(config.max_iters + 1):
-            observed = _observe(state, problem, lanes)
-            if observed is None:
-                break
-            done = lanes.observe(state, observed[2], observed[3], config)
-            if k == config.max_iters:
-                lanes.end(state, dict.fromkeys(range(len(state.lane))), BUDGET_EXHAUSTED)
-                break
-            observed = lanes.end(state, done, CONVERGED, *observed)
-            if len(state.lane):
-                _advance(state, problem, config, *observed, lanes)
+        while step(state, problem, configs[0]):
+            pass
 
     traces = []
     for i, (lane_config, seed) in enumerate(zip(configs, seeds)):
-        first, least = lanes.first[i], lanes.least[i][1]
+        first, least = state.first[i], state.least[i][1]
         feas_error, stat_error = first if first is not None else least
-        error = lanes.error[i]
+        error = state.error[i]
         traces.append(Trace(
             problem=problem.name,
             config=lane_config,
-            status=lanes.status[i],
+            status=state.status[i],
             fail_reason=None if error is None else _FAIL_TOKENS[type(error)],
-            records=lanes.records[i],
-            iterations=len(lanes.records[i]),
+            records=state.records[i],
+            iterations=len(state.records[i]),
             feas_error=feas_error,
             stat_error=stat_error,
-            x_final=lanes.x_final[i],
+            x_final=state.x_final[i],
             h_matrix=state.h,
             seed=int(seed),
-            wall_s=lanes.wall_s[i],
+            wall_s=state.wall_s[i],
         ))
     return traces
 

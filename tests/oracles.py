@@ -4,12 +4,26 @@ The oracles deliberately avoid the library's null-space construction: the KKT
 oracle factors the dense augmented saddle-point matrix directly, and the
 backtracking oracle replays the search loop from its written definition.  The
 merit-function quantities and `error_measures` at the end are used only by
-the tests; the solver itself needs none of them.
+the tests; the solver itself needs none of them.  `first_iteration` takes one
+iteration of a one-lane run the way `run_lanes` does.
 """
 
 import numpy as np
 
 from tssqp import DimensionMismatch, evaluate, least_squares_multiplier
+from tssqp.solver import _init_lanes, step
+
+
+def first_iteration(problem, config, x0=None, seed=0):
+    """The one-lane state after one `solver.step` from x0 (default problem.x0).
+
+    `state.x[0]` is the next iterate and `state.records[0][0]` the record of
+    the step, unless the lane ended (see `state.status`/`state.error`).
+    """
+    state = _init_lanes(problem, [config], [seed], x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step(state, problem, config)
+    return state
 
 
 def augmented_solve(H, J, g, c):

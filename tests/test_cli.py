@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tssqp.cli import main
@@ -76,6 +77,30 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "rows.csv.audit.json").read_text())
         assert len(payload) == 2
         assert all(entry["report"]["passed"] for entry in payload)
+
+    def test_diverged_audit_is_strict_json(self, tmp_path):
+        # alpha = nu = 3 overshoots the linear constraint: c flips sign and
+        # doubles every iteration until the oracle overflows, and two checks
+        # end with a NaN margin
+        path = tmp_path / "div.json"
+        path.write_text(json.dumps({
+            "name": "div", "n": 3, "m": 1, "kind": "quadratic_linear",
+            "Q": (1e-3 * np.eye(3)).tolist(), "g0": [0.0, 0.0, 0.0],
+            "A": [[1.0, 0.0, 0.0]], "b": [1.0],
+        }))
+        out = tmp_path / "rows.csv"
+        rc = main(["run", "--problem", str(path), "--strategy", "fixed", "--nu", "3",
+                   "--noise", "0", "--seeds", "1", "--audit", "--out", str(out)])
+        assert rc == 3
+        assert out.read_text().splitlines()[1].split(",")[4] == "failed:evaluation_failure"
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads((tmp_path / "rows.csv.audit.json").read_text(), parse_constant=reject)
+        margins = [c["worst_margin"] for c in payload[0]["report"]["checks"]]
+        assert margins.count("nan") == 2
+        assert all(isinstance(m, (int, float)) for m in margins if m != "nan")
 
 
 class TestExitCodes:

@@ -97,10 +97,14 @@ class TestTauMin:
         assert tau_min(MeritInputs(sigma=0.5, kappa_g=2.0)) == pytest.approx(1.0 / 6.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MeritInputs(sigma=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MeritInputs(kappa_v=0.0)
+        for fields in (dict(kappa_beta=float("nan")), dict(sigma=float("nan")), dict(kappa_h=float("inf")),
+                       dict(sigma="0.5"), dict(kappa_g="1"), dict(kappa_u=True)):
+            with pytest.raises(ConfigError):
+                MeritInputs(**fields)
 
 
 def test_nu_upper_bound_formula():

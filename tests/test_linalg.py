@@ -5,18 +5,15 @@ from tssqp import (
     DimensionMismatch,
     IndefiniteReducedHessian,
     NoiseModel,
-    NonPositiveBeta,
     RankDeficientJacobian,
     SolverConfig,
-    init_state,
     least_squares_multiplier,
     load_problem,
     run,
     solve_step,
-    step,
 )
 from tssqp.linalg import factor_multiplier, factor_step
-from oracles import augmented_solve, null_space_oracle, pinv_normal_component, random_instance
+from oracles import augmented_solve, first_iteration, null_space_oracle, pinv_normal_component, random_instance
 
 TOL = 1e-8
 
@@ -150,13 +147,13 @@ class TestTangentialComponent:
 
 
 class TestComposeDirection:
-    """The direction `step` takes: d = beta * u + v, or beta * p for ablation."""
+    """The direction an iteration takes: d = beta * u + v, or beta * p for ablation."""
 
     @staticmethod
     def _step(strategy="linesearch", x0=None, **kwargs):
         pb = load_problem("qp2")
         config = SolverConfig(strategy=strategy, noise=NoiseModel(0.0, seed=0), **kwargs)
-        return step(init_state(pb, config, x0=x0), pb, config)[1]
+        return first_iteration(pb, config, x0=x0).records[0][0]
 
     def test_scaled_tangential(self):
         # feasible start: v = 0 and d is the tangential step scaled by beta
@@ -187,8 +184,9 @@ class TestComposeDirection:
 
     def test_nonpositive_beta(self):
         # a denormal eta underflows beta = eta / sqrt(max_iters) to 0
-        with pytest.raises(NonPositiveBeta):
-            self._step(strategy="fixed", eta=5e-324)
+        config = SolverConfig(strategy="fixed", eta=5e-324, noise=NoiseModel(0.0, seed=0))
+        trace = run(load_problem("qp2"), config)
+        assert (trace.fail_reason, trace.iterations) == ("stepsize_underflow", 0)
 
 
 class TestLeastSquaresMultiplier:

@@ -17,9 +17,9 @@ from tssqp import (
     evaluate,
     load_problem,
 )
-from tssqp import SolverConfig, init_state, run
+from tssqp import SolverConfig, run
 from tssqp.problems import evaluate_c_rows, evaluate_rows
-from tssqp.solver import _noisy_gradients
+from tssqp.solver import _init_lanes, _noisy_gradients
 from oracles import augmented_solve
 
 
@@ -102,6 +102,9 @@ class TestConstraintOracle:
         # one point where a (B, n) stack is due: c_fn gives one row for three "points"
         with pytest.raises(DimensionMismatch):
             evaluate_c_rows(load_problem("qp2"), np.zeros(3))
+        # a stack of the wrong width: qp2's c_fn reads only the first column
+        with pytest.raises(DimensionMismatch):
+            evaluate_c_rows(load_problem("qp2"), np.zeros((1, 3)))
 
 
 class TestStackedOracles:
@@ -200,7 +203,7 @@ class TestProblemFields:
 
 def _noisy_gradient(grad, noise, stream):
     """One draw g = grad + sqrt(eps) * z through the solver's lane noise, from `stream`."""
-    state = init_state(load_problem("qp2"), SolverConfig(noise=noise))
+    state = _init_lanes(load_problem("qp2"), [SolverConfig(noise=noise)], [0])
     state.streams = [stream]
     return _noisy_gradients(grad[None], state)[0]
 
@@ -234,7 +237,7 @@ class TestStochasticGradient:
         stream = noise.stream()
         x = np.array([1.0, 0.0])
         grad = evaluate(pb, x).grad
-        state = init_state(pb, SolverConfig(noise=noise))
+        state = _init_lanes(pb, [SolverConfig(noise=noise)], [0])
         state.streams = [stream]
         draws = np.array([
             _noisy_gradients(grad[None], state)[0] for _ in range(100_000)

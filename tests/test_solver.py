@@ -13,13 +13,12 @@ from tssqp import (
     Problem,
     SolverConfig,
     evaluate,
-    init_state,
     load_problem,
     run,
     solve_step,
-    step,
 )
-from tssqp.solver import BUDGET_EXHAUSTED, CONVERGED, FAILED
+from tssqp.solver import BUDGET_EXHAUSTED, CONVERGED, FAILED, _advance, _init_lanes, _observe
+from oracles import first_iteration
 
 
 def _config(**kwargs) -> SolverConfig:
@@ -45,8 +44,16 @@ class TestStep:
     def test_kkt_point_is_a_fixed_point(self, strategy):
         pb = load_problem("qp2")
         config = _config(strategy=strategy)
-        state = init_state(pb, config, x0=np.array([1.0, 0.0]))
-        state, rec = step(state, pb, config)
+        x_star = np.array([1.0, 0.0])
+        trace = run(pb, config, x0=x_star)
+        assert (trace.status, trace.iterations) == (CONVERGED, 0)
+        np.testing.assert_array_equal(trace.x_final, x_star)
+        # c and the stationarity residual are exactly 0 there, so every
+        # tolerance ends the lane before it steps: take the step directly
+        state = _init_lanes(pb, [config], [0], x_star)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _advance(state, pb, config, *_observe(state, pb))
+        rec = state.records[0][0]
         np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
         assert rec.stat_inf == pytest.approx(0.0, abs=1e-12)
         assert rec.c_inf == 0.0
@@ -56,8 +63,8 @@ class TestStep:
         # fixed strategy, theta = 0: alpha = nu = 1, step lands on the constraint
         pb = load_problem("qp2")
         config = _config(strategy="fixed", nu=1.0, theta=0.0, eta=0.1)
-        state = init_state(pb, config, x0=np.zeros(2))
-        state, rec = step(state, pb, config)
+        state = first_iteration(pb, config, x0=np.zeros(2))
+        rec = state.records[0][0]
         np.testing.assert_allclose(rec.v, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(rec.u, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
@@ -65,9 +72,8 @@ class TestStep:
     def test_sphere3_linesearch_certifies_or_safeguards(self):
         pb = load_problem("sphere3")
         config = _config()
-        state = init_state(pb, config)
-        x0 = state.x[0].copy()
-        state, rec = step(state, pb, config)
+        x0 = np.asarray(pb.x0, dtype=float)
+        rec = first_iteration(pb, config).records[0][0]
         c0 = np.abs(pb.eval_fn(x0)[2]).sum()
         c1 = np.abs(pb.eval_fn(x0 + rec.alpha * rec.d)[2]).sum()
         assert rec.hit_safeguard or c1 <= (1.0 - config.xi * rec.alpha) * c0
@@ -313,8 +319,7 @@ class TestAblation:
     def test_tiny_beta_displacement_bound(self):
         pb = load_problem("sphere3")
         config = _config(strategy="ablation", eta=1e-6, max_iters=1)
-        state = init_state(pb, config)
-        x0 = state.x[0].copy()
+        x0 = np.asarray(pb.x0, dtype=float)
         _, grad, c, jac = pb.eval_fn(x0)
         ksol_p, _, _, _, _ = solve_step(np.eye(3), jac, grad, c)
         trace = run(pb, config, seed=0)

@@ -4,25 +4,25 @@ import numpy as np
 import pytest
 
 from tssqp import (
+    EvaluationFailure,
     InvalidLineSearchConfig,
     NoiseModel,
     SolverConfig,
     adaptive_update,
     backtrack_count_bound,
-    init_state,
     load_problem,
     run,
     safeguarded_backtrack,
-    step,
 )
-from oracles import replay_backtrack
+from tssqp.stepsize import backtrack_rows
+from oracles import first_iteration, replay_backtrack
 
 
 def _first_record(**kwargs):
-    """The record of one `step` on sphere3 from its start point."""
+    """The record of the first iteration on sphere3 from its start point."""
     pb = load_problem("sphere3")
     config = SolverConfig(noise=NoiseModel(0.0, seed=0), **kwargs)
-    return step(init_state(pb, config), pb, config)[1]
+    return first_iteration(pb, config).records[0][0]
 
 
 class TestFixedSchedule:
@@ -165,3 +165,43 @@ class TestSafeguardedBacktrack:
             c_fn, x, np.array([0.0]), _l1(c_fn, x), 1.5, 0.5, 1e-3, 0.5
         )
         assert (alpha, hit, count) == (1.5, False, 0)
+
+
+class TestBacktrackRows:
+    """The search of a stack of lanes gives each lane the result of its own search."""
+
+    def test_mixed_lanes_match_one_lane_searches(self):
+        # c(z) = z0^2 - 1; c is NaN where 0.4 < z1 < 0.6, which only the last
+        # lane (d1 = 1) reaches, at its second trial point
+        def c_of(z):
+            c = z[:, :1] * z[:, :1] - 1.0
+            c[(z[:, 1] > 0.4) & (z[:, 1] < 0.6)] = np.nan
+            return c
+
+        sizes = []
+
+        def c_rows(z):
+            sizes.append(len(z))
+            c = c_of(z)
+            return c, {j: EvaluationFailure(f"c at {z[j]!r}") for j in np.flatnonzero(np.isnan(c[:, 0])).tolist()}
+
+        x = np.array([[0.9, 0.0], [0.1, 0.0], [0.1, 0.0], [0.1, 0.0]])
+        d = np.array([[0.1, 0.0], [4.95, 0.0], [4.95, 0.0], [4.95, 1.0]])
+        c_l1 = np.abs(c_of(x)).sum(axis=1).tolist()
+        upper, lower, xi, rho = [1.0] * 4, [0.01, 0.01, 0.3, 0.01], 1e-3, 0.5
+        alpha, hit, count, failed = backtrack_rows(c_rows, x, d, c_l1, upper, lower, xi, rho)
+
+        def c_one(z):
+            return c_of(z[None])[0]
+
+        # certified at upper; certified after two backtracks; safeguarded at lower
+        for i, want in enumerate([(1.0, False, 0), (0.25, False, 2), (0.3, True, 2)]):
+            got = (alpha[i], hit[i], count[i])
+            assert got == want
+            assert got == safeguarded_backtrack(c_one, x[i], d[i], c_l1[i], upper[i], lower[i], xi, rho)
+            assert got == replay_backtrack(c_one, x[i], d[i], upper[i], lower[i], xi, rho)
+        # the last lane stops at its failed trial alpha, after one backtrack
+        assert list(failed) == [3] and isinstance(failed[3], EvaluationFailure)
+        assert (alpha[3], hit[3], count[3]) == (0.5, True, 1)
+        # one oracle call per round, on the lanes still searching
+        assert sizes == [4, 3, 2]
