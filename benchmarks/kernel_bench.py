@@ -6,7 +6,9 @@ Usage: python benchmarks/kernel_bench.py [--reps 2000]
 Prints per-call times at a few problem sizes, with the part that depends on
 (H, J) alone timed apart from the per-iteration solve:
 
-  step_factor  ``linalg.factor_step``: full SVD, rank test, Z, Z' H Z, Cholesky
+  step_factor  ``linalg.factor_step``: full SVD, rank test, Z, Z' H Z, Cholesky,
+               then ``linalg.factor_reduced_lu``: at n - m >= 32 an LU of
+               Z' H Z (``dgetrf``) and its bit probe
   step_solve   ``linalg.solve_step`` given those factors: v, w, u, p, y
   lsq_factor   ``linalg.factor_multiplier``: reduced SVD and rank test
   lsq_solve    ``linalg.least_squares_multiplier`` given those factors
@@ -26,7 +28,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tssqp import linalg  # noqa: E402
 
-SIZES = [(5, 2), (20, 8), (50, 20)]
+SIZES = [(5, 2), (20, 8), (50, 20), (200, 40)]
 
 
 def make_instance(rng, n, m):
@@ -34,6 +36,11 @@ def make_instance(rng, n, m):
     B = rng.normal(size=(n, n // 2 + 1))
     H = np.eye(n) + B @ B.T / n
     return H, J, rng.normal(size=n), rng.normal(size=m)
+
+
+def reused_step_factors(H, J):
+    """The step factors a run reuses: ``factor_step``'s, with the reduced Hessian's LU."""
+    return linalg.factor_reduced_lu(linalg.factor_step(H, J)[0])
 
 
 def time_kernel(fn, args_list, reps):
@@ -49,10 +56,10 @@ def bench_kernels(reps):
     print(f"{'size':>10} {'kernel':>12} {'time':>12}")
     for n, m in SIZES:
         insts = [make_instance(rng, n, m) for _ in range(16)]
-        step_factors = [linalg.factor_step(H, J)[0] for H, J, _, _ in insts]
+        step_factors = [reused_step_factors(H, J) for H, J, _, _ in insts]
         lsq_factors = [linalg.factor_multiplier(J)[0] for _, J, _, _ in insts]
         cases = [
-            ("step_factor", linalg.factor_step, [(H, J) for H, J, _, _ in insts]),
+            ("step_factor", reused_step_factors, [(H, J) for H, J, _, _ in insts]),
             ("step_solve", linalg.solve_step,
              [(H, J, g, c, f) for (H, J, g, c), f in zip(insts, step_factors)]),
             ("lsq_factor", linalg.factor_multiplier, [(J,) for _, J, _, _ in insts]),

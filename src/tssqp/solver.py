@@ -59,7 +59,12 @@ line-search round.  H is built once per run.  J is a (B, m, n) stack, one
 matrix per lane; its factors for the multiplier and the step are computed
 as a stack before the convergence test (one SVD serves both when m = 1) and
 cached until the stack's bytes change, so a constant J (linear constraints)
-is factored once per lane per run.
+is factored once per lane per run.  The reduced system (Z'HZ) w = -Z'(g + Hv)
+is solved with `np.linalg.solve`, which factors Z'HZ again on each call; once
+the cache serves a stack a second time, and if n - m is large enough for it
+to pay (`linalg.factor_reduced_lu`), each lane's LU of Z'HZ is computed once
+and reused, with the same bits, for the rest of the run.  A J that is seen
+only once never pays for that LU.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ from .errors import (
 from .linalg import (
     dot,
     factor_multiplier,
+    factor_reduced_lu,
     factor_step,
     least_squares_multiplier,
     mv,
@@ -369,7 +375,8 @@ def _observe(state: SolverState, problem: Problem):
 
     Returns (grad, c, ||c||_inf, stationarity) of the lanes left, or None
     when no lane is.  Factors the J stack into `state.factors` unless its
-    bytes are those of the cached one.
+    bytes are those of the cached one; the first time they are, it adds the
+    reused LU of the reduced Hessian (`linalg.factor_reduced_lu`).
     """
     ev, failed = evaluate_rows(problem, state.x)
     grad, c, J = state.end(failed, FAILED, ev.grad, ev.c, ev.jac)
@@ -386,6 +393,9 @@ def _observe(state: SolverState, problem: Problem):
         grad, c = state.end(mult[1], FAILED, grad, c)
         if not len(c):
             return None
+    elif state.factors[2].lu is None:  # J is seen again: give the step one reused LU of Z'HZ per lane
+        J, mult, factors, failed = state.factors
+        state.factors = (J, mult, factor_reduced_lu(factors), failed)
     J, mult = state.factors[:2]
     y = least_squares_multiplier(J, grad, mult)
     stat = np.abs(grad + mv(J.mT, y)).max(axis=1)

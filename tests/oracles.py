@@ -5,12 +5,13 @@ oracle factors the dense augmented saddle-point matrix directly, and the
 backtracking oracle replays the search loop from its written definition.  The
 merit-function quantities and `error_measures` at the end are used only by
 the tests; the solver itself needs none of them.  `first_iteration` takes one
-iteration of a one-lane run the way `run_lanes` does.
+iteration of a one-lane run the way `run_lanes` does, and `count_getrf` counts
+the LU factorizations of the reduced Hessian.
 """
 
 import numpy as np
 
-from tssqp import DimensionMismatch, evaluate, least_squares_multiplier
+from tssqp import DimensionMismatch, evaluate, least_squares_multiplier, linalg
 from tssqp.solver import _init_lanes, step
 
 
@@ -24,6 +25,21 @@ def first_iteration(problem, config, x0=None, seed=0):
     with np.errstate(over="ignore", invalid="ignore"):
         step(state, problem, config)
     return state
+
+
+def count_getrf(monkeypatch) -> list:
+    """Wraps `linalg`'s `dgetrf` binding, where there is one; the returned list
+    gets one entry per call."""
+    calls = []
+    if linalg._LAPACK is not None:
+        getrf, getrs = linalg._LAPACK
+
+        def counting_getrf(*args):
+            calls.append(args)
+            return getrf(*args)
+
+        monkeypatch.setattr(linalg, "_LAPACK", (counting_getrf, getrs))
+    return calls
 
 
 def augmented_solve(H, J, g, c):

@@ -22,7 +22,7 @@ and the record digests from `wide_digests()`.
 import json
 from pathlib import Path
 
-from tssqp import ExperimentPlan, SolverConfig, load_problem, run, run_seed
+from tssqp import ExperimentPlan, SolverConfig, linalg, load_problem, run, run_seed
 from tssqp.cli import main
 from test_alpha_rules import _digest
 
@@ -88,6 +88,13 @@ def test_golden_wide_bytes(tmp_path, monkeypatch):
 
 def test_golden_wide_records():
     assert wide_digests() == json.loads((DATA / "golden_wide.records.json").read_text())
+
+
+def test_golden_wide_without_the_lapack_binding(tmp_path, monkeypatch):
+    # where numpy's dgetrf/dgetrs cannot be found every solve stays np.linalg.solve
+    monkeypatch.setattr(linalg, "_LAPACK", None)
+    _assert_golden(WIDE_ARGV, "golden_wide", tmp_path, monkeypatch)
+    test_golden_wide_records()
 
 
 if __name__ == "__main__":

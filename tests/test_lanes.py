@@ -13,6 +13,7 @@ from tssqp import (
     Problem,
     SolverConfig,
     audit_trace,
+    linalg,
     load_problem,
     run,
     run_lanes,
@@ -20,6 +21,7 @@ from tssqp import (
 )
 from tssqp.harness import ResultRow, _status_token, audits_to_json, run_experiment, to_csv
 from tssqp.solver import _init_lanes, _noisy_gradients
+from oracles import count_getrf
 from test_alpha_rules import _digest
 
 
@@ -114,6 +116,34 @@ def test_a_lane_failing_in_the_search_ends_alone():
         alone = run(problem, config, seed=seed)
         assert (lane.status, lane.fail_reason, lane.iterations) == (alone.status, alone.fail_reason, alone.iterations)
         assert _digest(lane) == _digest(alone)
+
+
+def _ridge40() -> Problem:
+    """f = ||x||^2 / 2 on x1 = 1, x2 = 0 (k = 38), with a non-finite gradient where x3 > 0.1.
+
+    Only gradient noise moves x3 off 0, so only a noisy lane can cross.
+    """
+    b = np.array([1.0, 0.0])
+
+    def con(x):
+        return x[..., :2] - b
+
+    def ev(x):
+        grad = np.where(x[..., 2:3] <= 0.1, x, np.inf)
+        return 0.5 * (x * x).sum(axis=-1), grad, con(x), np.eye(2, 40)
+
+    return Problem(name="ridge40", n=40, m=2, eval_fn=ev, c_fn=con, x0=np.zeros(40))
+
+
+def test_a_lane_ending_after_its_reused_lu_leaves_the_others_alone(monkeypatch):
+    # the LU of Z'HZ is made once per lane on the stack's second iteration and
+    # restricted with the other factors when the middle lane ends
+    bound = linalg._LAPACK is not None
+    getrf = count_getrf(monkeypatch)
+    configs = [SolverConfig(max_iters=40, noise=NoiseModel(eps, seed=0)) for eps in (1e-6, 1.0, 1e-4)]
+    lanes = _assert_lanes_match_solo(_ridge40(), configs, [0, 1, 2])
+    assert [(t.fail_reason, t.iterations) for t in lanes] == [(None, 40), ("evaluation_failure", 13), (None, 40)]
+    assert len(getrf) == (3 + 3 if bound else 0)  # the stack's LUs, then one for each lane's run alone
 
 
 def test_configs_may_differ_only_in_noise():

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +13,15 @@ from tssqp import (
     NoiseModel,
     RankDeficientJacobian,
     SolverConfig,
+    evaluate,
     least_squares_multiplier,
+    linalg,
     load_problem,
     run,
     solve_step,
 )
-from tssqp.linalg import factor_multiplier, factor_step
+from tssqp.linalg import factor_multiplier, factor_reduced_lu, factor_step
+from tssqp.solver import _h_matrix
 from oracles import augmented_solve, first_iteration, null_space_oracle, pinv_normal_component, random_instance
 
 TOL = 1e-8
@@ -268,6 +277,78 @@ class TestReusedFactors:
         assert isinstance(failed[0], IndefiniteReducedHessian) and isinstance(failed[1], RankDeficientJacobian)
         _, failed = factor_multiplier(J)
         assert list(failed) == [1] and isinstance(failed[1], RankDeficientJacobian)
+
+
+LU_KS = (1, 2, 3, 8, 48, 100, 120, 140, 160, 300)
+TESTS = Path(__file__).resolve().parent
+
+
+def lu_bit_cases() -> list[dict]:
+    """`solve_step` with and without `factor_reduced_lu`, compared bit for bit.
+
+    Every k of LU_KS takes the LU and its probe (the size rule is lifted), on
+    a stack of two lanes whose Z'HZ are random SPD k x k matrices; the last
+    case is golden_wide's Z'HZ (k = 48).  Each case reports whether the probe
+    kept the LU ("lu") or the stacked solve ("solve").  It lifts the size
+    rule for the rest of the process, so it runs in a process of its own.
+    """
+    linalg._LU_MIN_K = 1
+    rng = np.random.default_rng(12)
+    cases = []
+    for k in LU_KS:
+        n = k + 2
+        M = rng.normal(size=(n, n))
+        cases.append((f"spd k={k}", np.eye(n) + M @ M.T / n, rng.normal(size=(2, 2, n)),
+                      rng.normal(size=(2, n)), rng.normal(size=(2, 2))))
+    pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
+    ev = evaluate(pb, pb.x0)
+    cases.append(("golden_wide k=48", _h_matrix(pb), ev.jac, ev.grad, ev.c))
+    out = []
+    for label, H, J, g, c in cases:
+        factors, failed = factor_step(H, J)
+        assert not failed
+        lu = factor_reduced_lu(factors)
+        bits = [a.tobytes() for a in solve_step(H, J, g, c, factors)]
+        out.append({"case": label, "path": "lu" if lu.lu else "solve",
+                    "equal": bits == [a.tobytes() for a in solve_step(H, J, g, c, lu)]})
+    return out
+
+
+class TestReusedLu:
+    """The reused LU of Z'HZ gives the bits of `np.linalg.solve`, whichever path its probe picks."""
+
+    @pytest.mark.parametrize("threads", ["1", "default"])
+    def test_bitwise_equal_to_the_stacked_solve(self, threads):
+        # BLAS threads can change the bits of a factorization, so each thread
+        # rule runs in its own process; which k keep the LU depends on the
+        # OpenBLAS version and is printed, not asserted
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        if threads == "1":
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+        script = "import json, test_linalg; print(json.dumps(test_linalg.lu_bit_cases()))"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        cases = json.loads(done.stdout.splitlines()[-1])
+        print(f"OPENBLAS_NUM_THREADS={threads}:", ", ".join(f"{c['case']}: {c['path']}" for c in cases))
+        assert len(cases) == len(LU_KS) + 1
+        assert [c["case"] for c in cases if not c["equal"]] == []
+
+    def test_without_the_binding_the_stacked_solve_stays(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_LAPACK", None)
+        pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
+        ev = evaluate(pb, pb.x0)
+        H = _h_matrix(pb)
+        factors, _ = factor_step(H, ev.jac)
+        lu = factor_reduced_lu(factors)
+        assert lu.lu == []
+        for a, b in zip(solve_step(H, ev.jac, ev.grad, ev.c, lu), solve_step(H, ev.jac, ev.grad, ev.c)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_small_k_keeps_the_stacked_solve(self):
+        factors, _ = factor_step(np.eye(5), np.ones((2, 1, 5)))
+        assert factor_reduced_lu(factors).lu == []
 
 
 class TestRandomInstanceProperties:

@@ -13,12 +13,14 @@ from tssqp import (
     Problem,
     SolverConfig,
     evaluate,
+    linalg,
     load_problem,
     run,
+    run_lanes,
     solve_step,
 )
 from tssqp.solver import BUDGET_EXHAUSTED, CONVERGED, FAILED, _advance, _init_lanes, _observe
-from oracles import first_iteration
+from oracles import count_getrf, first_iteration
 
 
 def _config(**kwargs) -> SolverConfig:
@@ -307,6 +309,37 @@ class TestWorkPerIteration:
         assert trace.iterations == 200
         # one full SVD for the step and one reduced SVD for the multiplier
         assert calls["svd"] == 2
+
+    @staticmethod
+    def _sphere60(linear: bool) -> Problem:
+        """f = ||x - a||^2 / 2 at n = 60, m = 1 (k = 59) on the sphere c = ||x||^2 - 1,
+        whose J = 2x' changes with every iterate, or on the plane c = sum(x) - 1."""
+        a = np.linspace(-1.0, 1.0, 60)
+
+        def con(x):
+            return (x.sum(axis=-1) if linear else (x * x).sum(axis=-1))[..., None] - 1.0
+
+        def ev(x):
+            jac = np.ones((1, 60)) if linear else 2.0 * x[..., None, :]
+            return 0.5 * ((x - a) ** 2).sum(axis=-1), x - a, con(x), jac
+
+        return Problem(name="sphere60", n=60, m=1, eval_fn=ev, c_fn=con, x0=np.full(60, 0.5))
+
+    def test_a_jacobian_seen_once_pays_no_lu(self, monkeypatch):
+        getrf = count_getrf(monkeypatch)
+        configs = [_config(max_iters=30, noise=NoiseModel(eps, seed=2)) for eps in (0.0, 0.1)]
+        traces = run_lanes(self._sphere60(linear=False), configs, [0, 1])
+        assert [t.iterations for t in traces] == [30, 30]
+        assert getrf == []
+
+    def test_a_constant_jacobian_pays_one_lu_per_lane(self, monkeypatch):
+        if linalg._LAPACK is None:
+            pytest.skip("numpy's LAPACK exports no dgetrf here")
+        getrf = count_getrf(monkeypatch)
+        configs = [_config(max_iters=30, noise=NoiseModel(eps, seed=2)) for eps in (0.0, 0.1)]
+        traces = run_lanes(self._sphere60(linear=True), configs, [0, 1])
+        assert [t.iterations for t in traces] == [30, 30]
+        assert len(getrf) == 2
 
 
 class TestAblation:
