@@ -2,7 +2,6 @@
 
 from .diagnostics import (
     AuditReport,
-    MeritInputs,
     audit_trace,
     tau_min,
 )

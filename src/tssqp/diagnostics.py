@@ -27,13 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, check_real
 from .linalg import dot, mv
-from .problems import Problem, evaluate_c_rows, evaluate_rows
+from .problems import Problem, evaluate, evaluate_c
 from .solver import Trace
 from .stepsize import backtrack_count_bound
-
-# The one-point oracle.  The auditor no longer calls it; it stays bound only
-# because the benchmark's tracer looks it up by name (ROADMAP item 1).
-from .problems import evaluate  # noqa: F401
 
 _MERIT_NOTE = (
     "merit-parameter check uses empirical trace maxima for its constants; "
@@ -47,33 +43,10 @@ _CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class MeritInputs:
-    """Caller-supplied constants for the merit-parameter lower bound: finite reals,
-    sigma in (0, 1) and every kappa > 0; ConfigError otherwise."""
-
-    sigma: float = 0.5
-    kappa_beta: float = 1.0
-    kappa_h: float = 1.0
-    kappa_u: float = 1.0
-    kappa_g: float = 1.0
-    kappa_v: float = 1.0
-
-    def __post_init__(self) -> None:
-        kappas = ("kappa_beta", "kappa_h", "kappa_u", "kappa_g", "kappa_v")
-        for name in ("sigma",) + kappas:
-            check_real(name, getattr(self, name))
-        if any(getattr(self, name) <= 0 for name in kappas):
-            raise ConfigError("all merit constants must be positive")
-        if not (0.0 < self.sigma < 1.0):
-            raise ConfigError(f"sigma must lie in (0, 1), got {self.sigma!r}")
-
-
-def tau_min(inputs: MeritInputs) -> float:
+def tau_min(sigma: float, kappa_beta: float, kappa_h: float, kappa_u: float, kappa_g: float,
+            kappa_v: float) -> float:
     """Merit-parameter lower bound (1 - sigma) / (kappa_v (kappa_beta kappa_H kappa_u + kappa_g))."""
-    return (1.0 - inputs.sigma) / (
-        inputs.kappa_v * (inputs.kappa_beta * inputs.kappa_h * inputs.kappa_u + inputs.kappa_g)
-    )
+    return (1.0 - sigma) / (kappa_v * (kappa_beta * kappa_h * kappa_u + kappa_g))
 
 
 @dataclass
@@ -108,26 +81,29 @@ class AuditReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> str:
-        """Strict JSON: a non-finite margin is written as the string "nan", "inf" or "-inf"."""
-        payload = {
-            "problem": self.trace_problem,
-            "strategy": self.trace_strategy,
-            "iterations": self.iterations,
-            "note": self.note,
-            "passed": self.passed,
+    def payload(self) -> dict:
+        """The report as JSON values, keys in sorted order; a non-finite margin is the string
+        "nan", "inf" or "-inf", so the payload is strict JSON."""
+        return {
             "checks": [
                 {
                     "check": c.name,
+                    "iteration": c.worst_iteration,
                     "passed": c.passed,
                     "violations": c.violations,
                     "worst_margin": c.worst_margin if math.isfinite(c.worst_margin) else str(c.worst_margin),
-                    "iteration": c.worst_iteration,
                 }
                 for c in self.checks
             ],
+            "iterations": self.iterations,
+            "note": self.note,
+            "passed": self.passed,
+            "problem": self.trace_problem,
+            "strategy": self.trace_strategy,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, allow_nan=False)
 
 
 def audit_trace(
@@ -165,9 +141,9 @@ def audit_trace(
     xi, rho = trace.config.xi, trace.config.rho
 
     with np.errstate(over="ignore", invalid="ignore"):
-        grad, c, J = evaluate_rows(problem, x)[0][1:]
+        grad, c, J = evaluate(problem, x)[0][1:]
         trial = x[certified] + alpha[certified, None] * d[certified]
-        c_trial = evaluate_c_rows(problem, trial)[0] if len(trial) else c[:0]
+        c_trial = evaluate_c(problem, trial)[0] if len(trial) else c[:0]
         u_norm, v_norm = np.sqrt(dot(u, u)), np.sqrt(dot(v, v))
         u_scale = np.maximum(1.0, np.abs(u).max(axis=1))
         # backward-error scale: J v = -c is solved to about eps ||J|| ||v||, which grows with cond(J)
@@ -190,8 +166,7 @@ def audit_trace(
             v_sq = np.array([vn ** 2 for vn in v_norm[ratio].tolist()])
             kappa_v = float((np.maximum(v_norm[ratio], v_sq) / c_l2[ratio]).max()) if ratio.any() else 1.0
             if min(kappa_g, kappa_u, kappa_b) > 0:
-                tmin = tau_min(MeritInputs(sigma=sigma, kappa_beta=kappa_b, kappa_h=kappa_h,
-                                           kappa_u=kappa_u, kappa_g=kappa_g, kappa_v=kappa_v))
+                tmin = tau_min(sigma, kappa_b, kappa_h, kappa_u, kappa_g, kappa_v)
                 lhs = tmin * (dot(grad, beta[:, None] * u + v) + beta * dot(mv(H.mT, u), u))
                 merit = (k, lhs - ((1.0 - sigma) * c_l1 + tol))
 

@@ -21,6 +21,7 @@ statistics (Hyndman-Fan type 7, numpy's default).
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -174,26 +175,15 @@ def to_csv(rows: Iterable[ResultRow]) -> str:
 
 
 def to_json(rows: Iterable[ResultRow]) -> str:
-    import json
-
-    payload = [
-        {
-            "problem": r.problem, "strategy": r.strategy, "noise": r.noise,
-            "trial": r.trial, "status": r.status, "feas_error": r.feas_error,
-            "stat_error": r.stat_error, "iters": r.iters, "wall_ms": r.wall_ms,
-        }
-        for r in rows
-    ]
+    payload = [{column: getattr(r, column) for column in CSV_COLUMNS} for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
 def audits_to_json(rows: Iterable[ResultRow]) -> str:
-    import json
-
     payload = [
         {
             "problem": r.problem, "strategy": r.strategy, "noise": r.noise,
-            "trial": r.trial, "report": json.loads(r.audit.to_json()),
+            "trial": r.trial, "report": r.audit.payload(),
         }
         for r in rows
         if r.audit is not None

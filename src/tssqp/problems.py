@@ -13,11 +13,10 @@ transform applied to PCG64 uniforms so that a given seed yields the same draw
 sequence on every platform (up to floating-point ULPs in ``log``/``cos``/``sin``).
 
 The solver advances several lanes (runs) at once and evaluates them through
-:func:`evaluate_rows`/:func:`evaluate_c_rows`, which call each oracle once
-on the whole ``(B, n)`` stack of points.  ``J`` comes back as a
-``(B, m, n)`` stack, and the rows whose output is not finite are reported
-as a ``{row: exception}`` map, not raised.  :func:`evaluate` is the
-one-row case and raises that row's failure.
+:func:`evaluate`/:func:`evaluate_c`, which call each oracle once on the
+whole ``(B, n)`` stack of points; a single point is the stack ``x[None]``.
+``J`` comes back as a ``(B, m, n)`` stack, and the rows whose output is not
+finite are reported as a ``{row: exception}`` map, not raised.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ CFn = Callable[[np.ndarray], np.ndarray]
 
 
 class Evaluation(NamedTuple):
-    """Deterministic oracle output at a point, or stacked over the rows of a stack of points."""
+    """Deterministic oracle output, stacked over the rows of a (B, n) stack of points."""
 
-    f: float
+    f: np.ndarray
     grad: np.ndarray
     c: np.ndarray
     jac: np.ndarray
@@ -118,15 +117,21 @@ def _failures(problem: Problem, X: np.ndarray, what: str, *arrays: np.ndarray) -
             for i in np.flatnonzero(~ok).tolist()}
 
 
-def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, dict[int, Exception]]:
+def _check_points(problem: Problem, X: np.ndarray) -> None:
+    if np.shape(X) != (len(X), problem.n):
+        raise DimensionMismatch(f"{problem.name}: points have shape {np.shape(X)}, expected (B, {problem.n})")
+
+
+def evaluate(problem: Problem, X: np.ndarray) -> tuple[Evaluation, dict[int, Exception]]:
     """The deterministic oracles at each row of X (B, n), in one call, without raising on non-finite output.
 
     Returns the stacked evaluation (``f`` (B,), ``grad`` (B, n), ``c`` (B, m),
     ``jac`` (B, m, n); a one-matrix J is repeated on each row) and the
     {row: EvaluationFailure} map of the rows whose output is not finite.
-    Shapes are checked on every call and raise DimensionMismatch.
-    Floating-point warnings follow the caller's ``np.errstate``.
+    Shapes of X and of the output are checked on every call and raise
+    DimensionMismatch.  Floating-point warnings follow the caller's ``np.errstate``.
     """
+    _check_points(problem, X)
     f, grad, c, jac = problem.eval_fn(X)
     f = np.asarray(f, dtype=float)
     grad, c, jac = (np.ascontiguousarray(a, dtype=float) for a in (grad, c, jac))
@@ -141,23 +146,10 @@ def evaluate_rows(problem: Problem, X: np.ndarray) -> tuple[Evaluation, dict[int
     return Evaluation(f, grad, c, jac), _failures(problem, X, "oracle output", f, grad, c, jac)
 
 
-def evaluate(problem: Problem, x: np.ndarray) -> Evaluation:
-    """The deterministic oracles at one point: the one-row case of :func:`evaluate_rows`, raising its failure."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise DimensionMismatch(f"{problem.name}: x has shape {x.shape}, expected ({problem.n},)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        (f, grad, c, jac), failed = evaluate_rows(problem, x[None])
-    if failed:
-        raise failed[0]
-    return Evaluation(float(f[0]), grad[0], c[0], jac[0])
-
-
-def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+def evaluate_c(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """The constraint-only oracle ``c_fn`` at each row of X (B, n), in one call: c (B, m) and the
-    failure map, as in :func:`evaluate_rows`."""
-    if np.shape(X) != (len(X), problem.n):
-        raise DimensionMismatch(f"{problem.name}: points have shape {np.shape(X)}, expected (B, {problem.n})")
+    failure map, as in :func:`evaluate`."""
+    _check_points(problem, X)
     c = np.ascontiguousarray(problem.c_fn(X), dtype=float)
     if c.shape != (len(X), problem.m):
         raise DimensionMismatch(f"{problem.name}: c_fn shape {c.shape} inconsistent with "
@@ -165,8 +157,9 @@ def evaluate_c_rows(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[i
     return c, _failures(problem, X, "constraint value", c)
 
 
-def standard_normal_rows(streams: list[np.random.Generator], n: int) -> np.ndarray:
-    """One row of n standard-normal deviates per stream, via Box-Muller over PCG64 uniforms.
+def standard_normal_vector(streams: list[np.random.Generator], n: int) -> np.ndarray:
+    """One vector of n standard-normal deviates per stream, as the rows of a (B, n) array,
+    via Box-Muller over PCG64 uniforms.
 
     Each stream makes one ``random(2 * half)`` call; the transform then runs
     on the whole (B, 2 * half) stack, which gives each row the bits of its
@@ -180,11 +173,6 @@ def standard_normal_rows(streams: list[np.random.Generator], n: int) -> np.ndarr
     z[:, 0::2] = r * np.cos(t)
     z[:, 1::2] = r * np.sin(t)
     return z[:, :n]
-
-
-def standard_normal_vector(stream: np.random.Generator, n: int) -> np.ndarray:
-    """n standard-normal deviates via Box-Muller over PCG64 uniforms."""
-    return standard_normal_rows([stream], n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +407,9 @@ def _parse_problem_file(path: str) -> Problem:
         raise ParseError(f"{path}: unknown fields {sorted(unknown)}")
     if obj["kind"] != "quadratic_linear":
         raise ParseError(f"{path}: field 'kind': only 'quadratic_linear' is file-loadable, got {obj['kind']!r}")
-    try:
-        n, m = int(obj["n"]), int(obj["m"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: fields 'n'/'m' must be integers") from exc
+    n, m = obj["n"], obj["m"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, m)):
+        raise ParseError(f"{path}: fields 'n'/'m' must be JSON integers, got n={n!r}, m={m!r}")
     if n <= 0 or m <= 0 or m > n:
         raise ParseError(f"{path}: need 0 < m <= n, got n={n}, m={m}")
     try:
@@ -438,6 +425,9 @@ def _parse_problem_file(path: str) -> Problem:
         raise ParseError(f"{path}: field 'g0': expected {n} entries, got {g0.size}")
     if b.size != m:
         raise ParseError(f"{path}: field 'b': expected {m} entries, got {b.size}")
+    for key, arr in (("Q", Q), ("g0", g0), ("A", A), ("b", b)):
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: field '{key}' must hold finite numbers only")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ParseError(f"{path}: field 'Q' must be symmetric")
     name = obj["name"]

@@ -96,19 +96,11 @@ from .linalg import (
     mv,
     solve_step,
 )
-from .problems import (
-    NoiseModel,
-    Problem,
-    evaluate_c_rows,
-    evaluate_rows,
-    standard_normal_rows,
-)
+from .problems import NoiseModel, Problem, evaluate, evaluate_c, standard_normal_vector
 from .stepsize import adaptive_update, backtrack_rows
 
-# The one-point forms of the layers.  The iteration no longer calls them;
-# they stay bound only because the benchmark's tracer looks each one up by
-# name (ROADMAP item 1 retargets it to the stacked forms).
-from .problems import evaluate, standard_normal_vector  # noqa: F401
+# The one-point search.  The iteration calls `backtrack_rows`; this stays
+# bound only because the benchmark's tracer looks it up by name (ROADMAP item 1).
 from .stepsize import safeguarded_backtrack  # noqa: F401
 
 STRATEGIES = ("fixed", "adaptive", "linesearch", "ablation")
@@ -346,10 +338,10 @@ def _noisy_gradients(grad: np.ndarray, state: SolverState) -> np.ndarray:
     """grad + sqrt(eps) z per lane; a noise-free lane keeps grad's bits and draws nothing."""
     noisy = np.flatnonzero(state.scale[:, 0] > 0.0)
     if len(noisy) == len(grad):
-        return grad + state.scale * standard_normal_rows(state.streams, grad.shape[1])
+        return grad + state.scale * standard_normal_vector(state.streams, grad.shape[1])
     g = grad.copy()
     if len(noisy):
-        z = standard_normal_rows([state.streams[i] for i in noisy.tolist()], grad.shape[1])
+        z = standard_normal_vector([state.streams[i] for i in noisy.tolist()], grad.shape[1])
         g[noisy] = grad[noisy] + state.scale[noisy] * z
     return g
 
@@ -378,7 +370,7 @@ def _observe(state: SolverState, problem: Problem):
     bytes are those of the cached one; the first time they are, it adds the
     reused LU of the reduced Hessian (`linalg.factor_reduced_lu`).
     """
-    ev, failed = evaluate_rows(problem, state.x)
+    ev, failed = evaluate(problem, state.x)
     grad, c, J = state.end(failed, FAILED, ev.grad, ev.c, ev.jac)
     if not len(c):
         return None
@@ -444,7 +436,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
     direction = beta * p if config.strategy == "ablation" else beta * u + v
     if config.searches:
         alpha_l, hit_safeguard, n_backtracks, failed = backtrack_rows(
-            lambda z: evaluate_c_rows(problem, z), state.x, direction, c_l1, hi_l, lo_l,
+            lambda z: evaluate_c(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
         (c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard, n_backtracks,
          beta_l, lo_l, hi_l, c_l1) = state.end(

@@ -146,6 +146,7 @@ def error_measures(problem, x):
     Both errors are infinity norms; the multiplier always comes from the true
     gradient.
     """
-    ev = evaluate(problem, x)
-    y = least_squares_multiplier(ev.jac, ev.grad)
-    return float(np.abs(ev.c).max()), float(np.abs(ev.grad + ev.jac.T @ y).max()), y
+    ev = evaluate(problem, np.asarray(x, dtype=float)[None])[0]
+    grad, c, jac = ev.grad[0], ev.c[0], ev.jac[0]
+    y = least_squares_multiplier(jac, grad)
+    return float(np.abs(c).max()), float(np.abs(grad + jac.T @ y).max()), y

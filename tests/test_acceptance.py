@@ -108,9 +108,10 @@ def test_criterion_3_deterministic_convergence():
 def test_criterion_4_tangential_unbiasedness():
     pb = load_problem("sphere3")
     x = np.array([2.0, 0.0, 0.0])
-    ev = evaluate(pb, x)
+    ev = evaluate(pb, x[None])[0]
+    grad, c, jac = ev.grad[0], ev.c[0], ev.jac[0]
     H = np.eye(3)
-    _, _, u_true, _, _ = solve_step(H, ev.jac, ev.grad, ev.c)
+    _, _, u_true, _, _ = solve_step(H, jac, grad, c)
     noise = NoiseModel(1e-1, seed=2025)
     stream = noise.stream()
     n_samples = 10_000
@@ -118,8 +119,8 @@ def test_criterion_4_tangential_unbiasedness():
     from tssqp.problems import standard_normal_vector
 
     for i in range(n_samples):
-        g = ev.grad + np.sqrt(noise.epsilon_n) * standard_normal_vector(stream, 3)
-        _, _, u, _, _ = solve_step(H, ev.jac, g, ev.c)
+        g = grad + np.sqrt(noise.epsilon_n) * standard_normal_vector([stream], 3)[0]
+        _, _, u, _, _ = solve_step(H, jac, g, c)
         samples[i] = u
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
     gap = np.abs(samples.mean(axis=0) - u_true)
@@ -127,10 +128,10 @@ def test_criterion_4_tangential_unbiasedness():
     # the coordinate along Range(J') has zero spread by construction
     ratio = float((gap[se > 0] / (3.0 * se[se > 0])).max())
     rng = np.random.default_rng(7)
-    g1, g2 = ev.grad + rng.normal(size=3), ev.grad + rng.normal(size=3)
-    _, _, u1, _, _ = solve_step(H, ev.jac, g1, ev.c)
-    _, _, u2, _, _ = solve_step(H, ev.jac, g2, ev.c)
-    _, _, um, _, _ = solve_step(H, ev.jac, (g1 + g2) / 2.0, ev.c)
+    g1, g2 = grad + rng.normal(size=3), grad + rng.normal(size=3)
+    _, _, u1, _, _ = solve_step(H, jac, g1, c)
+    _, _, u2, _, _ = solve_step(H, jac, g2, c)
+    _, _, um, _, _ = solve_step(H, jac, (g1 + g2) / 2.0, c)
     affine_gap = float(np.abs(u1 + u2 - 2.0 * um).max())
     ok = mc_ok and affine_gap <= 1e-10
     _report(4, "tangential step unbiased and affine in g", ok,

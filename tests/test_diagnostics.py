@@ -7,13 +7,14 @@ import pytest
 from tssqp import (
     ConfigError,
     DimensionMismatch,
-    MeritInputs,
+    ExperimentPlan,
     NoiseModel,
     SolverConfig,
     audit_trace,
     evaluate,
     load_problem,
     run,
+    run_experiment,
     tau_min,
 )
 from oracles import (
@@ -87,24 +88,15 @@ class TestModelReduction:
 
 
 class TestTauMin:
+    # tau_min(sigma, kappa_beta, kappa_h, kappa_u, kappa_g, kappa_v)
     def test_unit_constants(self):
-        assert tau_min(MeritInputs(sigma=0.5)) == pytest.approx(0.25)
+        assert tau_min(0.5, 1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.25)
 
     def test_sigma_near_one(self):
-        assert tau_min(MeritInputs(sigma=1.0 - 1e-9)) == pytest.approx(0.0, abs=1e-9)
+        assert tau_min(1.0 - 1e-9, 1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_doubled_gradient_constant(self):
-        assert tau_min(MeritInputs(sigma=0.5, kappa_g=2.0)) == pytest.approx(1.0 / 6.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            MeritInputs(sigma=1.5)
-        with pytest.raises(ConfigError):
-            MeritInputs(kappa_v=0.0)
-        for fields in (dict(kappa_beta=float("nan")), dict(sigma=float("nan")), dict(kappa_h=float("inf")),
-                       dict(sigma="0.5"), dict(kappa_g="1"), dict(kappa_u=True)):
-            with pytest.raises(ConfigError):
-                MeritInputs(**fields)
+        assert tau_min(0.5, 1.0, 1.0, 1.0, 2.0, 1.0) == pytest.approx(1.0 / 6.0)
 
 
 def test_nu_upper_bound_formula():
@@ -195,7 +187,7 @@ class TestAuditTrace:
         return {c.name: c for c in report.checks}[name]
 
     @pytest.mark.parametrize("name, corrupt", [
-        ("tangential_in_null_space", lambda pb, r: {"u": r.u + 1e-3 * evaluate(pb, r.x).jac[0]}),
+        ("tangential_in_null_space", lambda pb, r: {"u": r.u + 1e-3 * evaluate(pb, r.x[None])[0].jac[0, 0]}),
         ("u_v_orthogonal", lambda pb, r: {"u": r.u + 1e-3 * r.v}),
         ("normal_component_bound", lambda pb, r: {"sigma_min": r.sigma_min * 1e6}),
         ("backtrack_count_bound", lambda pb, r: {"n_backtracks": 10**6}),
@@ -322,6 +314,20 @@ class TestAuditTrace:
             assert not check.passed and check.violations == 4 and check.worst_iteration == 513
             assert np.isnan(check.worst_margin)
         assert json.loads(report.to_json())["passed"] is False
+
+    def test_diverged_trace_with_tangential_steps_audits(self, tmp_path):
+        # as above, but g0 gives u != 0, so the noise-free merit check runs with the
+        # trace's measured constants, and kappa_v = max ||v|| / ||c|| is NaN
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({
+            "name": "diverge", "n": 3, "m": 1, "kind": "quadratic_linear", "Q": (1e-3 * np.eye(3)).tolist(),
+            "g0": [0.0, 1.0, 1.0], "A": [[1.0, 0.0, 0.0]], "b": [1.0]}))
+        plan = ExperimentPlan(problems=(str(path),), strategies=("fixed",), noise_levels=(0.0,), trials=1,
+                              config=SolverConfig(nu=3.0))
+        (row,) = run_experiment(plan, audit=True)
+        assert row.status == "failed:evaluation_failure"
+        check = self._check(row.audit, "merit_parameter_inequality")
+        assert not check.passed and check.violations == row.iters and np.isnan(check.worst_margin)
 
     def test_problem_must_be_the_traced_one(self):
         pb, trace = self._trace("lincirc2", max_iters=20)

@@ -255,12 +255,12 @@ def _svds_per_iteration(monkeypatch, problem, configs) -> tuple[list, list[int]]
         svds[0] += 1
         return svd(*args, **kwargs)
 
-    def marking_evaluate(*args, evaluate=tssqp.solver.evaluate_rows, **kwargs):
+    def marking_evaluate(*args, evaluate=tssqp.solver.evaluate, **kwargs):
         marks.append(svds[0])
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(tssqp.solver, "evaluate_rows", marking_evaluate)
+    monkeypatch.setattr(tssqp.solver, "evaluate", marking_evaluate)
     traces = run_lanes(problem, configs, list(range(len(configs))))
     return traces, [b - a for a, b in zip(marks, marks[1:])]
 

@@ -301,7 +301,7 @@ def lu_bit_cases() -> list[dict]:
         cases.append((f"spd k={k}", np.eye(n) + M @ M.T / n, rng.normal(size=(2, 2, n)),
                       rng.normal(size=(2, n)), rng.normal(size=(2, 2))))
     pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
-    ev = evaluate(pb, pb.x0)
+    ev = evaluate(pb, pb.x0[None])[0]
     cases.append(("golden_wide k=48", _h_matrix(pb), ev.jac, ev.grad, ev.c))
     out = []
     for label, H, J, g, c in cases:
@@ -338,7 +338,7 @@ class TestReusedLu:
     def test_without_the_binding_the_stacked_solve_stays(self, monkeypatch):
         monkeypatch.setattr(linalg, "_LAPACK", None)
         pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
-        ev = evaluate(pb, pb.x0)
+        ev = evaluate(pb, pb.x0[None])[0]
         H = _h_matrix(pb)
         factors, _ = factor_step(H, ev.jac)
         lu = factor_reduced_lu(factors)

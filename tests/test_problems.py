@@ -18,49 +18,56 @@ from tssqp import (
     load_problem,
 )
 from tssqp import SolverConfig, run
-from tssqp.problems import evaluate_c_rows, evaluate_rows
+from tssqp.problems import evaluate_c
 from tssqp.solver import _init_lanes, _noisy_gradients
 from oracles import augmented_solve
 
 
+def _at(problem, x):
+    """The evaluation at one point, as the one-row stack x[None]; its row must not fail."""
+    ev, failed = evaluate(problem, np.asarray(x, dtype=float)[None])
+    assert failed == {}
+    return ev
+
+
 class TestEvaluate:
     def test_qp2_at_kkt_point(self):
-        pb = load_problem("qp2")
-        ev = evaluate(pb, np.array([1.0, 0.0]))
-        assert ev.f == 0.5
-        np.testing.assert_array_equal(ev.grad, [1.0, 0.0])
-        np.testing.assert_array_equal(ev.c, [0.0])
-        np.testing.assert_array_equal(ev.jac, [[1.0, 0.0]])
+        ev = _at(load_problem("qp2"), [1.0, 0.0])
+        np.testing.assert_array_equal(ev.f, [0.5])
+        np.testing.assert_array_equal(ev.grad, [[1.0, 0.0]])
+        np.testing.assert_array_equal(ev.c, [[0.0]])
+        np.testing.assert_array_equal(ev.jac, [[[1.0, 0.0]]])
 
     def test_qp2_infeasible_point(self):
-        pb = load_problem("qp2")
-        np.testing.assert_array_equal(evaluate(pb, np.zeros(2)).c, [-1.0])
+        np.testing.assert_array_equal(_at(load_problem("qp2"), np.zeros(2)).c, [[-1.0]])
 
     def test_sphere3(self):
-        pb = load_problem("sphere3")
-        ev = evaluate(pb, np.ones(3))
-        assert ev.f == 3.0
-        np.testing.assert_array_equal(ev.c, [0.0])
-        np.testing.assert_array_equal(ev.jac, [[2.0, 2.0, 2.0]])
+        ev = _at(load_problem("sphere3"), np.ones(3))
+        np.testing.assert_array_equal(ev.f, [3.0])
+        np.testing.assert_array_equal(ev.c, [[0.0]])
+        np.testing.assert_array_equal(ev.jac, [[[2.0, 2.0, 2.0]]])
 
     def test_dimension_mismatch(self):
-        pb = load_problem("qp2")
-        with pytest.raises(DimensionMismatch):
-            evaluate(pb, np.zeros(3))
+        # one point where a (B, n) stack is due, and stacks of the wrong width;
+        # the width is checked before the oracle runs (lincirc2's would raise a
+        # broadcasting ValueError on a width-3 stack)
+        for name, X in (("qp2", np.zeros(2)), ("qp2", np.zeros(3)), ("qp2", np.zeros((1, 3))),
+                        ("lincirc2", np.zeros((1, 3)))):
+            with pytest.raises(DimensionMismatch):
+                evaluate(load_problem(name), X)
 
-    def test_overflow_raises(self):
+    def test_overflow_is_reported(self):
         pb = load_problem("rosenlin2")
-        with pytest.raises(EvaluationFailure):
-            evaluate(pb, np.array([1e200, -1e200]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, failed = evaluate(pb, np.array([[1e200, -1e200]]))
+        assert list(failed) == [0] and isinstance(failed[0], EvaluationFailure)
 
     def test_deterministic(self):
         pb = load_problem("qplin5")
         x = np.array([0.3, -1.2, 0.7, 2.0, -0.1])
-        a, b = evaluate(pb, x), evaluate(pb, x)
-        assert a.f == b.f
-        np.testing.assert_array_equal(a.grad, b.grad)
-        np.testing.assert_array_equal(a.c, b.c)
-        np.testing.assert_array_equal(a.jac, b.jac)
+        a, b = _at(pb, x), _at(pb, x)
+        for field_a, field_b in zip(a, b):
+            assert field_a.tobytes() == field_b.tobytes()
 
 
 def _write_random_quadratic_linear(path, seed, n=12, m=4):
@@ -76,7 +83,7 @@ def _write_random_quadratic_linear(path, seed, n=12, m=4):
 
 
 class TestConstraintOracle:
-    """c_fn is the line search's oracle; it must give the bits of evaluate(...).c."""
+    """c_fn is the line search's oracle; it must give the bits of evaluate(...)'s c."""
 
     @pytest.mark.parametrize("name", builtin_names() + ["quadratic_linear_file"])
     def test_bitwise_equal_to_full_evaluation(self, tmp_path, name):
@@ -86,25 +93,23 @@ class TestConstraintOracle:
         rng = np.random.default_rng(12)
         for _ in range(25):
             x = pb.x0 + rng.normal(scale=2.0, size=pb.n)
-            full = evaluate(pb, x).c
+            full = _at(pb, x).c[0]
             assert np.asarray(pb.c_fn(x), dtype=float).tobytes() == full.tobytes()
-            assert evaluate_c_rows(pb, x[None])[0][0].tobytes() == full.tobytes()
+            assert evaluate_c(pb, x[None])[0][0].tobytes() == full.tobytes()
 
     def test_non_finite_constraint_raises(self):
         x = np.array([[1e200, 0.0, 0.0]])
         with np.errstate(over="ignore"):
-            _, failed = evaluate_c_rows(load_problem("sphere3"), x)
+            _, failed = evaluate_c(load_problem("sphere3"), x)
         assert list(failed) == [0] and isinstance(failed[0], EvaluationFailure)
-        with pytest.raises(EvaluationFailure):
-            evaluate(load_problem("sphere3"), x[0])
 
     def test_dimension_mismatch(self):
         # one point where a (B, n) stack is due: c_fn gives one row for three "points"
         with pytest.raises(DimensionMismatch):
-            evaluate_c_rows(load_problem("qp2"), np.zeros(3))
+            evaluate_c(load_problem("qp2"), np.zeros(3))
         # a stack of the wrong width: qp2's c_fn reads only the first column
         with pytest.raises(DimensionMismatch):
-            evaluate_c_rows(load_problem("qp2"), np.zeros((1, 3)))
+            evaluate_c(load_problem("qp2"), np.zeros((1, 3)))
 
 
 class TestStackedOracles:
@@ -119,8 +124,8 @@ class TestStackedOracles:
         for scale in (1e-3, 1.0, 1e3):
             X = pb.x0 + rng.normal(scale=scale, size=(7, pb.n))
             X[0] = -0.0
-            stack, failed = evaluate_rows(pb, X)
-            c_stack, c_failed = evaluate_c_rows(pb, X)
+            stack, failed = evaluate(pb, X)
+            c_stack, c_failed = evaluate_c(pb, X)
             assert failed == c_failed == {}
             assert stack.jac.shape == (7, pb.m, pb.n)
             for i, x in enumerate(X):
@@ -136,8 +141,8 @@ class TestStackedOracles:
         pb = load_problem("sphere3")
         X = np.array([[1.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with np.errstate(over="ignore"):
-            _, failed = evaluate_rows(pb, X)
-            _, c_failed = evaluate_c_rows(pb, X)
+            _, failed = evaluate(pb, X)
+            _, c_failed = evaluate_c(pb, X)
         assert list(failed) == list(c_failed) == [1]
         assert isinstance(failed[1], EvaluationFailure) and isinstance(c_failed[1], EvaluationFailure)
 
@@ -153,8 +158,8 @@ class TestStackedOracles:
 
         pb = dataclasses.replace(base, eval_fn=counted(base.eval_fn), c_fn=counted(base.c_fn))
         X = np.random.default_rng(3).normal(size=(3, 5))
-        stack, failed = evaluate_rows(pb, X)
-        c, c_failed = evaluate_c_rows(pb, X)
+        stack, failed = evaluate(pb, X)
+        c, c_failed = evaluate_c(pb, X)
         assert calls == [("ev", (3, 5)), ("con", (3, 5))] and failed == c_failed == {}
         assert stack.jac.shape == (3, 2, 5)
         assert stack.c.tobytes() == c.tobytes() == base.c_fn(X).tobytes()
@@ -170,7 +175,7 @@ class TestOracleShapes:
     def test_one_point_constraint_oracle(self):
         pb = dataclasses.replace(load_problem("qp2"), c_fn=_one_point_c)
         with pytest.raises(DimensionMismatch):
-            evaluate_c_rows(pb, np.zeros((3, 2)))
+            evaluate_c(pb, np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
             run(pb, SolverConfig(strategy="linesearch", max_iters=5), seed=0)
 
@@ -182,7 +187,7 @@ class TestOracleShapes:
             return f, grad[0], c, jac
 
         with pytest.raises(DimensionMismatch):
-            evaluate_rows(dataclasses.replace(base, eval_fn=ev), np.zeros((3, 2)))
+            evaluate(dataclasses.replace(base, eval_fn=ev), np.zeros((3, 2)))
 
 
 class TestProblemFields:
@@ -215,14 +220,15 @@ class TestStochasticGradient:
         pb = load_problem("qp2")
         noise = NoiseModel(0.0, seed=42)
         x = np.array([0.7, -0.2])
-        g = _noisy_gradient(evaluate(pb, x).grad, noise, noise.stream())
-        np.testing.assert_array_equal(g, evaluate(pb, x).grad)
+        grad = _at(pb, x).grad[0]
+        g = _noisy_gradient(grad, noise, noise.stream())
+        np.testing.assert_array_equal(g, grad)
 
     def test_same_seed_same_draw(self):
         pb = load_problem("qp2")
         noise = NoiseModel(1e-1, seed=7)
         x = np.array([1.0, 0.0])
-        grad = evaluate(pb, x).grad
+        grad = _at(pb, x).grad[0]
         g1 = _noisy_gradient(grad, noise, noise.stream())
         g2 = _noisy_gradient(grad, noise, noise.stream())
         np.testing.assert_array_equal(g1, g2)
@@ -236,7 +242,7 @@ class TestStochasticGradient:
         noise = NoiseModel(eps, seed=123)
         stream = noise.stream()
         x = np.array([1.0, 0.0])
-        grad = evaluate(pb, x).grad
+        grad = _at(pb, x).grad[0]
         state = _init_lanes(pb, [SolverConfig(noise=noise)], [0])
         state.streams = [stream]
         draws = np.array([
@@ -255,8 +261,8 @@ class TestBuiltins:
         pb = load_problem(name)
         assert pb.known_kkt is not None
         x_star, y_star = pb.known_kkt
-        ev = evaluate(pb, x_star)
-        assert np.abs(ev.grad + ev.jac.T @ y_star).max() <= 1e-10
+        ev = _at(pb, x_star)
+        assert np.abs(ev.grad[0] + ev.jac[0].T @ y_star).max() <= 1e-10
         assert np.abs(ev.c).max() <= 1e-10
 
     def test_suite_contains_spec_minimum(self):
@@ -280,14 +286,14 @@ class TestBuiltins:
         x_star, y_star = augmented_solve(_QPLIN5_Q, _QPLIN5_A, _QPLIN5_G0, -_QPLIN5_B)
         np.testing.assert_allclose(x_star, pb.known_kkt[0], atol=1e-9)
         np.testing.assert_allclose(y_star, pb.known_kkt[1], atol=1e-9)
-        ev = evaluate(pb, x_star)
-        assert np.abs(ev.grad + ev.jac.T @ y_star).max() <= 1e-10
+        ev = _at(pb, x_star)
+        assert np.abs(ev.grad[0] + ev.jac[0].T @ y_star).max() <= 1e-10
         assert np.abs(ev.c).max() <= 1e-10
 
     def test_infeasible_starts(self):
         # the experiment protocol starts every built-in away from feasibility
         for pb in builtin_suite():
-            assert np.abs(evaluate(pb, pb.x0).c).max() > 1e-3
+            assert np.abs(_at(pb, pb.x0).c).max() > 1e-3
 
 
 class TestLoadProblem:
@@ -311,12 +317,12 @@ class TestLoadProblem:
                                        np.zeros(2), np.array([-1.0]))
         np.testing.assert_allclose(x_ref, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(y_ref, [-0.5], atol=1e-12)
-        ev = evaluate(pb, x_ref)
-        assert np.abs(ev.grad + ev.jac.T @ y_ref).max() <= 1e-12
+        ev = _at(pb, x_ref)
+        assert np.abs(ev.grad[0] + ev.jac[0].T @ y_ref).max() <= 1e-12
         assert np.abs(ev.c).max() <= 1e-12
-        ev = evaluate(pb, np.array([2.0, 0.0]))
-        assert ev.f == 2.0
-        np.testing.assert_array_equal(ev.c, [1.0])
+        ev = _at(pb, [2.0, 0.0])
+        np.testing.assert_array_equal(ev.f, [2.0])
+        np.testing.assert_array_equal(ev.c, [[1.0]])
         np.testing.assert_array_equal(pb.x0, np.zeros(2))
 
     def test_flat_row_major_arrays(self, tmp_path):
@@ -327,7 +333,7 @@ class TestLoadProblem:
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(spec))
         pb = load_problem(str(path))
-        np.testing.assert_array_equal(evaluate(pb, np.array([1.0, 1.0])).grad, [3.0, 2.0])
+        np.testing.assert_array_equal(_at(pb, [1.0, 1.0]).grad, [[3.0, 2.0]])
 
     @pytest.mark.parametrize("mutation, fragment", [
         (lambda s: s.pop("Q"), "missing"),
@@ -341,6 +347,15 @@ class TestLoadProblem:
         (lambda s: s.update(name='say "hi"'), "'name'"),
         (lambda s: s.update(name="two\nlines"), "'name'"),
         (lambda s: s.update(name="cr\r"), "'name'"),
+        (lambda s: s.update(n=2.7), "'n'/'m' must be JSON integers"),
+        (lambda s: s.update(n=2.0), "'n'/'m' must be JSON integers"),
+        (lambda s: s.update(n="2"), "'n'/'m' must be JSON integers"),
+        (lambda s: s.update(m=True), "'n'/'m' must be JSON integers"),
+        (lambda s: s.update(Q=[[float("inf"), 0.0], [0.0, 1.0]]), "field 'Q' must hold finite"),
+        (lambda s: s.update(Q=[[float("nan"), 0.0], [0.0, 1.0]]), "field 'Q' must hold finite"),
+        (lambda s: s.update(g0=[0.0, float("nan")]), "field 'g0' must hold finite"),
+        (lambda s: s.update(A=[[1.0, -float("inf")]]), "field 'A' must hold finite"),
+        (lambda s: s.update(b=[float("nan")]), "field 'b' must hold finite"),
     ])
     def test_malformed_files(self, tmp_path, mutation, fragment):
         spec = {
