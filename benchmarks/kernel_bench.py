@@ -12,6 +12,10 @@ Prints per-call times at a few problem sizes, with the part that depends on
   step_solve   ``linalg.solve_step`` given those factors: v, w, u, p, y
   lsq_factor   ``linalg.factor_multiplier``: reduced SVD and rank test
   lsq_solve    ``linalg.least_squares_multiplier`` given those factors
+  noise_draw   ``solver._noisy_gradients``: one iteration's g = grad + sqrt(eps) z
+               for B noisy lanes of dimension n, amortized over whole noise
+               blocks (one ``problems.standard_normal_vector`` call per
+               ``solver.NOISE_BLOCK_ITERS`` iterations)
 
 A run whose J stays bitwise the same pays the factor lines once and the solve
 lines every iteration.
@@ -26,9 +30,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from tssqp import linalg  # noqa: E402
+from tssqp import NoiseModel, Problem, SolverConfig, linalg, solver  # noqa: E402
 
 SIZES = [(5, 2), (20, 8), (50, 20), (200, 40)]
+NOISE_SIZES = [(1, 4), (1, 200), (40, 4), (40, 200)]  # (lanes B, dimension n)
 
 
 def make_instance(rng, n, m):
@@ -69,6 +74,21 @@ def bench_kernels(reps):
         for label, fn, args_list in cases:
             t = time_kernel(fn, args_list, reps)
             print(f"{f'{n}x{m}':>10} {label:>12} {t * 1e6:>10.1f}us")
+    for lanes, n in NOISE_SIZES:
+        print(f"{f'B{lanes}/n{n}':>10} {'noise_draw':>12} {time_noise_draw(lanes, n, reps) * 1e6:>10.1f}us")
+
+
+def time_noise_draw(lanes, n, reps):
+    """Per-iteration time of the lanes' gradient draw, over whole blocks of at least `reps` draws."""
+    problem = Problem(name=f"noise{n}", n=n, m=1, eval_fn=None, c_fn=None, x0=np.zeros(n))
+    config = SolverConfig(noise=NoiseModel(0.1, seed=0))
+    state = solver._init_lanes(problem, [config] * lanes, list(range(lanes)))
+    grad = np.ones((lanes, n))
+    draws = -(-reps // solver.NOISE_BLOCK_ITERS) * solver.NOISE_BLOCK_ITERS
+    t0 = time.perf_counter()
+    for _ in range(draws):
+        solver._noisy_gradients(grad, state, config.max_iters)
+    return (time.perf_counter() - t0) / draws
 
 
 if __name__ == "__main__":

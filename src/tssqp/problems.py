@@ -157,22 +157,24 @@ def evaluate_c(problem: Problem, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
     return c, _failures(problem, X, "constraint value", c)
 
 
-def standard_normal_vector(streams: list[np.random.Generator], n: int) -> np.ndarray:
-    """One vector of n standard-normal deviates per stream, as the rows of a (B, n) array,
+def standard_normal_vector(streams: list[np.random.Generator], n: int, k: int) -> np.ndarray:
+    """k vectors of n standard-normal deviates per stream, as a (B, k, n) array,
     via Box-Muller over PCG64 uniforms.
 
-    Each stream makes one ``random(2 * half)`` call; the transform then runs
-    on the whole (B, 2 * half) stack, which gives each row the bits of its
-    own transform.
+    Vector j of a stream is built from the uniforms [2 half j, 2 half (j + 1))
+    of one ``random(2 * half * k)`` call, where half = ceil(n / 2); an odd n
+    drops the last deviate of each vector.  The transform runs on the whole
+    (B, k, 2 half) block, which gives each vector the bits of its own
+    transform, so a block equals k draws with k = 1 from the same streams.
     """
     half = (n + 1) // 2
-    u = np.array([stream.random(2 * half) for stream in streams])
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:, :half]))  # 1 - u in (0, 1] keeps log() finite
-    t = 2.0 * np.pi * u[:, half:]
+    u = np.array([stream.random(2 * half * k) for stream in streams]).reshape(len(streams), k, 2 * half)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., :half]))  # 1 - u in (0, 1] keeps log() finite
+    t = 2.0 * np.pi * u[..., half:]
     z = np.empty_like(u)
-    z[:, 0::2] = r * np.cos(t)
-    z[:, 1::2] = r * np.sin(t)
-    return z[:, :n]
+    z[..., 0::2] = r * np.cos(t)
+    z[..., 1::2] = r * np.sin(t)
+    return z[..., :n]
 
 
 # ---------------------------------------------------------------------------

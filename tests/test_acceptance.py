@@ -119,7 +119,7 @@ def test_criterion_4_tangential_unbiasedness():
     from tssqp.problems import standard_normal_vector
 
     for i in range(n_samples):
-        g = grad + np.sqrt(noise.epsilon_n) * standard_normal_vector([stream], 3)[0]
+        g = grad + np.sqrt(noise.epsilon_n) * standard_normal_vector([stream], 3, 1)[0, 0]
         _, _, u, _, _ = solve_step(H, jac, g, c)
         samples[i] = u
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)

@@ -20,7 +20,7 @@ from tssqp import (
     run_seed,
 )
 from tssqp.harness import ResultRow, _status_token, audits_to_json, run_experiment, to_csv
-from tssqp.solver import _init_lanes, _noisy_gradients
+from tssqp.solver import NOISE_BLOCK_ITERS, _init_lanes, _noisy_gradients
 from oracles import count_getrf
 from test_alpha_rules import _digest
 
@@ -159,10 +159,22 @@ def test_noise_free_lane_keeps_gradient_bits_and_draws_nothing():
     state = _init_lanes(load_problem("qp2"), configs, [0, 1])
     before = state.streams[0].bit_generator.state
     grad = np.array([[-0.0, 1.5], [-0.0, 1.5]])
-    g = _noisy_gradients(grad, state)
-    assert g[0].tobytes() == grad[0].tobytes()  # grad + 0 * z would turn -0.0 into 0.0
-    assert state.streams[0].bit_generator.state == before
-    assert g[1].tobytes() != grad[1].tobytes()
+    for _ in range(2 * NOISE_BLOCK_ITERS + 1):  # across two refills of the noise block
+        g = _noisy_gradients(grad, state, configs[0].max_iters)
+        assert g[0].tobytes() == grad[0].tobytes()  # grad + 0 * z would turn -0.0 into 0.0
+        assert state.streams[0].bit_generator.state == before
+        assert g[1].tobytes() != grad[1].tobytes()
+    assert state.noise_at == 1
+
+
+def test_a_lane_leaving_mid_block_leaves_the_others_alone():
+    # blocks start at k = 0, 64 and 128; the noisy middle lane crosses the
+    # ridge at k = 86 and leaves with part of the second block unspent
+    configs = [SolverConfig(max_iters=150, stat_tol=1e-300, noise=NoiseModel(eps, seed=4))
+               for eps in (1e-6, 1e-2, 1e-3)]
+    lanes = _assert_lanes_match_solo(_ridge2(), configs, [1, 0, 2])
+    assert [(t.fail_reason, t.iterations) for t in lanes] == [(None, 150), ("evaluation_failure", 86), (None, 150)]
+    assert NOISE_BLOCK_ITERS < lanes[1].iterations < 2 * NOISE_BLOCK_ITERS
 
 
 def test_lane_wall_time_is_set_per_lane():

@@ -18,7 +18,7 @@ from tssqp import (
     load_problem,
 )
 from tssqp import SolverConfig, run
-from tssqp.problems import evaluate_c
+from tssqp.problems import evaluate_c, standard_normal_vector
 from tssqp.solver import _init_lanes, _noisy_gradients
 from oracles import augmented_solve
 
@@ -210,7 +210,7 @@ def _noisy_gradient(grad, noise, stream):
     """One draw g = grad + sqrt(eps) * z through the solver's lane noise, from `stream`."""
     state = _init_lanes(load_problem("qp2"), [SolverConfig(noise=noise)], [0])
     state.streams = [stream]
-    return _noisy_gradients(grad[None], state)[0]
+    return _noisy_gradients(grad[None], state, 1)[0]
 
 
 class TestStochasticGradient:
@@ -243,16 +243,34 @@ class TestStochasticGradient:
         stream = noise.stream()
         x = np.array([1.0, 0.0])
         grad = _at(pb, x).grad[0]
-        state = _init_lanes(pb, [SolverConfig(noise=noise)], [0])
+        config = SolverConfig(noise=noise)
+        state = _init_lanes(pb, [config], [0])
         state.streams = [stream]
         draws = np.array([
-            _noisy_gradients(grad[None], state)[0] for _ in range(100_000)
+            _noisy_gradients(grad[None], state, config.max_iters)[0] for _ in range(100_000)
         ])
         np.testing.assert_allclose(draws.mean(axis=0), grad, atol=0.01)
         var = draws.var(axis=0)
         assert np.all(var >= 0.09) and np.all(var <= 0.11)
         mean_sq = ((draws - grad) ** 2).sum(axis=1).mean()
         assert abs(mean_sq - pb.n * eps) <= 0.05 * pb.n * eps
+
+
+class TestStandardNormalBlock:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 60, 200])
+    def test_block_equals_one_draw_per_iteration(self, n):
+        # Box-Muller on the whole (B, k, 2 half) block gives each vector the
+        # bits of its own transform, and leaves every stream where k draws do
+        for B in (1, 2, 7, 40):
+            for k in (1, 2, 63, 64):
+                streams = [NoiseModel(0.1, seed=B).stream(lane) for lane in range(B)]
+                copies = [NoiseModel(0.1, seed=B).stream(lane) for lane in range(B)]
+                block = standard_normal_vector(streams, n, k)
+                assert block.shape == (B, k, n)
+                one_by_one = [standard_normal_vector(copies, n, 1)[:, 0] for _ in range(k)]
+                for j in range(k):
+                    assert block[:, j].tobytes() == one_by_one[j].tobytes(), (B, k, j)
+                assert [s.bit_generator.state for s in streams] == [s.bit_generator.state for s in copies]
 
 
 class TestBuiltins:

@@ -19,7 +19,18 @@ from tssqp import (
     run_lanes,
     solve_step,
 )
-from tssqp.solver import BUDGET_EXHAUSTED, CONVERGED, FAILED, _advance, _init_lanes, _observe
+from tssqp.solver import (
+    BUDGET_EXHAUSTED,
+    CONVERGED,
+    FAILED,
+    NOISE_BLOCK_FLOATS,
+    NOISE_BLOCK_ITERS,
+    _advance,
+    _init_lanes,
+    _noise_block_iters,
+    _observe,
+    step,
+)
 from oracles import count_getrf, first_iteration
 
 
@@ -367,6 +378,34 @@ class TestAblation:
         ls = [run(pb, ls_cfg, seed=s).feas_error for s in range(10)]
         ab = [run(pb, ab_cfg, seed=s).feas_error for s in range(10)]
         assert np.median(ab) >= np.median(ls)
+
+
+class TestNoiseBlocks:
+    def test_no_draw_past_the_budget(self):
+        pb = load_problem("sphere3")
+        config = _config(max_iters=3, noise=NoiseModel(0.1, seed=6))
+        state = _init_lanes(pb, [config], [4])
+        stream = state.streams[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while step(state, pb, config):
+                pass
+        assert (state.status[0], len(state.records[0])) == (BUDGET_EXHAUSTED, 3)
+        fresh = config.noise.stream(4)
+        for _ in range(3):
+            fresh.random(2 * 2)  # one random(2 * half) call per iteration, half = 2 at n = 3
+        assert stream.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("lanes, n, remaining", [
+        (1, 2, 1000), (2, 5, 3), (40, 200, 1000), (160, 200, 1000), (400, 200, 1000),
+        (7, 10**5, 50), (2**20, 1, 1000), (10**4, 10**4, 1000), (1, 10**7, 1),
+    ])
+    def test_block_size_rule(self, lanes, n, remaining):
+        # the rule alone: none of these blocks is allocated
+        k = _noise_block_iters(lanes, n, remaining)
+        assert 1 <= k <= min(NOISE_BLOCK_ITERS, remaining)
+        assert k * lanes * n <= NOISE_BLOCK_FLOATS or k == 1
+        if lanes * n * min(NOISE_BLOCK_ITERS, remaining) <= NOISE_BLOCK_FLOATS:
+            assert k == min(NOISE_BLOCK_ITERS, remaining)
 
 
 class TestConfigValidation:
