@@ -30,7 +30,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from tssqp import NoiseModel, Problem, SolverConfig, linalg, solver  # noqa: E402
+from tssqp import Problem, SolverConfig, linalg, solver  # noqa: E402
 
 SIZES = [(5, 2), (20, 8), (50, 20), (200, 40)]
 NOISE_SIZES = [(1, 4), (1, 200), (40, 4), (40, 200)]  # (lanes B, dimension n)
@@ -81,7 +81,7 @@ def bench_kernels(reps):
 def time_noise_draw(lanes, n, reps):
     """Per-iteration time of the lanes' gradient draw, over whole blocks of at least `reps` draws."""
     problem = Problem(name=f"noise{n}", n=n, m=1, eval_fn=None, c_fn=None, x0=np.zeros(n))
-    config = SolverConfig(noise=NoiseModel(0.1, seed=0))
+    config = SolverConfig(noise=0.1)
     state = solver._init_lanes(problem, [config] * lanes, list(range(lanes)))
     grad = np.ones((lanes, n))
     draws = -(-reps // solver.NOISE_BLOCK_ITERS) * solver.NOISE_BLOCK_ITERS

@@ -31,7 +31,6 @@ from .harness import (
 from .linalg import least_squares_multiplier, solve_step
 from .problems import (
     Evaluation,
-    NoiseModel,
     Problem,
     builtin_names,
     builtin_suite,

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, check_real
+from .errors import ConfigError
 from .linalg import dot, mv
 from .problems import Problem, evaluate, evaluate_c
 from .solver import Trace
@@ -35,6 +35,9 @@ _MERIT_NOTE = (
     "merit-parameter check uses empirical trace maxima for its constants; "
     "this is weaker than the idealized inequality with global suprema"
 )
+
+_TOL = 1e-8  # slack of the residual, bound and merit checks
+_SIGMA = 0.5  # sigma in (0, 1) of the merit-parameter check
 
 _CHECKS = (
     "tangential_in_null_space", "normal_solves_linearized", "u_v_orthogonal", "normal_component_bound",
@@ -106,24 +109,15 @@ class AuditReport:
         return json.dumps(self.payload(), indent=2, allow_nan=False)
 
 
-def audit_trace(
-    trace: Trace,
-    problem: Problem,
-    tol: float = 1e-8,
-    sigma: float = 0.5,
-) -> AuditReport:
+def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
     """Re-verify per-iteration invariants of a finished trace of `problem`.
 
     Calls `eval_fn` once on the stack of recorded iterates and `c_fn` at most
     once, on the certified trial points; a trace without records calls neither.
-    The line-search parameters `xi`/`rho` come from the trace's own config.
-    `tol` must be finite and positive, `sigma` lie in (0, 1), and `problem`
-    carry the trace's problem name and width; ConfigError otherwise.
+    The line-search parameters `xi`/`rho` come from the trace's own config,
+    the slack and sigma are `_TOL` and `_SIGMA`.  `problem` must carry the
+    trace's problem name and width; ConfigError otherwise.
     """
-    check_real("tol", tol)
-    check_real("sigma", sigma)
-    if not (tol > 0 and 0 < sigma < 1):
-        raise ConfigError(f"need tol > 0 and sigma in (0, 1), got tol={tol!r}, sigma={sigma!r}")
     if problem.name != trace.problem or np.shape(trace.x_final) != (problem.n,):
         raise ConfigError(f"a trace of {trace.problem!r} with iterates of shape {np.shape(trace.x_final)} "
                           f"cannot be audited against {problem.name!r} with n={problem.n}")
@@ -153,7 +147,7 @@ def audit_trace(
         bound = [backtrack_count_bound(a, b, rho) for a, b in zip(lo[searched].tolist(), hi[searched].tolist())]
 
         merit = (k[:0], c_l1[:0])
-        if trace.epsilon_n == 0.0:
+        if trace.config.noise == 0.0:
             # Noise-free: recorded u is the true tangential component, so the
             # merit bound can be instantiated with observed constants.
             H = trace.h_matrix
@@ -166,15 +160,15 @@ def audit_trace(
             v_sq = np.array([vn ** 2 for vn in v_norm[ratio].tolist()])
             kappa_v = float((np.maximum(v_norm[ratio], v_sq) / c_l2[ratio]).max()) if ratio.any() else 1.0
             if min(kappa_g, kappa_u, kappa_b) > 0:
-                tmin = tau_min(sigma, kappa_b, kappa_h, kappa_u, kappa_g, kappa_v)
+                tmin = tau_min(_SIGMA, kappa_b, kappa_h, kappa_u, kappa_g, kappa_v)
                 lhs = tmin * (dot(grad, beta[:, None] * u + v) + beta * dot(mv(H.mT, u), u))
-                merit = (k, lhs - ((1.0 - sigma) * c_l1 + tol))
+                merit = (k, lhs - ((1.0 - _SIGMA) * c_l1 + _TOL))
 
         margins = [
-            (k, np.abs(mv(J, u)).max(axis=1) - tol * u_scale),
-            (k, np.abs(mv(J, v) + c).max(axis=1) - tol * v_scale),
-            (k, np.abs(dot(u, v)) - tol * u_norm * v_norm),
-            (k, v_norm - (c_l2 / sigma_min + tol)),
+            (k, np.abs(mv(J, u)).max(axis=1) - _TOL * u_scale),
+            (k, np.abs(mv(J, v) + c).max(axis=1) - _TOL * v_scale),
+            (k, np.abs(dot(u, v)) - _TOL * u_norm * v_norm),
+            (k, v_norm - (c_l2 / sigma_min + _TOL)),
             (k, np.maximum(lo - alpha, alpha - hi)),
             (k[searched], n_backtracks[searched] - np.array(bound)),
             (k[certified], np.abs(c_trial).sum(axis=1) - (1.0 - xi * alpha[certified]) * c_l1[certified]),

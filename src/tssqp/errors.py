@@ -63,9 +63,9 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def check_real(name: str, value, finite: bool = True) -> None:
-    """Raise ConfigError unless `value` is a real number (not a bool), and a finite one when `finite`."""
+def check_real(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a finite real number (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    if finite and not math.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")

@@ -1,9 +1,13 @@
 """Experiment orchestration: multi-problem, multi-noise, multi-seed runs.
 
-Every run's RNG stream is derived from a SHA-256 hash of
-``base_seed | problem | strategy | noise | trial``, so adding a problem or
-strategy to a plan never shifts the seeds of existing runs, and execution
-order never changes the output: rows are sorted by key before emission.
+An :class:`ExperimentPlan` is checked when it is built and raises
+``ConfigError`` if any of its runs' configs would be invalid.
+
+Every run's RNG stream is keyed by the plan's ``base_seed`` and a SHA-256
+hash of ``base_seed | problem | strategy | noise | trial``, so adding a
+problem or strategy to a plan never shifts the seeds of existing runs, and
+execution order never changes the output: rows are sorted by key before
+emission.
 
 All noise-level x trial runs of one (problem, strategy) cell advance
 together as the lanes of one :func:`solver.run_lanes` call; a lane's rows are
@@ -30,8 +34,8 @@ import numpy as np
 
 from . import solver
 from .diagnostics import AuditReport, audit_trace
-from .errors import ConfigError, EmptyInput, check_count, check_real
-from .problems import NoiseModel, Problem, load_problem
+from .errors import ConfigError, EmptyInput, check_count
+from .problems import Problem, load_problem
 from .solver import SolverConfig, Trace
 
 CSV_COLUMNS = ("problem", "strategy", "noise", "trial", "status",
@@ -42,10 +46,11 @@ DEFAULT_NOISE_LEVELS = (1e-5, 1e-3, 1e-1)
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """problems x strategies x noise_levels x trials runs of one config.
+    """problems x strategies x noise_levels x trials runs of one config, checked when built.
 
-    Each run uses `config` with its strategy and noise model replaced; the
-    budget of every run is `config.max_iters`.
+    Each run uses `config` with its strategy and noise level replaced and
+    `noise_seed` = `base_seed` (see `config_for`); the budget of every run is
+    `config.max_iters`.
     """
 
     problems: tuple[str, ...]
@@ -55,32 +60,25 @@ class ExperimentPlan:
     base_seed: int = 0
     config: SolverConfig = field(default_factory=SolverConfig)
 
-    def validate(self) -> None:
-        if not self.problems:
-            raise ConfigError("plan needs at least one problem")
-        if not self.strategies:
-            raise ConfigError("plan needs at least one strategy")
+    def __post_init__(self) -> None:
+        axes = (("problem", self.problems), ("strategy", self.strategies), ("noise level", self.noise_levels))
+        for label, entries in axes:
+            if not entries:
+                raise ConfigError(f"plan needs at least one {label}")
         check_count("trials", self.trials, 1)
         check_count("base_seed", self.base_seed, 0)
-        for strategy in self.strategies:
-            self.config_for(strategy, 0.0).validate()
         if self.config.max_iters < 1:
             raise ConfigError("budget (config.max_iters) must be >= 1")
-        for e in self.noise_levels:
-            check_real("noise level", e)
-            if e < 0:
-                raise ConfigError(f"noise levels must be nonnegative, got {e!r}")
-        for label, entries in (("problem", self.problems), ("strategy", self.strategies),
-                               ("noise level", self.noise_levels)):
+        for strategy in self.strategies:
+            for noise_level in self.noise_levels:
+                self.config_for(strategy, noise_level)
+        for label, entries in axes:
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"plan repeats a {label}: {entries!r}")
 
     def config_for(self, strategy: str, noise_level: float) -> SolverConfig:
-        return replace(
-            self.config,
-            strategy=strategy,
-            noise=NoiseModel(epsilon_n=noise_level, seed=self.base_seed),
-        )
+        """The config of the plan's runs of `strategy` at `noise_level`; ConfigError if it is invalid."""
+        return replace(self.config, strategy=strategy, noise=noise_level, noise_seed=self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,6 @@ def run_experiment(plan: ExperimentPlan, audit: bool = False) -> list[ResultRow]
 
     A failed run is a row, never an omission.
     """
-    plan.validate()
     problems = {name: load_problem(name) for name in plan.problems}
     sources: dict[str, str] = {}
     for source, problem in problems.items():

@@ -1,4 +1,4 @@
-"""Equality-constrained test problems and the gradient noise model.
+"""Equality-constrained test problems, their oracles and the gradient noise draw.
 
 A :class:`Problem` bundles deterministic evaluation oracles for the objective
 ``f``, its gradient, the constraint vector ``c`` and the constraint Jacobian
@@ -8,9 +8,11 @@ from the built-in registry or from JSON files describing quadratic objectives
 with linear constraints (see :func:`load_problem`).
 
 The solver draws stochastic gradients ``g = grad_f(x) + sqrt(eps) * z`` with
-``z`` standard normal.  Normal deviates are produced by the Box-Muller
-transform applied to PCG64 uniforms so that a given seed yields the same draw
-sequence on every platform (up to floating-point ULPs in ``log``/``cos``/``sin``).
+``z`` standard normal and the level ``eps`` set by ``SolverConfig.noise``.
+Normal deviates are produced by :func:`standard_normal_vector`, the
+Box-Muller transform applied to PCG64 uniforms, so that a given seed yields
+the same draw sequence on every platform (up to floating-point ULPs in
+``log``/``cos``/``sin``).
 
 The solver advances several lanes (runs) at once and evaluates them through
 :func:`evaluate`/:func:`evaluate_c`, which call each oracle once on the
@@ -27,8 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem,
-                     check_count, check_real)
+from .errors import ConfigError, DimensionMismatch, EvaluationFailure, ParseError, UnknownProblem, check_count
 from .linalg import dot, mv
 
 EvalFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
@@ -42,28 +43,6 @@ class Evaluation(NamedTuple):
     grad: np.ndarray
     c: np.ndarray
     jac: np.ndarray
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Gaussian gradient noise: g ~ N(grad_f(x), epsilon_n * I).
-
-    ``epsilon_n = 0`` makes the oracle return the true gradient exactly.
-    The implied variance bound is ``M = n * epsilon_n``.
-    """
-
-    epsilon_n: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_real("epsilon_n", self.epsilon_n, finite=False)
-        if self.epsilon_n < 0:
-            raise ConfigError(f"epsilon_n must be nonnegative, got {self.epsilon_n}")
-        check_count("noise seed", self.seed, 0)
-
-    def stream(self, key: int = 0) -> np.random.Generator:
-        """Fresh generator derived from (seed, key); one owner per run."""
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, key))))
 
 
 @dataclass(frozen=True)

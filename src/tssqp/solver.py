@@ -11,10 +11,11 @@ Lanes
 -----
 `run_lanes` advances B runs of one problem ("lanes") in lockstep, as one
 stacked iteration on state x of shape (B, n).  The lanes may differ only in
-their noise model and seed.  Every operation on the stack gives each lane
-the bits it gets alone (see `linalg`), and each lane keeps its own noise
-stream, accumulators, termination, failure token and records, so lane i's
-trace is bitwise the trace of `run(problem, configs[i], seeds[i])`.  `run`
+their seeds and in the `noise` and `noise_seed` of their configs.  Every
+operation on the stack gives each lane the bits it gets alone (see
+`linalg`), and each lane keeps its own noise stream, accumulators,
+termination, failure token and records, so lane i's trace is bitwise the
+trace of `run(problem, configs[i], seeds[i])`.  `run`
 is the B = 1 case of the same code.  One `SolverState` holds a run's lanes,
 and `step` takes one lockstep iteration of them.  A lane leaves the stack
 when it finishes; a failure ends only its own lane.
@@ -57,9 +58,11 @@ Work per iteration: one full oracle evaluation of the stack, shared by the
 termination check and the step, and one constraint-only evaluation per
 line-search round.  The gradient noise is drawn once per block of up to
 NOISE_BLOCK_ITERS iterations, never past the budget: each noisy lane makes
-one `random` call for the block and Box-Muller runs once on the whole stack,
-with the bits of one draw per iteration.  A lane that ends early leaves its
-stream drawn ahead; a noise-free lane never touches its stream.
+one `random` call for the block and Box-Muller runs once on the noisy rows,
+with the bits of one draw per iteration.  A noise-free lane's block rows
+hold -0.0, IEEE-754's additive identity, so every lane takes the same
+`grad + z` and a noise-free one keeps grad's bits without touching its
+stream.  A lane that ends early leaves its stream drawn ahead.
 
 H is built once per run.  J is a (B, m, n) stack, one matrix per lane; its
 factors for the multiplier and the step are computed as a stack before the
@@ -102,7 +105,7 @@ from .linalg import (
     mv,
     solve_step,
 )
-from .problems import NoiseModel, Problem, evaluate, evaluate_c, standard_normal_vector
+from .problems import Problem, evaluate, evaluate_c, standard_normal_vector
 from .stepsize import adaptive_update, backtrack_rows
 
 # The one-point search.  The iteration calls `backtrack_rows`; this stays
@@ -145,11 +148,19 @@ _FAIL_TOKENS = {
 }
 
 
-_FLOAT_FIELDS = ("feas_tol", "stat_tol", "eta", "nu", "theta", "xi", "rho", "q0", "b0")
+_FLOAT_FIELDS = ("feas_tol", "stat_tol", "eta", "nu", "theta", "xi", "rho", "q0", "b0", "noise")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Every setting of a run, checked when it is built: an invalid value raises ConfigError.
+
+    `noise` is the gradient-noise level eps: the solver steps with g =
+    grad f(x) + sqrt(eps) z, z standard normal, and eps = 0 gives the true
+    gradient.  A run's noise stream is keyed by `noise_seed` and the run's
+    seed (see `stream`).
+    """
+
     strategy: str = "linesearch"
     max_iters: int = 1000
     feas_tol: float = 1e-6
@@ -162,13 +173,16 @@ class SolverConfig:
     q0: float = 1e-9
     b0: float = 1.0
     alpha_rule: str = "lower"
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    noise: float = 0.0
+    noise_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_count("max_iters", self.max_iters, 0)
+        check_count("noise_seed", self.noise_seed, 0)
         for name in _FLOAT_FIELDS:
             check_real(name, getattr(self, name))
-        check_real("noise level", self.noise.epsilon_n)
+        if self.noise < 0:
+            raise ConfigError(f"the noise level must be nonnegative, got {self.noise!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.feas_tol <= 0 or self.stat_tol <= 0:
@@ -184,6 +198,10 @@ class SolverConfig:
         if self.strategy == "adaptive" and self.alpha_rule == "backtrack":
             raise ConfigError("the adaptive strategy takes range endpoints only (alpha_rule lower/upper)")
 
+    def stream(self, seed: int) -> np.random.Generator:
+        """The gradient-noise stream of the run with `seed`: PCG64 seeded by (noise_seed, seed)."""
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.noise_seed, seed))))
+
     @property
     def searches(self) -> bool:
         """Whether alpha comes from the safeguarded backtracking search."""
@@ -198,13 +216,11 @@ class SolverState:
     `streams`, `b` and `q` belong to the lane numbered `lane[i]` in its run;
     a row leaves when its lane ends.  `scale` is sqrt(noise level).
     `noise` is the current block of gradient noise, sqrt(noise level) z for
-    K iterations (zero rows for noise-free lanes); its rows from `noise_at`
-    on are unspent.  `noisy` is the (B, 1) mask of the noisy rows when the
-    block was drawn for a stack with noise-free lanes, else None.  `b` and
-    `q` are the Adagrad-Norm accumulators, started at b0 and q0.  `h` is the
-    model matrix H.  `factors` caches (J, multiplier factors, step factors,
-    step failures) for the last J stack factored, restricted to the rows
-    left.
+    K iterations (-0.0 rows for noise-free lanes); its rows from `noise_at`
+    on are unspent.  `b` and `q` are the Adagrad-Norm accumulators, started
+    at b0 and q0.  `h` is the model matrix H.  `factors` caches (J,
+    multiplier factors, step factors, step failures) for the last J stack
+    factored, restricted to the rows left.
 
     Entry j of `records`, `first`, `least`, `status`, `error`, `x_final` and
     `wall_s` belong to lane j, whether it still runs or not: its records, the
@@ -223,7 +239,6 @@ class SolverState:
     start: float
     noise: np.ndarray
     noise_at: int = 0
-    noisy: Optional[np.ndarray] = None
     factors: Optional[tuple] = None
     records: list[list[IterationRecord]] = field(init=False)
     first: list[Optional[tuple[float, float]]] = field(init=False)
@@ -256,9 +271,8 @@ class SolverState:
             self.wall_s[lane] = now
         keep = np.ones(len(self.lane), dtype=bool)
         keep[list(ended)] = False
-        (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise,
-         self.noisy) = _restrict((self.x, self.scale, self.lane, self.streams, self.b, self.q,
-                                  self.factors, self.noise, self.noisy), keep)
+        self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise = _restrict(
+            (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise), keep)
         return _restrict(values, keep)
 
     def observe(self, feas: np.ndarray, stat: np.ndarray, config: SolverConfig) -> dict:
@@ -328,10 +342,6 @@ class Trace:
     def strategy(self) -> str:
         return self.config.strategy
 
-    @property
-    def epsilon_n(self) -> float:
-        return self.config.noise.epsilon_n
-
 
 def _h_matrix(problem: Problem) -> np.ndarray:
     if problem.h_matrix is not None:
@@ -340,14 +350,13 @@ def _h_matrix(problem: Problem) -> np.ndarray:
 
 
 def _lane_config(configs) -> SolverConfig:
-    """The config shared by all lanes, after validating each; lanes may differ only in noise."""
+    """The config shared by all lanes; lanes may differ only in `noise` and `noise_seed`."""
     if not configs:
         raise ConfigError("a run needs at least one lane")
     first = configs[0]
     for config in configs:
-        config.validate()
-        if replace(config, noise=first.noise) != first:
-            raise ConfigError("the lanes of one run may differ only in their noise model")
+        if replace(config, noise=first.noise, noise_seed=first.noise_seed) != first:
+            raise ConfigError("the lanes of one run may differ only in noise and noise_seed")
     return first
 
 
@@ -364,8 +373,8 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
     B = len(configs)
     return SolverState(
         k=0, x=np.repeat(x[None], B, axis=0),
-        streams=[c.noise.stream(int(seed)) for c, seed in zip(configs, seeds)],
-        scale=np.array([[math.sqrt(c.noise.epsilon_n)] for c in configs]),
+        streams=[c.stream(int(seed)) for c, seed in zip(configs, seeds)],
+        scale=np.array([[math.sqrt(c.noise)] for c in configs]),
         h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B), start=start,
         noise=np.empty((B, 0, problem.n)),
     )
@@ -380,28 +389,20 @@ def _noise_block_iters(lanes: int, n: int, remaining: int) -> int:
 
 def _noisy_gradients(grad: np.ndarray, state: SolverState, max_iters: int) -> np.ndarray:
     """grad + sqrt(eps) z per lane, z from the state's noise block, which is drawn again
-    once it is spent; a noise-free lane keeps grad's bits and draws nothing."""
+    once it is spent.  A noise-free lane's rows of the block are -0.0, so it keeps grad's
+    bits, and its stream is never drawn."""
     if state.noise_at == state.noise.shape[1]:
         B, n = grad.shape
         k = _noise_block_iters(B, n, max_iters - state.k)
-        noisy = state.scale[:, 0] > 0.0
-        rows = np.flatnonzero(noisy)
-        if len(rows) == B:
-            state.noise = state.scale[:, :, None] * standard_normal_vector(state.streams, n, k)
-            state.noisy = None
-        else:
-            state.noise, state.noisy = np.zeros((B, k, n)), noisy[:, None]
-            if len(rows):
-                z = standard_normal_vector([state.streams[i] for i in rows.tolist()], n, k)
-                state.noise[rows] = state.scale[rows, :, None] * z
+        rows = np.flatnonzero(state.scale[:, 0] > 0.0)
+        state.noise = np.full((B, k, n), -0.0)
+        if len(rows):
+            z = standard_normal_vector([state.streams[i] for i in rows.tolist()], n, k)
+            state.noise[rows] = state.scale[rows, :, None] * z
         state.noise_at = 0
     z = state.noise[:, state.noise_at]
     state.noise_at += 1
-    if state.noisy is None:
-        return grad + z
-    g = grad.copy()
-    np.add(grad, z, out=g, where=state.noisy)
-    return g
+    return grad + z
 
 
 def _restrict(value, keep: np.ndarray):
@@ -541,7 +542,7 @@ def step(state: SolverState, problem: Problem, config: SolverConfig) -> bool:
 def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
     """Run one lane per (configs[i], seeds[i]) in lockstep; returns their traces in that order.
 
-    The configs may differ only in their noise model.  Lane i's trace is
+    The configs may differ only in `noise` and `noise_seed`.  Lane i's trace is
     bitwise the trace of `run(problem, configs[i], seeds[i], x0)` (its
     `wall_s` aside).
     """

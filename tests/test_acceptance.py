@@ -11,7 +11,6 @@ import pytest
 
 from tssqp import (
     ExperimentPlan,
-    NoiseModel,
     SolverConfig,
     audit_trace,
     builtin_names,
@@ -75,7 +74,7 @@ def test_criterion_2_decomposition_invariants():
     for name in ("sphere3", "rosenlin2"):
         pb = load_problem(name)
         trace = run(pb, SolverConfig(strategy="linesearch", max_iters=200,
-                                     noise=NoiseModel(1e-3, seed=0), **SECTION6), seed=1)
+                                     noise=1e-3, noise_seed=0, **SECTION6), seed=1)
         report = audit_trace(trace, pb)
         decomposition_checks = [c for c in report.checks
                                 if c.name in ("tangential_in_null_space",
@@ -93,9 +92,8 @@ def test_criterion_3_deterministic_convergence():
     results = {}
     for name in builtin_names():
         pb = load_problem(name)
-        config = SolverConfig(strategy="linesearch", max_iters=1000,
-                              feas_tol=1e-6, stat_tol=1e-4,
-                              noise=NoiseModel(0.0, seed=0), **SECTION6)
+        config = SolverConfig(strategy="linesearch", max_iters=1000, feas_tol=1e-6, stat_tol=1e-4,
+                              **SECTION6)
         trace = run(pb, config, seed=0)
         results[name] = (trace.status, trace.iterations)
     elapsed = time.perf_counter() - t0
@@ -112,14 +110,14 @@ def test_criterion_4_tangential_unbiasedness():
     grad, c, jac = ev.grad[0], ev.c[0], ev.jac[0]
     H = np.eye(3)
     _, _, u_true, _, _ = solve_step(H, jac, grad, c)
-    noise = NoiseModel(1e-1, seed=2025)
-    stream = noise.stream()
+    config = SolverConfig(noise=1e-1, noise_seed=2025)
+    stream = config.stream(0)
     n_samples = 10_000
     samples = np.empty((n_samples, 3))
     from tssqp.problems import standard_normal_vector
 
     for i in range(n_samples):
-        g = grad + np.sqrt(noise.epsilon_n) * standard_normal_vector([stream], 3, 1)[0, 0]
+        g = grad + np.sqrt(config.noise) * standard_normal_vector([stream], 3, 1)[0, 0]
         _, _, u, _, _ = solve_step(H, jac, g, c)
         samples[i] = u
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
@@ -148,7 +146,7 @@ def test_criterion_5_feasibility_rate():
         for trial in range(20):
             config = SolverConfig(strategy="fixed", alpha_rule="lower",
                                   max_iters=K, eta=0.1, nu=0.1, theta=1.0,
-                                  noise=NoiseModel(1e-3, seed=99))
+                                  noise=1e-3, noise_seed=99)
             trace = run(pb, config, seed=trial)
             assert trace.iterations == K, "rate runs must use the whole horizon"
             vals.append(np.mean([rec.c_l1 for rec in trace.records]))
@@ -199,7 +197,7 @@ def test_criterion_7_line_search_contracts():
         for strategy in ("linesearch", "ablation"):
             for eps, seed in ((0.0, 0), (1e-1, 1), (1e-3, 2)):
                 config = SolverConfig(strategy=strategy, max_iters=400,
-                                      noise=NoiseModel(eps, seed=seed), **SECTION6)
+                                      noise=eps, noise_seed=seed, **SECTION6)
                 trace = run(pb, config, seed=seed)
                 report = audit_trace(trace, pb)
                 wanted = {"decrease_certificate", "backtrack_count_bound",

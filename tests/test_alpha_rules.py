@@ -15,7 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from tssqp import NoiseModel, SolverConfig, load_problem, run
+from tssqp import SolverConfig, load_problem, run
 
 DATA = Path(__file__).parent / "data" / "alpha_rules.json"
 
@@ -44,7 +44,7 @@ def outcomes() -> dict:
     out = {}
     for problem, strategy, rule, noise, seed in CASES:
         config = SolverConfig(strategy=strategy, alpha_rule=rule, max_iters=200,
-                              noise=NoiseModel(noise, seed=0))
+                              noise=noise)
         trace = run(load_problem(problem), config, seed=seed)
         out[f"{problem}|{strategy}|{rule}|{noise!r}|{seed}"] = [
             repr(trace.status), trace.iterations, repr(trace.feas_error),

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from tssqp import NoiseModel, SolverConfig, audit_trace, load_problem, run, run_lanes
+from tssqp import SolverConfig, audit_trace, load_problem, run, run_lanes
 from test_alpha_rules import _digest
 
 STRATEGIES = ("fixed", "adaptive", "linesearch", "ablation")
@@ -39,14 +39,15 @@ def _random_file(rng, path, kind: int) -> str:
     return str(path)
 
 
-def _random_config(rng, strategy: str, noise: NoiseModel) -> SolverConfig:
+def _random_config(rng, strategy: str, noise_seed: int) -> SolverConfig:
     rules = ("lower", "upper") if strategy == "adaptive" else ("lower", "upper", "backtrack")
     return SolverConfig(
         strategy=strategy, max_iters=int(rng.integers(0, 120)),
         feas_tol=10.0 ** rng.uniform(-8, -3), stat_tol=10.0 ** rng.uniform(-6, -2),
         eta=10.0 ** rng.uniform(-3, 0.5), nu=10.0 ** rng.uniform(-2, 0.3), theta=rng.uniform(0.0, 2.0),
         xi=rng.uniform(1e-4, 0.5), rho=rng.uniform(0.1, 0.9), q0=10.0 ** rng.uniform(-9, 0),
-        b0=10.0 ** rng.uniform(-2, 1), alpha_rule=rules[int(rng.integers(len(rules)))], noise=noise,
+        b0=10.0 ** rng.uniform(-2, 1), alpha_rule=rules[int(rng.integers(len(rules)))],
+        noise_seed=noise_seed,
     )
 
 
@@ -57,9 +58,8 @@ def test_random_files_and_configs(tmp_path, block):
         problem = load_problem(_random_file(rng, tmp_path / f"fuzz{block}_{case}.json", case % 3))
         for strategy in STRATEGIES:
             noise_seed = int(rng.integers(1000))
-            config = _random_config(rng, strategy, NoiseModel(0.0, seed=noise_seed))
-            noisy = NoiseModel(10.0 ** rng.uniform(-4, 0), seed=noise_seed)
-            configs = [config, dataclasses.replace(config, noise=noisy)]
+            config = _random_config(rng, strategy, noise_seed)
+            configs = [config, dataclasses.replace(config, noise=10.0 ** rng.uniform(-4, 0))]
             seeds = [int(s) for s in rng.integers(2**63, size=2)]
             for lane, lane_config, seed in zip(run_lanes(problem, configs, seeds), configs, seeds):
                 alone = run(problem, lane_config, seed=seed)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -113,20 +114,18 @@ class TestRunExperiment:
         assert all(r.audit is not None and r.audit.passed for r in rows)
 
     def test_plan_validation(self):
+        # a plan is checked when it is built; so is the config it carries
         with pytest.raises(ConfigError):
-            _plan(trials=0).validate()
-        with pytest.raises(ConfigError):
-            _plan(strategies=("sgd",)).validate()
-        with pytest.raises(ConfigError):
-            _plan(noise_levels=(-1.0,)).validate()
-        with pytest.raises(ConfigError):
-            _plan(noise_levels=(float("nan"),)).validate()
-        for bad in (dict(trials=2.5), dict(trials=True), dict(base_seed=-1),
+            SolverConfig(max_iters="5")
+        for bad in (dict(trials=0), dict(strategies=("sgd",)), dict(noise_levels=(-1.0,)),
+                    dict(noise_levels=(float("nan"),)), dict(noise_levels=(math.inf,)),
+                    dict(trials=2.5), dict(trials=True), dict(base_seed=-1),
                     dict(problems=("qp2", "qp2")), dict(strategies=("fixed", "fixed")),
-                    dict(noise_levels=(0.1, 0.1)), dict(noise_levels=("a",)),
-                    dict(config=SolverConfig(max_iters="5"))):
+                    dict(noise_levels=(0.1, 0.1)), dict(noise_levels=("a",)), dict(noise_levels=()),
+                    dict(config=SolverConfig(max_iters=0)),
+                    dict(strategies=("adaptive",), config=SolverConfig(alpha_rule="backtrack"))):
             with pytest.raises(ConfigError):
-                _plan(**bad).validate()
+                _plan(**bad)
 
     def test_section6_shaped_plan(self):
         # 4 problems x 2 strategies x 3 noise levels x 20 trials = 480 rows

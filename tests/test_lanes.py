@@ -9,7 +9,6 @@ import tssqp.solver
 from tssqp import (
     ConfigError,
     ExperimentPlan,
-    NoiseModel,
     Problem,
     SolverConfig,
     audit_trace,
@@ -68,7 +67,7 @@ def test_rows_and_audits_do_not_depend_on_batching(monkeypatch):
 ])
 def test_every_record_matches_its_solo_run(name, strategy, rule):
     problem = load_problem(name)
-    configs = [SolverConfig(strategy=strategy, alpha_rule=rule, max_iters=120, noise=NoiseModel(eps, seed=3))
+    configs = [SolverConfig(strategy=strategy, alpha_rule=rule, max_iters=120, noise=eps, noise_seed=3)
                for eps in (0.0, 1e-5, 0.1, 0.1, 0.0)]
     seeds = [5, 6, 7, 8, 9]
     for lane, config, seed in zip(run_lanes(problem, configs, seeds), configs, seeds):
@@ -108,7 +107,7 @@ def _ridge2() -> Problem:
 
 def test_a_lane_failing_in_the_search_ends_alone():
     problem = _ridge2()
-    configs = [SolverConfig(max_iters=60, noise=NoiseModel(eps, seed=4)) for eps in (0.0, 1.0, 1e-6)]
+    configs = [SolverConfig(max_iters=60, noise=eps, noise_seed=4) for eps in (0.0, 1.0, 1e-6)]
     seeds = [0, 1, 2]
     lanes = run_lanes(problem, configs, seeds)
     assert [lane.fail_reason for lane in lanes] == [None, "evaluation_failure", None]
@@ -140,7 +139,7 @@ def test_a_lane_ending_after_its_reused_lu_leaves_the_others_alone(monkeypatch):
     # restricted with the other factors when the middle lane ends
     bound = linalg._LAPACK is not None
     getrf = count_getrf(monkeypatch)
-    configs = [SolverConfig(max_iters=40, noise=NoiseModel(eps, seed=0)) for eps in (1e-6, 1.0, 1e-4)]
+    configs = [SolverConfig(max_iters=40, noise=eps) for eps in (1e-6, 1.0, 1e-4)]
     lanes = _assert_lanes_match_solo(_ridge40(), configs, [0, 1, 2])
     assert [(t.fail_reason, t.iterations) for t in lanes] == [(None, 40), ("evaluation_failure", 13), (None, 40)]
     assert len(getrf) == (3 + 3 if bound else 0)  # the stack's LUs, then one for each lane's run alone
@@ -155,7 +154,7 @@ def test_configs_may_differ_only_in_noise():
 
 
 def test_noise_free_lane_keeps_gradient_bits_and_draws_nothing():
-    configs = [SolverConfig(noise=NoiseModel(0.0, seed=2)), SolverConfig(noise=NoiseModel(0.1, seed=2))]
+    configs = [SolverConfig(noise=0.0, noise_seed=2), SolverConfig(noise=0.1, noise_seed=2)]
     state = _init_lanes(load_problem("qp2"), configs, [0, 1])
     before = state.streams[0].bit_generator.state
     grad = np.array([[-0.0, 1.5], [-0.0, 1.5]])
@@ -170,7 +169,7 @@ def test_noise_free_lane_keeps_gradient_bits_and_draws_nothing():
 def test_a_lane_leaving_mid_block_leaves_the_others_alone():
     # blocks start at k = 0, 64 and 128; the noisy middle lane crosses the
     # ridge at k = 86 and leaves with part of the second block unspent
-    configs = [SolverConfig(max_iters=150, stat_tol=1e-300, noise=NoiseModel(eps, seed=4))
+    configs = [SolverConfig(max_iters=150, stat_tol=1e-300, noise=eps, noise_seed=4)
                for eps in (1e-6, 1e-2, 1e-3)]
     lanes = _assert_lanes_match_solo(_ridge2(), configs, [1, 0, 2])
     assert [(t.fail_reason, t.iterations) for t in lanes] == [(None, 150), ("evaluation_failure", 86), (None, 150)]
@@ -179,7 +178,7 @@ def test_a_lane_leaving_mid_block_leaves_the_others_alone():
 
 def test_lane_wall_time_is_set_per_lane():
     problem = load_problem("sphere3")
-    configs = [SolverConfig(max_iters=300, noise=NoiseModel(eps, seed=0)) for eps in (0.0, 0.1)]
+    configs = [SolverConfig(max_iters=300, noise=eps) for eps in (0.0, 0.1)]
     fast, slow = run_lanes(problem, configs, [0, 0])
     assert fast.iterations < slow.iterations
     assert 0.0 < fast.wall_s <= slow.wall_s
@@ -188,7 +187,7 @@ def test_lane_wall_time_is_set_per_lane():
 @pytest.mark.parametrize("name", ["qp2", "sphere3"])  # one J for every point, and one J per point
 def test_factorization_failure_ends_every_lane_with_its_token(name):
     problem = dataclasses.replace(load_problem(name), h_matrix=-np.eye(load_problem(name).n))
-    configs = [SolverConfig(noise=NoiseModel(eps, seed=1)) for eps in (0.0, 0.1)]
+    configs = [SolverConfig(noise=eps, noise_seed=1) for eps in (0.0, 0.1)]
     lanes = run_lanes(problem, configs, [0, 1])
     solo = [run(problem, config, seed=seed) for config, seed in zip(configs, [0, 1])]
     assert [t.fail_reason for t in lanes] == [t.fail_reason for t in solo] == ["indefinite_reduced_hessian"] * 2
@@ -241,7 +240,7 @@ def _assert_lanes_match_solo(problem, configs, seeds, x0=None) -> list:
 @pytest.mark.parametrize("strategy", ["linesearch", "ablation"])
 def test_some_lanes_fail_a_factorization_and_the_others_go_on(case, strategy):
     problem, token = _PARTIAL_FAILURES[case]
-    configs = [SolverConfig(strategy=strategy, max_iters=80, noise=NoiseModel(eps, seed=5))
+    configs = [SolverConfig(strategy=strategy, max_iters=80, noise=eps, noise_seed=5)
                for eps in (0.0, 1.0, 0.0, 1.0, 0.0)]
     lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2, 3, 4])
     assert [t.fail_reason for t in lanes[::2]] == [None] * 3
@@ -254,7 +253,7 @@ def test_converged_lanes_end_before_their_step_factorization_fails(name):
     # Z'HZ = -Z'Z fails its check, but every lane starts at a KKT point
     base = load_problem(name)
     problem = dataclasses.replace(base, h_matrix=-np.eye(base.n))
-    configs = [SolverConfig(noise=NoiseModel(eps, seed=1)) for eps in (0.0, 0.1, 1e-5)]
+    configs = [SolverConfig(noise=eps, noise_seed=1) for eps in (0.0, 0.1, 1e-5)]
     lanes = _assert_lanes_match_solo(problem, configs, [0, 1, 2], x0=base.known_kkt[0])
     assert [(t.status, t.iterations) for t in lanes] == [("converged", 0)] * 3
 
@@ -282,7 +281,7 @@ def test_failed_lanes_cost_no_factorization(monkeypatch, case, per_iteration):
     # the survivors' factors are restricted, never computed again; a J stack
     # whose bytes stay the same is not factored again either
     problem, token = _PARTIAL_FAILURES[case]
-    configs = [SolverConfig(strategy="ablation", max_iters=20, noise=NoiseModel(eps, seed=5))
+    configs = [SolverConfig(strategy="ablation", max_iters=20, noise=eps, noise_seed=5)
                for eps in (0.0, 1.0, 1.0)]
     traces, svds = _svds_per_iteration(monkeypatch, problem, configs)
     assert [t.fail_reason for t in traces] == [None, token, token]

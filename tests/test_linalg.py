@@ -10,7 +10,6 @@ import pytest
 from tssqp import (
     DimensionMismatch,
     IndefiniteReducedHessian,
-    NoiseModel,
     RankDeficientJacobian,
     SolverConfig,
     evaluate,
@@ -161,7 +160,7 @@ class TestComposeDirection:
     @staticmethod
     def _step(strategy="linesearch", x0=None, **kwargs):
         pb = load_problem("qp2")
-        config = SolverConfig(strategy=strategy, noise=NoiseModel(0.0, seed=0), **kwargs)
+        config = SolverConfig(strategy=strategy, **kwargs)
         return first_iteration(pb, config, x0=x0).records[0][0]
 
     def test_scaled_tangential(self):
@@ -183,7 +182,7 @@ class TestComposeDirection:
         for strategy, rule in (("fixed", "lower"), ("fixed", "backtrack"), ("adaptive", "upper"),
                                ("linesearch", "lower"), ("ablation", "lower")):
             config = SolverConfig(strategy=strategy, alpha_rule=rule, max_iters=20,
-                                  noise=NoiseModel(0.1, seed=0))
+                                  noise=0.1)
             for rec in run(pb, config, seed=3).records:
                 if strategy == "ablation":
                     # solve_step forms p = u + v
@@ -193,7 +192,7 @@ class TestComposeDirection:
 
     def test_nonpositive_beta(self):
         # a denormal eta underflows beta = eta / sqrt(max_iters) to 0
-        config = SolverConfig(strategy="fixed", eta=5e-324, noise=NoiseModel(0.0, seed=0))
+        config = SolverConfig(strategy="fixed", eta=5e-324)
         trace = run(load_problem("qp2"), config)
         assert (trace.fail_reason, trace.iterations) == ("stepsize_underflow", 0)
 

@@ -8,7 +8,6 @@ from tssqp import (
     ConfigError,
     DimensionMismatch,
     EvaluationFailure,
-    NoiseModel,
     ParseError,
     Problem,
     UnknownProblem,
@@ -206,10 +205,9 @@ class TestProblemFields:
             dataclasses.replace(load_problem("sphere3"), **fields)
 
 
-def _noisy_gradient(grad, noise, stream):
-    """One draw g = grad + sqrt(eps) * z through the solver's lane noise, from `stream`."""
-    state = _init_lanes(load_problem("qp2"), [SolverConfig(noise=noise)], [0])
-    state.streams = [stream]
+def _noisy_gradient(grad, config):
+    """One draw g = grad + sqrt(eps) * z through the solver's lane noise, from `config.stream(0)`."""
+    state = _init_lanes(load_problem("qp2"), [config], [0])
     return _noisy_gradients(grad[None], state, 1)[0]
 
 
@@ -218,19 +216,18 @@ class TestStochasticGradient:
 
     def test_zero_variance_is_exact(self):
         pb = load_problem("qp2")
-        noise = NoiseModel(0.0, seed=42)
         x = np.array([0.7, -0.2])
         grad = _at(pb, x).grad[0]
-        g = _noisy_gradient(grad, noise, noise.stream())
+        g = _noisy_gradient(grad, SolverConfig(noise_seed=42))
         np.testing.assert_array_equal(g, grad)
 
     def test_same_seed_same_draw(self):
         pb = load_problem("qp2")
-        noise = NoiseModel(1e-1, seed=7)
+        config = SolverConfig(noise=1e-1, noise_seed=7)
         x = np.array([1.0, 0.0])
         grad = _at(pb, x).grad[0]
-        g1 = _noisy_gradient(grad, noise, noise.stream())
-        g2 = _noisy_gradient(grad, noise, noise.stream())
+        g1 = _noisy_gradient(grad, config)
+        g2 = _noisy_gradient(grad, config)
         np.testing.assert_array_equal(g1, g2)
 
     def test_monte_carlo_mean_and_variance(self):
@@ -239,13 +236,10 @@ class TestStochasticGradient:
         # and E||g - grad||^2 within 5% of n * eps.
         pb = load_problem("qp2")
         eps = 1e-1
-        noise = NoiseModel(eps, seed=123)
-        stream = noise.stream()
         x = np.array([1.0, 0.0])
         grad = _at(pb, x).grad[0]
-        config = SolverConfig(noise=noise)
+        config = SolverConfig(noise=eps, noise_seed=123)
         state = _init_lanes(pb, [config], [0])
-        state.streams = [stream]
         draws = np.array([
             _noisy_gradients(grad[None], state, config.max_iters)[0] for _ in range(100_000)
         ])
@@ -263,8 +257,8 @@ class TestStandardNormalBlock:
         # bits of its own transform, and leaves every stream where k draws do
         for B in (1, 2, 7, 40):
             for k in (1, 2, 63, 64):
-                streams = [NoiseModel(0.1, seed=B).stream(lane) for lane in range(B)]
-                copies = [NoiseModel(0.1, seed=B).stream(lane) for lane in range(B)]
+                streams = [SolverConfig(noise_seed=B).stream(lane) for lane in range(B)]
+                copies = [SolverConfig(noise_seed=B).stream(lane) for lane in range(B)]
                 block = standard_normal_vector(streams, n, k)
                 assert block.shape == (B, k, n)
                 one_by_one = [standard_normal_vector(copies, n, 1)[:, 0] for _ in range(k)]

@@ -1,15 +1,15 @@
 import dataclasses
 import json
+import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 
 import tssqp.solver
 from tssqp import (
+    ConfigError,
     EvaluationFailure,
-    NoiseModel,
     Problem,
     SolverConfig,
     evaluate,
@@ -35,7 +35,7 @@ from oracles import count_getrf, first_iteration
 
 
 def _config(**kwargs) -> SolverConfig:
-    base = dict(strategy="linesearch", noise=NoiseModel(0.0, seed=0))
+    base = dict(strategy="linesearch")
     base.update(kwargs)
     return SolverConfig(**base)
 
@@ -98,7 +98,7 @@ class TestStep:
                 if strategy in ("linesearch", "ablation") and rule == "upper":
                     continue
                 config = _config(strategy=strategy, alpha_rule=rule, max_iters=50,
-                                 noise=NoiseModel(1e-3, seed=1))
+                                 noise=1e-3, noise_seed=1)
                 trace = run(pb, config, seed=4)
                 for rec in trace.records:
                     assert rec.alpha_lo <= rec.alpha <= rec.alpha_hi
@@ -144,7 +144,7 @@ class TestRun:
 
     def test_trace_determinism(self):
         pb = load_problem("sphere3")
-        config = _config(noise=NoiseModel(1e-1, seed=5), max_iters=60)
+        config = _config(noise=1e-1, noise_seed=5, max_iters=60)
         t1 = run(pb, config, seed=9)
         t2 = run(pb, config, seed=9)
         assert t1.status == t2.status and t1.iterations == t2.iterations
@@ -156,7 +156,7 @@ class TestRun:
     def test_feasible_start_stays_feasible_on_linear_constraint(self):
         pb = load_problem("qp2")
         config = _config(strategy="fixed", nu=0.5, eta=1.0, max_iters=100,
-                         noise=NoiseModel(1e-2, seed=3))
+                         noise=1e-2, noise_seed=3)
         trace = run(pb, config, seed=1, x0=np.array([1.0, 0.7]))
         assert trace.records, "run should take steps (stationarity not yet met)"
         for rec in trace.records:
@@ -174,7 +174,7 @@ class TestRun:
 
     def test_decomposition_invariants_along_run(self):
         pb = load_problem("quadsphere4")
-        trace = run(pb, _config(noise=NoiseModel(1e-3, seed=2), max_iters=80), seed=3)
+        trace = run(pb, _config(noise=1e-3, noise_seed=2, max_iters=80), seed=3)
         for rec in trace.records:
             _, _, c, jac = pb.eval_fn(rec.x)
             assert np.abs(jac @ rec.u).max() <= 1e-8 * max(1.0, np.abs(rec.u).max())
@@ -307,7 +307,7 @@ class TestWorkPerIteration:
         ("lincirc2", dict(strategy="adaptive"), False),
     ])
     def test_one_full_evaluation_per_iteration(self, monkeypatch, name, kwargs, searches):
-        config = _config(noise=NoiseModel(1e-2, seed=1), max_iters=150, **kwargs)
+        config = _config(noise=1e-2, noise_seed=1, max_iters=150, **kwargs)
         trace, calls = self._counted_run(monkeypatch, name, config)
         assert trace.status != FAILED and trace.iterations > 0
         assert calls["evaluate"] == trace.iterations + 1
@@ -316,7 +316,7 @@ class TestWorkPerIteration:
 
     def test_constant_jacobian_is_factored_once(self, monkeypatch):
         trace, calls = self._counted_run(
-            monkeypatch, "qplin5", _config(noise=NoiseModel(1e-1, seed=1), max_iters=200)
+            monkeypatch, "qplin5", _config(noise=1e-1, noise_seed=1, max_iters=200)
         )
         assert trace.iterations == 200
         # one full SVD for the step and one reduced SVD for the multiplier
@@ -339,7 +339,7 @@ class TestWorkPerIteration:
 
     def test_a_jacobian_seen_once_pays_no_lu(self, monkeypatch):
         getrf = count_getrf(monkeypatch)
-        configs = [_config(max_iters=30, noise=NoiseModel(eps, seed=2)) for eps in (0.0, 0.1)]
+        configs = [_config(max_iters=30, noise=eps, noise_seed=2) for eps in (0.0, 0.1)]
         traces = run_lanes(self._sphere60(linear=False), configs, [0, 1])
         assert [t.iterations for t in traces] == [30, 30]
         assert getrf == []
@@ -348,7 +348,7 @@ class TestWorkPerIteration:
         if linalg._LAPACK is None:
             pytest.skip("numpy's LAPACK exports no dgetrf here")
         getrf = count_getrf(monkeypatch)
-        configs = [_config(max_iters=30, noise=NoiseModel(eps, seed=2)) for eps in (0.0, 0.1)]
+        configs = [_config(max_iters=30, noise=eps, noise_seed=2) for eps in (0.0, 0.1)]
         traces = run_lanes(self._sphere60(linear=True), configs, [0, 1])
         assert [t.iterations for t in traces] == [30, 30]
         assert len(getrf) == 2
@@ -373,8 +373,8 @@ class TestAblation:
 
     def test_sphere3_noisy_medians_favor_two_stepsizes(self):
         pb = load_problem("sphere3")
-        ls_cfg = _config(noise=NoiseModel(1e-1, seed=11))
-        ab_cfg = _config(strategy="ablation", noise=NoiseModel(1e-1, seed=11))
+        ls_cfg = _config(noise=1e-1, noise_seed=11)
+        ab_cfg = _config(strategy="ablation", noise=1e-1, noise_seed=11)
         ls = [run(pb, ls_cfg, seed=s).feas_error for s in range(10)]
         ab = [run(pb, ab_cfg, seed=s).feas_error for s in range(10)]
         assert np.median(ab) >= np.median(ls)
@@ -383,14 +383,14 @@ class TestAblation:
 class TestNoiseBlocks:
     def test_no_draw_past_the_budget(self):
         pb = load_problem("sphere3")
-        config = _config(max_iters=3, noise=NoiseModel(0.1, seed=6))
+        config = _config(max_iters=3, noise=0.1, noise_seed=6)
         state = _init_lanes(pb, [config], [4])
         stream = state.streams[0]
         with np.errstate(over="ignore", invalid="ignore"):
             while step(state, pb, config):
                 pass
         assert (state.status[0], len(state.records[0])) == (BUDGET_EXHAUSTED, 3)
-        fresh = config.noise.stream(4)
+        fresh = config.stream(4)
         for _ in range(3):
             fresh.random(2 * 2)  # one random(2 * half) call per iteration, half = 2 at n = 3
         assert stream.bit_generator.state == fresh.bit_generator.state
@@ -422,30 +422,36 @@ class TestConfigValidation:
         dict(eta=float("nan")),
         dict(theta=float("nan")),
         dict(q0=float("nan")),
-        dict(noise=NoiseModel(float("nan"), seed=0)),
+        dict(noise=float("nan")),
         dict(max_iters=2.5),
         dict(max_iters=True),
         dict(b0=0.0),
-        # Built inside the raises block: NoiseModel checks its level on construction.
-        dict(noise=partial(NoiseModel, -1.0)),
+        dict(noise=-1.0),
         dict(nu=0.0),
         dict(alpha_rule="newton"),
-        dict(noise=partial(NoiseModel, 0.0, seed=-1)),
+        dict(noise_seed=-1),
         dict(eta="0.1"),
         dict(theta=True),
-        dict(noise=partial(NoiseModel, "x")),
+        dict(noise="x"),
         # A seed is checked when a run starts.
         dict(seed=-1),
         dict(seed=2.5),
         dict(seed=True),
+        dict(noise=math.inf),
+        # Lanes of one run may differ in noise and noise_seed only.
+        dict(lane=dict(eta=0.2)),
     ])
     def test_invalid(self, kwargs):
-        from tssqp import ConfigError
-
+        built = dict(kwargs)
+        seed, lane = built.pop("seed", None), built.pop("lane", None)
+        problem = load_problem("qp2")
+        if lane is not None:
+            base = _config(max_iters=2)
+            run_lanes(problem, [base, dataclasses.replace(base, noise=0.1, noise_seed=1)], [0, 1])
         with pytest.raises(ConfigError):
-            built = {k: v() if isinstance(v, partial) else v for k, v in kwargs.items()}
-            seed = built.pop("seed", None)
-            if seed is None:
-                _config(**built).validate()
+            if seed is not None:
+                run(problem, _config(**built), seed=seed)
+            elif lane is not None:
+                run_lanes(problem, [base, dataclasses.replace(base, **lane)], [0, 1])
             else:
-                run(load_problem("qp2"), _config(**built), seed=seed)
+                _config(**built)

@@ -6,7 +6,6 @@ import pytest
 from tssqp import (
     EvaluationFailure,
     InvalidLineSearchConfig,
-    NoiseModel,
     SolverConfig,
     adaptive_update,
     backtrack_count_bound,
@@ -21,7 +20,7 @@ from oracles import first_iteration, replay_backtrack
 def _first_record(**kwargs):
     """The record of the first iteration on sphere3 from its start point."""
     pb = load_problem("sphere3")
-    config = SolverConfig(noise=NoiseModel(0.0, seed=0), **kwargs)
+    config = SolverConfig(**kwargs)
     return first_iteration(pb, config).records[0][0]
 
 
@@ -56,7 +55,7 @@ class TestAdaptiveUpdate:
         # step chains the same update from b0, and q^2 += ||c||_1 from q0
         pb = load_problem("sphere3")
         config = SolverConfig(strategy="adaptive", eta=0.5, nu=0.8, theta=2.0, b0=1.5, q0=0.3,
-                              alpha_rule="upper", max_iters=30, noise=NoiseModel(0.1, seed=2))
+                              alpha_rule="upper", max_iters=30, noise=0.1, noise_seed=2)
         b, q = config.b0, config.q0
         for rec in run(pb, config, seed=1).records:
             b = adaptive_update(b, float(rec.u @ rec.u))
@@ -73,7 +72,7 @@ class TestAdaptiveUpdate:
             b_next = adaptive_update(b, rng.exponential())
             assert b_next >= b
             b = b_next
-        config = SolverConfig(strategy="adaptive", max_iters=200, noise=NoiseModel(0.1, seed=0))
+        config = SolverConfig(strategy="adaptive", max_iters=200, noise=0.1)
         records = run(load_problem("sphere3"), config, seed=0).records
         assert len(records) == 200
         for prev, rec in zip(records, records[1:]):
