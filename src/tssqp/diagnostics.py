@@ -8,9 +8,10 @@ constants taken as empirical maxima over the trace.  Empirical maxima make the
 merit check strictly weaker than its idealized form with global suprema; the
 report header says so.
 
-A trace is checked as one stack: the oracles are evaluated once on all
-recorded iterates (and once on all certified trial points), and each check is
-one array of margins, one per record it applies to.  A margin > 0 is a
+A trace is checked as one stack, read from its record table without building
+record objects: the oracles are evaluated once on all recorded iterates (and
+once on all certified trial points), and each check is one array of margins,
+one per record it applies to.  A margin > 0 is a
 violation, and so is a NaN one (from an overflow; warnings are off, as in the
 solver).  Only operations that give each record the bits of its own
 computation are used (see `linalg`).
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import dot, mv
 from .problems import Problem, evaluate, evaluate_c
-from .solver import Trace
+from .solver import Trace, record_fields
 from .stepsize import backtrack_count_bound
 
 _MERIT_NOTE = (
@@ -122,14 +123,13 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
         raise ConfigError(f"a trace of {trace.problem!r} with iterates of shape {np.shape(trace.x_final)} "
                           f"cannot be audited against {problem.name!r} with n={problem.n}")
     report = AuditReport(trace.problem, trace.strategy, trace.iterations, _MERIT_NOTE)
-    if not trace.records:
+    if not trace.columns:
         report.checks = [CheckResult(name, True) for name in _CHECKS]
         return report
-    k, x, u, v, d, alpha, beta, lo, hi, n_backtracks, hit, c_l1, c_l2, sigma_min = (
-        np.array(column) for column in zip(*[
-            (r.k, r.x, r.u, r.v, r.d, r.alpha, r.beta, r.alpha_lo, r.alpha_hi, r.n_backtracks,
-             r.hit_safeguard, r.c_l1, r.c_l2, r.sigma_min)
-            for r in trace.records]))
+    x, u, v, d, _, scalars = record_fields(trace.table(), problem.n)
+    x, u, v, d = (np.ascontiguousarray(a) for a in (x, u, v, d))
+    alpha, beta, lo, hi, n_backtracks, hit, c_l1, c_l2, _, _, sigma_min = np.ascontiguousarray(scalars.T)
+    k, hit = np.arange(len(x)), hit != 0
     searched = np.full(len(k), trace.config.searches)
     certified, safeguarded = searched & ~hit, searched & hit
     xi, rho = trace.config.xi, trace.config.rho

@@ -135,6 +135,19 @@ per iteration for B = 40 and 1950, 1757 and 2028 us for B = 160 (medians of
 a block and its Box-Muller temporaries stay within a few MB.
 """
 
+RECORD_BLOCK_ITERS = 128
+"""Iterations of records one block of a run's record store holds (see `_record`).
+
+The store grows one block at a time, of RECORD_BLOCK_ITERS iterations (fewer
+where the budget ends sooner) x the lanes running x 4n + m + 11 floats, so a
+lane that ends early leaves at most one block's rows unused and a huge budget
+allocates nothing up front.
+"""
+
+RECORD_SCALARS = ("alpha", "beta", "alpha_lo", "alpha_hi", "n_backtracks", "hit_safeguard",
+                  "c_l1", "c_l2", "c_inf", "stat_inf", "sigma_min")
+"""The scalar fields of `IterationRecord`, in the order of the last columns of a record table."""
+
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 FAILED = "failed"
@@ -222,10 +235,14 @@ class SolverState:
     multiplier factors, step factors, step failures) for the last J stack
     factored, restricted to the rows left.
 
-    Entry j of `records`, `first`, `least`, `status`, `error`, `x_final` and
-    `wall_s` belong to lane j, whether it still runs or not: its records, the
-    errors at its first sufficiently feasible and at its least infeasible
-    iterate, how it ended, and its final iterate and time since `start`.
+    The record store is `block`, the current (lanes, iterations, 4n + m + 11)
+    block of records, whose row `block_rows[i]` belongs to row i of `x` (see
+    `_record`).  Entry j of `records`, `first`, `least`, `status`, `error`,
+    `x_final` and `wall_s` belong to lane j, whether it still runs or not:
+    its records, as its rows of the blocks it ran in (views, cut to its
+    iteration count when it ends), the errors at its first sufficiently
+    feasible and at its least infeasible iterate, how it ended, and its final
+    iterate and time since `start`.
     """
 
     k: int
@@ -240,7 +257,9 @@ class SolverState:
     noise: np.ndarray
     noise_at: int = 0
     factors: Optional[tuple] = None
-    records: list[list[IterationRecord]] = field(init=False)
+    block: np.ndarray = field(init=False)
+    block_rows: np.ndarray = field(init=False)
+    records: list[list[np.ndarray]] = field(init=False)
     first: list[Optional[tuple[float, float]]] = field(init=False)
     least: list[tuple[float, tuple[float, float]]] = field(init=False)
     status: list[str] = field(init=False)
@@ -250,6 +269,7 @@ class SolverState:
 
     def __post_init__(self) -> None:
         B = len(self.lane)
+        self.block, self.block_rows = np.empty((B, 0, 0)), np.arange(B)
         self.records = [[] for _ in range(B)]
         self.first, self.error, self.x_final = [None] * B, [None] * B, [None] * B
         self.least = [(math.inf, (math.nan, math.nan))] * B
@@ -269,10 +289,14 @@ class SolverState:
             self.status[lane], self.error[lane] = status, error
             self.x_final[lane] = self.x[row].copy()
             self.wall_s[lane] = now
+            blocks = self.records[lane]
+            if blocks:  # the lane has self.k records, the last of them in its last block
+                blocks[-1] = blocks[-1][:self.k - RECORD_BLOCK_ITERS * (len(blocks) - 1)]
         keep = np.ones(len(self.lane), dtype=bool)
         keep[list(ended)] = False
-        self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise = _restrict(
-            (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise), keep)
+        (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise,
+         self.block_rows) = _restrict((self.x, self.scale, self.lane, self.streams, self.b, self.q,
+                                       self.factors, self.noise, self.block_rows), keep)
         return _restrict(values, keep)
 
     def observe(self, feas: np.ndarray, stat: np.ndarray, config: SolverConfig) -> dict:
@@ -295,7 +319,8 @@ class IterationRecord:
     """Per-iteration instrumentation, all quantities at the pre-step iterate x.
 
     `d` is the direction actually taken: beta * u + v, or beta * p for the
-    ablation strategy.
+    ablation strategy.  Records are built only on access to `Trace.records`,
+    from a row of the trace's record table: the arrays are views of that row.
     """
 
     k: int
@@ -322,14 +347,18 @@ class Trace:
     """A finished run together with the configuration that produced it.
 
     `wall_s` is the time from the start of the `run`/`run_lanes` call until
-    this lane finished.
+    this lane finished.  `columns` holds the lane's records as consecutive
+    row blocks of its run's record store, one per block of iterations it ran
+    in: row k is record k's x, u, v, d (n each), y (m) and RECORD_SCALARS
+    (n_backtracks and hit_safeguard as 0/1 floats), 4n + m + 11 float64
+    columns (see `table` and `record_fields`).
     """
 
     problem: str
     config: SolverConfig
     status: str
     fail_reason: Optional[str]
-    records: list[IterationRecord]
+    columns: tuple[np.ndarray, ...]
     iterations: int
     feas_error: float
     stat_error: float
@@ -341,6 +370,33 @@ class Trace:
     @property
     def strategy(self) -> str:
         return self.config.strategy
+
+    def table(self) -> np.ndarray:
+        """The lane's records as one (iterations, 4n + m + 11) table: a view of its one
+        block, or a copy joining its blocks.  A trace without records has none."""
+        return self.columns[0] if len(self.columns) == 1 else np.concatenate(self.columns)
+
+    @property
+    def records(self) -> list[IterationRecord]:
+        """One `IterationRecord` per iteration, built from `columns` on each access: Python
+        scalars, and (n,)/(m,) views of the record table for the vectors."""
+        return _records(self.table(), len(self.x_final)) if self.columns else []
+
+
+def record_fields(table: np.ndarray, n: int) -> list[np.ndarray]:
+    """[x, u, v, d, y, scalars] of a record table (iterations, 4n + m + 11), as views:
+    x, u, v, d (iterations, n), y (iterations, m) and scalars (iterations, 11), whose
+    columns are RECORD_SCALARS."""
+    return np.split(table, (n, 2 * n, 3 * n, 4 * n, table.shape[1] - len(RECORD_SCALARS)), axis=1)
+
+
+def _records(table: np.ndarray, n: int) -> list[IterationRecord]:
+    """The records of the rows of a record table, row k as iteration k."""
+    x, u, v, d, y, scalars = record_fields(table, n)
+    return [IterationRecord(k, x[k], u[k], v[k], d[k], y[k], alpha, beta, lo, hi, int(backtracks),
+                            bool(hit), c_l1, c_l2, c_inf, stat, sigma_min)
+            for k, (alpha, beta, lo, hi, backtracks, hit, c_l1, c_l2, c_inf, stat, sigma_min)
+            in enumerate(scalars.tolist())]
 
 
 def _h_matrix(problem: Problem) -> np.ndarray:
@@ -421,6 +477,19 @@ def _restrict(value, keep: np.ndarray):
     return value[keep]
 
 
+def _record(state: SolverState, rows: np.ndarray, max_iters: int) -> None:
+    """Write iteration k's records, one row per lane running, with one assignment into the
+    record store; at the first iteration of a block, first start a block of at most
+    RECORD_BLOCK_ITERS iterations, never past the budget, and give each lane its row."""
+    j = state.k % RECORD_BLOCK_ITERS
+    if j == 0:
+        state.block = np.empty((len(rows), min(RECORD_BLOCK_ITERS, max_iters - state.k), rows.shape[1]))
+        state.block_rows = np.arange(len(rows))
+        for lane, block in zip(state.lane.tolist(), state.block):
+            state.records[lane].append(block)
+    state.block[state.block_rows, j] = rows
+
+
 def _observe(state: SolverState, problem: Problem):
     """Evaluate every lane and measure (||c||_inf, stationarity); ends the lanes that fail here.
 
@@ -455,7 +524,7 @@ def _observe(state: SolverState, problem: Problem):
 
 def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: np.ndarray, c: np.ndarray,
              c_inf: np.ndarray, stat: np.ndarray) -> None:
-    """Take one step on every lane from `_observe`'s values; appends records, ends lanes that fail."""
+    """Take one step on every lane from `_observe`'s values; writes their records, ends lanes that fail."""
     grad, c, c_inf, stat = state.end(state.factors[3], FAILED, grad, c, c_inf, stat)
     if not len(c):
         return
@@ -507,10 +576,9 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
         alpha_l = lo_l if config.alpha_rule == "lower" else hi_l
         hit_safeguard, n_backtracks = [False] * len(c), [0] * len(c)
 
-    for row in zip(state.lane.tolist(), state.x, u, v, direction, y, alpha_l, beta_l, lo_l, hi_l,
-                   n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)).tolist(), c_inf.tolist(),
-                   stat.tolist(), sigma_min):
-        state.records[row[0]].append(IterationRecord(state.k, *row[1:]))
+    scalars = np.array((alpha_l, beta_l, lo_l, hi_l, n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)),
+                        c_inf, stat, sigma_min), dtype=float)
+    _record(state, np.concatenate((state.x, u, v, direction, y, scalars.T), axis=1), config.max_iters)
     state.x = state.x + np.array(alpha_l)[:, None] * direction
     state.k += 1
 
@@ -561,8 +629,8 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
             config=lane_config,
             status=state.status[i],
             fail_reason=None if error is None else _FAIL_TOKENS[type(error)],
-            records=state.records[i],
-            iterations=len(state.records[i]),
+            columns=tuple(state.records[i]),
+            iterations=sum(map(len, state.records[i])),
             feas_error=feas_error,
             stat_error=stat_error,
             x_final=state.x_final[i],

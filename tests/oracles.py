@@ -5,26 +5,48 @@ oracle factors the dense augmented saddle-point matrix directly, and the
 backtracking oracle replays the search loop from its written definition.  The
 merit-function quantities and `error_measures` at the end are used only by
 the tests; the solver itself needs none of them.  `first_iteration` takes one
-iteration of a one-lane run the way `run_lanes` does, and `count_getrf` counts
-the LU factorizations of the reduced Hessian.
+iteration of a one-lane run the way `run_lanes` does, `edit_records` corrupts
+a copy of a trace's records for the auditor, and `count_getrf` counts the LU
+factorizations of the reduced Hessian.
 """
+
+import dataclasses
 
 import numpy as np
 
 from tssqp import DimensionMismatch, evaluate, least_squares_multiplier, linalg
-from tssqp.solver import _init_lanes, step
+from tssqp.solver import RECORD_SCALARS, _init_lanes, _records, record_fields, step
 
 
 def first_iteration(problem, config, x0=None, seed=0):
-    """The one-lane state after one `solver.step` from x0 (default problem.x0).
+    """The one-lane state after one `solver.step` from x0 (default problem.x0), and the
+    record of that step.
 
-    `state.x[0]` is the next iterate and `state.records[0][0]` the record of
-    the step, unless the lane ended (see `state.status`/`state.error`).
+    `state.x[0]` is the next iterate, unless the lane ended (see
+    `state.status`/`state.error`; the record is then None).
     """
     state = _init_lanes(problem, [config], [seed], x0)
     with np.errstate(over="ignore", invalid="ignore"):
         step(state, problem, config)
-    return state
+    return state, first_record(state)
+
+
+def first_record(state):
+    """The record of lane 0's first iteration, built from its row of the state's record
+    store; None if the lane took no step."""
+    blocks = state.records[0]
+    return _records(blocks[0][:1], state.h.shape[0])[0] if blocks else None
+
+
+def edit_records(trace, k, **fields):
+    """`trace` with the `fields` of record k replaced, in a copy of its columns (a field
+    name of `IterationRecord` other than k, and its new value)."""
+    table = trace.table().copy()
+    x, u, v, d, y, scalars = record_fields(table, len(trace.x_final))
+    columns = dict(x=x, u=u, v=v, d=d, y=y, **dict(zip(RECORD_SCALARS, scalars.T)))
+    for name, value in fields.items():
+        columns[name][k] = value
+    return dataclasses.replace(trace, columns=(table,))
 
 
 def count_getrf(monkeypatch) -> list:

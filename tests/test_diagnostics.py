@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import tssqp.solver
 from tssqp import (
     ConfigError,
     DimensionMismatch,
@@ -17,6 +18,7 @@ from tssqp import (
     tau_min,
 )
 from oracles import (
+    edit_records,
     error_measures,
     merit_phi,
     model_l,
@@ -154,22 +156,12 @@ class TestAuditTrace:
     def test_fault_injection_breaks_range_check(self):
         pb, trace = self._trace(max_iters=60)
         k_bad = len(trace.records) // 2
-        bad = dataclasses.replace(trace.records[k_bad],
-                                  alpha=trace.records[k_bad].alpha_hi + 1.0)
-        records = list(trace.records)
-        records[k_bad] = bad
-        corrupted = dataclasses.replace(trace, records=records)
+        corrupted = edit_records(trace, k_bad, alpha=trace.records[k_bad].alpha_hi + 1.0)
+        bad = corrupted.records[k_bad]
         report = audit_trace(corrupted, pb)
         check = {c.name: c for c in report.checks}["alpha_in_range"]
         assert not check.passed
         assert check.worst_iteration == bad.k
-
-    @staticmethod
-    def _corrupt(trace, i, **fields):
-        """The trace with record i replaced by a copy that has `fields`."""
-        records = list(trace.records)
-        records[i] = dataclasses.replace(records[i], **fields)
-        return dataclasses.replace(trace, records=records)
 
     @staticmethod
     def _check(report, name):
@@ -189,7 +181,7 @@ class TestAuditTrace:
         # a certified record past the first, with ||c|| and so v and the trial c nonzero
         i = next(i for i, r in enumerate(trace.records) if r.k > 0 and not r.hit_safeguard and r.c_l1 > 1e-3)
         rec = trace.records[i]
-        check = self._check(audit_trace(self._corrupt(trace, i, **corrupt(pb, rec)), pb), name)
+        check = self._check(audit_trace(edit_records(trace, i, **corrupt(pb, rec)), pb), name)
         assert not check.passed and check.violations == 1
         assert check.worst_iteration == rec.k and check.worst_margin > 0
 
@@ -200,7 +192,7 @@ class TestAuditTrace:
         i, j = 5, 20
         hi = trace.records[i].alpha_hi
         assert trace.records[j].alpha_hi == hi
-        corrupted = self._corrupt(self._corrupt(trace, i, alpha=hi + 1.0), j, alpha=hi + shift_j)
+        corrupted = edit_records(edit_records(trace, i, alpha=hi + 1.0), j, alpha=hi + shift_j)
         check = self._check(audit_trace(corrupted, pb), "alpha_in_range")
         assert not check.passed and check.violations == 2
         assert check.worst_margin == (hi + shift_j) - hi
@@ -245,7 +237,7 @@ class TestAuditTrace:
         pb, trace = self._trace(max_iters=40)
         rec = trace.records[0]
         v = rec.v + 1e-6 * np.abs(rec.v).max()
-        corrupted = dataclasses.replace(trace, records=[dataclasses.replace(rec, v=v)] + trace.records[1:])
+        corrupted = edit_records(trace, 0, v=v)
         check = {c.name: c for c in audit_trace(corrupted, pb).checks}["normal_solves_linearized"]
         assert {c.name: c.passed for c in audit_trace(trace, pb).checks}["normal_solves_linearized"]
         assert not check.passed and check.worst_iteration == rec.k
@@ -268,7 +260,7 @@ class TestAuditTrace:
         report = audit_trace(trace, pb)
         assert report.passed, report.to_json()
         i = next(i for i, r in enumerate(trace.records) if r.k > 0 and not r.hit_safeguard and r.c_l1 > 1e-3)
-        check = self._check(audit_trace(self._corrupt(trace, i, c_l1=0.0), pb), "decrease_certificate")
+        check = self._check(audit_trace(edit_records(trace, i, c_l1=0.0), pb), "decrease_certificate")
         assert not check.passed and check.worst_iteration == trace.records[i].k
 
     @pytest.mark.parametrize("strategy", ["linesearch", "fixed"])
@@ -317,6 +309,19 @@ class TestAuditTrace:
         assert row.status == "failed:evaluation_failure"
         check = self._check(row.audit, "merit_parameter_inequality")
         assert not check.passed and check.violations == row.iters and np.isnan(check.worst_margin)
+
+    def test_the_audit_builds_no_record_objects(self, monkeypatch):
+        # the solver stores records as columns and the auditor reads those columns;
+        # an IterationRecord is built only on access to Trace.records
+        def no_record(*args):
+            raise AssertionError("an IterationRecord was built")
+
+        monkeypatch.setattr(tssqp.solver, "IterationRecord", no_record)
+        plan = ExperimentPlan(problems=("qplin5", "sphere3"), strategies=("linesearch", "fixed"),
+                              noise_levels=(0.0, 0.1), trials=2, config=SolverConfig(max_iters=150))
+        rows = run_experiment(plan, audit=True)
+        assert len(rows) == 16 and all(row.audit.passed for row in rows)
+        assert sum(row.iters for row in rows) > 16 * 10
 
     def test_problem_must_be_the_traced_one(self):
         pb, trace = self._trace("lincirc2", max_iters=20)

@@ -161,7 +161,7 @@ class TestComposeDirection:
     def _step(strategy="linesearch", x0=None, **kwargs):
         pb = load_problem("qp2")
         config = SolverConfig(strategy=strategy, **kwargs)
-        return first_iteration(pb, config, x0=x0).records[0][0]
+        return first_iteration(pb, config, x0=x0)[1]
 
     def test_scaled_tangential(self):
         # feasible start: v = 0 and d is the tangential step scaled by beta

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,13 +26,14 @@ from tssqp.solver import (
     FAILED,
     NOISE_BLOCK_FLOATS,
     NOISE_BLOCK_ITERS,
+    RECORD_BLOCK_ITERS,
     _advance,
     _init_lanes,
     _noise_block_iters,
     _observe,
     step,
 )
-from oracles import count_getrf, first_iteration
+from oracles import count_getrf, first_iteration, first_record
 
 
 def _config(**kwargs) -> SolverConfig:
@@ -66,7 +68,7 @@ class TestStep:
         state = _init_lanes(pb, [config], [0], x_star)
         with np.errstate(over="ignore", invalid="ignore"):
             _advance(state, pb, config, *_observe(state, pb))
-        rec = state.records[0][0]
+        rec = first_record(state)
         np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
         assert rec.stat_inf == pytest.approx(0.0, abs=1e-12)
         assert rec.c_inf == 0.0
@@ -76,8 +78,7 @@ class TestStep:
         # fixed strategy, theta = 0: alpha = nu = 1, step lands on the constraint
         pb = load_problem("qp2")
         config = _config(strategy="fixed", nu=1.0, theta=0.0, eta=0.1)
-        state = first_iteration(pb, config, x0=np.zeros(2))
-        rec = state.records[0][0]
+        state, rec = first_iteration(pb, config, x0=np.zeros(2))
         np.testing.assert_allclose(rec.v, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(rec.u, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
@@ -86,7 +87,7 @@ class TestStep:
         pb = load_problem("sphere3")
         config = _config()
         x0 = np.asarray(pb.x0, dtype=float)
-        rec = first_iteration(pb, config).records[0][0]
+        rec = first_iteration(pb, config)[1]
         c0 = np.abs(pb.eval_fn(x0)[2]).sum()
         c1 = np.abs(pb.eval_fn(x0 + rec.alpha * rec.d)[2]).sum()
         assert rec.hit_safeguard or c1 <= (1.0 - config.xi * rec.alpha) * c0
@@ -389,7 +390,7 @@ class TestNoiseBlocks:
         with np.errstate(over="ignore", invalid="ignore"):
             while step(state, pb, config):
                 pass
-        assert (state.status[0], len(state.records[0])) == (BUDGET_EXHAUSTED, 3)
+        assert (state.status[0], sum(map(len, state.records[0]))) == (BUDGET_EXHAUSTED, 3)
         fresh = config.stream(4)
         for _ in range(3):
             fresh.random(2 * 2)  # one random(2 * half) call per iteration, half = 2 at n = 3
@@ -406,6 +407,53 @@ class TestNoiseBlocks:
         assert k * lanes * n <= NOISE_BLOCK_FLOATS or k == 1
         if lanes * n * min(NOISE_BLOCK_ITERS, remaining) <= NOISE_BLOCK_FLOATS:
             assert k == min(NOISE_BLOCK_ITERS, remaining)
+
+
+def _traced_bytes(fn):
+    """fn()'s value, the bytes allocated during it and still held after it, and the peak
+    allocated during it, as `tracemalloc` counts them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held - before, peak - before
+
+
+class TestRecordStore:
+    def test_bytes_held_per_lane_iteration(self):
+        # noisy sphere3 lanes never meet stat_tol, so every lane records its whole budget:
+        # one row of 4n + m + 11 floats per lane-iteration, plus the traces themselves
+        pb = load_problem("sphere3")
+        configs = [_config(max_iters=300, noise=0.1, noise_seed=1)] * 40
+        run_lanes(pb, configs[:2], [0, 1])  # one-off set-up of a process's first run is not the store
+        traces, held, _ = _traced_bytes(lambda: run_lanes(pb, configs, list(range(40))))
+        lane_iterations = sum(t.iterations for t in traces)
+        assert lane_iterations == 40 * 300
+        assert held / lane_iterations <= 1.5 * 8 * (4 * pb.n + pb.m + 11)
+
+    @pytest.mark.parametrize("max_iters", [1, RECORD_BLOCK_ITERS - 1, RECORD_BLOCK_ITERS, RECORD_BLOCK_ITERS + 1,
+                                           2 * RECORD_BLOCK_ITERS + 5])
+    def test_records_chain_across_blocks(self, max_iters):
+        # each record's x is the step from the one before, bitwise, and the last step lands
+        # on x_final, for lanes that end mid-block (noise-free) and at the budget (noisy)
+        pb = load_problem("sphere3")
+        configs = [_config(max_iters=max_iters, noise=noise, noise_seed=3) for noise in (0.0, 0.1, 0.1)]
+        for trace in run_lanes(pb, configs, [0, 1, 2]):
+            records = trace.records
+            assert [r.k for r in records] == list(range(trace.iterations))
+            ends = [r.x for r in records[1:]] + [trace.x_final]
+            for rec, x_next in zip(records, ends):
+                assert (rec.x + rec.alpha * rec.d).tobytes() == x_next.tobytes()
+        assert trace.iterations == max_iters
+
+    def test_a_huge_budget_allocates_little(self):
+        # the store grows by blocks of iterations: no array is sized from max_iters
+        trace, _, peak = _traced_bytes(lambda: run(load_problem("qp2"), _config(max_iters=10**9), seed=0))
+        assert trace.status == CONVERGED and trace.iterations <= 10
+        assert peak < 2 * 2**20
 
 
 class TestConfigValidation:

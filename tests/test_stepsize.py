@@ -21,7 +21,7 @@ def _first_record(**kwargs):
     """The record of the first iteration on sphere3 from its start point."""
     pb = load_problem("sphere3")
     config = SolverConfig(**kwargs)
-    return first_iteration(pb, config).records[0][0]
+    return first_iteration(pb, config)[1]
 
 
 class TestFixedSchedule:
