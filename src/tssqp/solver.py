@@ -348,10 +348,10 @@ class Trace:
 
     `wall_s` is the time from the start of the `run`/`run_lanes` call until
     this lane finished.  `columns` holds the lane's records as consecutive
-    row blocks of its run's record store, one per block of iterations it ran
-    in: row k is record k's x, u, v, d (n each), y (m) and RECORD_SCALARS
-    (n_backtracks and hit_safeguard as 0/1 floats), 4n + m + 11 float64
-    columns (see `table` and `record_fields`).
+    row blocks, views of its run's record store (which they keep alive), one
+    per block of iterations it ran in: row k is record k's x, u, v, d (n
+    each), y (m) and RECORD_SCALARS (n_backtracks and hit_safeguard as 0/1
+    floats), 4n + m + 11 float64 columns (see `table` and `record_fields`).
     """
 
     problem: str
@@ -359,7 +359,6 @@ class Trace:
     status: str
     fail_reason: Optional[str]
     columns: tuple[np.ndarray, ...]
-    iterations: int
     feas_error: float
     stat_error: float
     x_final: np.ndarray
@@ -370,6 +369,10 @@ class Trace:
     @property
     def strategy(self) -> str:
         return self.config.strategy
+
+    @property
+    def iterations(self) -> int:
+        return sum(map(len, self.columns))
 
     def table(self) -> np.ndarray:
         """The lane's records as one (iterations, 4n + m + 11) table: a view of its one
@@ -630,7 +633,6 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
             status=state.status[i],
             fail_reason=None if error is None else _FAIL_TOKENS[type(error)],
             columns=tuple(state.records[i]),
-            iterations=sum(map(len, state.records[i])),
             feas_error=feas_error,
             stat_error=stat_error,
             x_final=state.x_final[i],
