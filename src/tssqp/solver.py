@@ -376,7 +376,8 @@ class Trace:
 
     def table(self) -> np.ndarray:
         """The lane's records as one (iterations, 4n + m + 11) table: a view of its one
-        block, or a copy joining its blocks.  A trace without records has none."""
+        block, or a copy joining its blocks.  A trace without records (no `columns`) has
+        no table and raises ValueError."""
         return self.columns[0] if len(self.columns) == 1 else np.concatenate(self.columns)
 
     @property
