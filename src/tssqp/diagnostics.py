@@ -114,14 +114,17 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
     """Re-verify per-iteration invariants of a finished trace of `problem`.
 
     Calls `eval_fn` once on the stack of recorded iterates and `c_fn` at most
-    once, on the certified trial points; a trace without records calls neither.
-    The line-search parameters `xi`/`rho` come from the trace's own config,
-    the slack and sigma are `_TOL` and `_SIGMA`.  `problem` must carry the
-    trace's problem name and width; ConfigError otherwise.
+    once, on the certified trial points; a trace of no iterations calls neither
+    and passes.  The line-search parameters `xi`/`rho` come from the trace's
+    own config, the slack and sigma are `_TOL` and `_SIGMA`.  `problem` must
+    carry the trace's problem name and width, and the trace must come from a
+    run that kept its records; ConfigError otherwise.
     """
     if problem.name != trace.problem or np.shape(trace.x_final) != (problem.n,):
         raise ConfigError(f"a trace of {trace.problem!r} with iterates of shape {np.shape(trace.x_final)} "
                           f"cannot be audited against {problem.name!r} with n={problem.n}")
+    if trace.columns is None:
+        raise ConfigError(f"a trace of {trace.problem!r} run without records cannot be audited")
     report = AuditReport(trace.problem, trace.strategy, trace.iterations, _MERIT_NOTE)
     if not trace.columns:
         report.checks = [CheckResult(name, True) for name in _CHECKS]

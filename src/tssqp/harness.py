@@ -114,12 +114,14 @@ def _status_token(trace: Trace) -> str:
 
 def _run_cell(problem: Problem, plan: ExperimentPlan, strategy: str,
               audit: bool, timing: bool) -> list[ResultRow]:
-    """The rows of every noise level x trial of one (problem, strategy) cell, from one solver call."""
+    """The rows of every noise level x trial of one (problem, strategy) cell, from one solver call,
+    which keeps records only for the audit."""
     lanes = [(noise, trial) for noise in plan.noise_levels for trial in range(plan.trials)]
     traces = solver.run_lanes(
         problem,
         [plan.config_for(strategy, noise) for noise, _ in lanes],
         [run_seed(plan.base_seed, problem.name, strategy, noise, trial) for noise, trial in lanes],
+        records=audit,
     )
     return [
         ResultRow(

@@ -51,7 +51,13 @@ k >= 142, and on one thread they agree at every k, as if `dgesv` threaded
 its factorization from k^2 >= 10000 and a lone `dgetrf` from k^2 >= 20000.
 So the LU is kept only when one fixed right-hand side solved both ways gives
 the same bits on every lane; otherwise, or where the symbols cannot be
-found, the stack keeps `np.linalg.solve`.
+found, the stack keeps the stacked solve.
+
+That stacked solve calls numpy's `solve` gufunc (`numpy.linalg._umath_linalg`)
+with the `"dd->d"` signature `np.linalg.solve` gives it for float64 input, so
+it has the same bits without the wrapper's checks and `errstate` (about 4 us
+per call at k <= 3).  The gufunc clears the floating-point status when the
+solve succeeds, and `factor_step`'s Cholesky check keeps Z' H Z nonsingular.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import ctypes
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DimensionMismatch,
@@ -85,11 +92,9 @@ def _bind_lapack():
     """(dgetrf, dgetrs) of the LAPACK behind `np.linalg.solve` (ILP64: int64
     sizes), or None when numpy's linalg module does not expose them."""
     try:
-        from numpy.linalg import _umath_linalg
-
         lib = ctypes.CDLL(_umath_linalg.__file__)
         getrf, getrs = lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         return None
     i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
     # (M, N, A, LDA, IPIV, INFO) and (TRANS, N, NRHS, A, LDA, IPIV, B, LDB, INFO)
@@ -170,7 +175,7 @@ class StepFactors(NamedTuple):
     Vr and Z are views of the full SVD's Vt; Z and Ared are None when m = n.
     For a stack of J every field carries the leading lane axis.  `lu` is
     None until `factor_reduced_lu` fills it: then it holds one `_LU` of Ared
-    per lane, or is empty where the solve stays `np.linalg.solve`.
+    per lane, or is empty where the solve stays the stacked one.
     """
 
     U: np.ndarray
@@ -252,7 +257,7 @@ def solve_step(
     v = -f.Vr @ ((f.U.mT @ c[..., None]) / s)
     if f.Z is not None:
         rhs = -(f.Z.mT @ (g + H @ v))
-        w = _lu_solve(f.lu, rhs) if f.lu else np.linalg.solve(f.Ared, rhs)
+        w = _lu_solve(f.lu, rhs) if f.lu else _umath_linalg.solve(f.Ared, rhs, signature="dd->d")
         u = f.Z @ w
     else:
         u = np.zeros(g.shape)

@@ -62,18 +62,25 @@ one `random` call for the block and Box-Muller runs once on the noisy rows,
 with the bits of one draw per iteration.  A noise-free lane's block rows
 hold -0.0, IEEE-754's additive identity, so every lane takes the same
 `grad + z` and a noise-free one keeps grad's bits without touching its
-stream.  A lane that ends early leaves its stream drawn ahead.
+stream.  A lane that ends early leaves its stream drawn ahead.  One `abs`
+of c gives both ||c||_1 and ||c||_inf.
+
+Records are kept only where they are read: `run_lanes(..., records=True)`,
+the default, writes each running lane's record row into the record store
+once per iteration (see `_record`), and `records=False`, which the harness
+passes unless a plan is audited, builds no record row and allocates no
+block; a trace's iteration count comes from its lane, not from its records.
 
 H is built once per run.  J is a (B, m, n) stack, one matrix per lane; its
 factors for the multiplier and the step are computed as a stack before the
 convergence test (one SVD serves both when m = 1) and cached until the
 stack's bytes change, so a constant J (linear constraints) is factored once
 per lane per run.  The reduced system (Z'HZ) w = -Z'(g + Hv) is solved with
-`np.linalg.solve`, which factors Z'HZ again on each call; once the cache
-serves a stack a second time, and if n - m is large enough for it to pay
-(`linalg.factor_reduced_lu`), each lane's LU of Z'HZ is computed once and
-reused, with the same bits, for the rest of the run.  A J that is seen only
-once never pays for that LU.
+the gufunc behind `np.linalg.solve`, which factors Z'HZ again on each call;
+once the cache serves a stack a second time, and if n - m is large enough
+for it to pay (`linalg.factor_reduced_lu`), each lane's LU of Z'HZ is
+computed once and reused, with the same bits, for the rest of the run.  A J
+that is seen only once never pays for that LU.
 """
 
 from __future__ import annotations
@@ -237,12 +244,13 @@ class SolverState:
 
     The record store is `block`, the current (lanes, iterations, 4n + m + 11)
     block of records, whose row `block_rows[i]` belongs to row i of `x` (see
-    `_record`).  Entry j of `records`, `first`, `least`, `status`, `error`,
-    `x_final` and `wall_s` belong to lane j, whether it still runs or not:
-    its records, as its rows of the blocks it ran in (views, cut to its
-    iteration count when it ends), the errors at its first sufficiently
-    feasible and at its least infeasible iterate, how it ended, and its final
-    iterate and time since `start`.
+    `_record`); a state that is not `recording` never writes one.  Entry j of
+    `records`, `iterations`, `first`, `least`, `status`, `error`, `x_final`
+    and `wall_s` belong to lane j, whether it still runs or not: its records,
+    as its rows of the blocks it ran in (views, cut to its iteration count
+    when it ends), its iteration count once it ends, the errors at its first
+    sufficiently feasible and at its least infeasible iterate, how it ended,
+    and its final iterate and time since `start`.
     """
 
     k: int
@@ -257,9 +265,11 @@ class SolverState:
     noise: np.ndarray
     noise_at: int = 0
     factors: Optional[tuple] = None
+    recording: bool = True
     block: np.ndarray = field(init=False)
     block_rows: np.ndarray = field(init=False)
     records: list[list[np.ndarray]] = field(init=False)
+    iterations: list[int] = field(init=False)
     first: list[Optional[tuple[float, float]]] = field(init=False)
     least: list[tuple[float, tuple[float, float]]] = field(init=False)
     status: list[str] = field(init=False)
@@ -271,6 +281,7 @@ class SolverState:
         B = len(self.lane)
         self.block, self.block_rows = np.empty((B, 0, 0)), np.arange(B)
         self.records = [[] for _ in range(B)]
+        self.iterations = [0] * B
         self.first, self.error, self.x_final = [None] * B, [None] * B, [None] * B
         self.least = [(math.inf, (math.nan, math.nan))] * B
         self.status, self.wall_s = [BUDGET_EXHAUSTED] * B, [0.0] * B
@@ -288,7 +299,7 @@ class SolverState:
             lane = int(self.lane[row])
             self.status[lane], self.error[lane] = status, error
             self.x_final[lane] = self.x[row].copy()
-            self.wall_s[lane] = now
+            self.wall_s[lane], self.iterations[lane] = now, self.k
             blocks = self.records[lane]
             if blocks:  # the lane has self.k records, the last of them in its last block
                 blocks[-1] = blocks[-1][:self.k - RECORD_BLOCK_ITERS * (len(blocks) - 1)]
@@ -352,13 +363,16 @@ class Trace:
     per block of iterations it ran in: row k is record k's x, u, v, d (n
     each), y (m) and RECORD_SCALARS (n_backtracks and hit_safeguard as 0/1
     floats), 4n + m + 11 float64 columns (see `table` and `record_fields`).
+    It is None for a run without records (`run_lanes(..., records=False)`),
+    whose trace has no `table` and no `records`.
     """
 
     problem: str
     config: SolverConfig
     status: str
     fail_reason: Optional[str]
-    columns: tuple[np.ndarray, ...]
+    columns: Optional[tuple[np.ndarray, ...]]
+    iterations: int
     feas_error: float
     stat_error: float
     x_final: np.ndarray
@@ -370,21 +384,20 @@ class Trace:
     def strategy(self) -> str:
         return self.config.strategy
 
-    @property
-    def iterations(self) -> int:
-        return sum(map(len, self.columns))
-
     def table(self) -> np.ndarray:
         """The lane's records as one (iterations, 4n + m + 11) table: a view of its one
-        block, or a copy joining its blocks.  A trace without records (no `columns`) has
-        no table and raises ValueError."""
+        block, or a copy joining its blocks.  A trace of no iterations has no table and
+        raises ValueError; one run without records raises ConfigError."""
+        if self.columns is None:
+            raise ConfigError(f"this {self.problem!r} trace was run without records")
         return self.columns[0] if len(self.columns) == 1 else np.concatenate(self.columns)
 
     @property
     def records(self) -> list[IterationRecord]:
         """One `IterationRecord` per iteration, built from `columns` on each access: Python
-        scalars, and (n,)/(m,) views of the record table for the vectors."""
-        return _records(self.table(), len(self.x_final)) if self.columns else []
+        scalars, and (n,)/(m,) views of the record table for the vectors.  ConfigError
+        for a trace run without records."""
+        return _records(self.table(), len(self.x_final)) if self.columns != () else []
 
 
 def record_fields(table: np.ndarray, n: int) -> list[np.ndarray]:
@@ -420,7 +433,7 @@ def _lane_config(configs) -> SolverConfig:
     return first
 
 
-def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
+def _init_lanes(problem: Problem, configs, seeds, x0=None, records: bool = True) -> SolverState:
     start = time.perf_counter()
     config = _lane_config(configs)
     if len(seeds) != len(configs):
@@ -436,7 +449,7 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None) -> SolverState:
         streams=[c.stream(int(seed)) for c, seed in zip(configs, seeds)],
         scale=np.array([[math.sqrt(c.noise)] for c in configs]),
         h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B), start=start,
-        noise=np.empty((B, 0, problem.n)),
+        noise=np.empty((B, 0, problem.n)), recording=records,
     )
 
 
@@ -481,23 +494,31 @@ def _restrict(value, keep: np.ndarray):
     return value[keep]
 
 
-def _record(state: SolverState, rows: np.ndarray, max_iters: int) -> None:
-    """Write iteration k's records, one row per lane running, with one assignment into the
-    record store; at the first iteration of a block, first start a block of at most
+def _record(state: SolverState, vectors: tuple, scalars: tuple, max_iters: int) -> None:
+    """Write iteration k's records, one row per lane running, into the record store: the
+    (lanes, width) `vectors` x, u, v, d, y and the lists or (lanes,) arrays of
+    RECORD_SCALARS, with one `concatenate`, in place while no lane has left the current
+    block.  At the first iteration of a block, first start a block of at most
     RECORD_BLOCK_ITERS iterations, never past the budget, and give each lane its row."""
     j = state.k % RECORD_BLOCK_ITERS
+    lanes = len(vectors[0])
     if j == 0:
-        state.block = np.empty((len(rows), min(RECORD_BLOCK_ITERS, max_iters - state.k), rows.shape[1]))
-        state.block_rows = np.arange(len(rows))
+        width = sum(a.shape[1] for a in vectors) + len(scalars)
+        state.block = np.empty((lanes, min(RECORD_BLOCK_ITERS, max_iters - state.k), width))
+        state.block_rows = np.arange(lanes)
         for lane, block in zip(state.lane.tolist(), state.block):
             state.records[lane].append(block)
-    state.block[state.block_rows, j] = rows
+    rows = (*vectors, np.array(scalars, dtype=float).T)
+    if len(state.block) == lanes:
+        np.concatenate(rows, axis=1, out=state.block[:, j])
+    else:
+        state.block[state.block_rows, j] = np.concatenate(rows, axis=1)
 
 
 def _observe(state: SolverState, problem: Problem):
-    """Evaluate every lane and measure (||c||_inf, stationarity); ends the lanes that fail here.
+    """Evaluate every lane and measure (||c||_1, ||c||_inf, stationarity); ends the lanes that fail here.
 
-    Returns (grad, c, ||c||_inf, stationarity) of the lanes left, or None
+    Returns (grad, c, ||c||_1, ||c||_inf, stationarity) of the lanes left, or None
     when no lane is.  Factors the J stack into `state.factors` unless its
     bytes are those of the cached one; the first time they are, it adds the
     reused LU of the reduced Hessian (`linalg.factor_reduced_lu`).
@@ -523,16 +544,18 @@ def _observe(state: SolverState, problem: Problem):
     J, mult = state.factors[:2]
     y = least_squares_multiplier(J, grad, mult)
     stat = np.abs(grad + mv(J.mT, y)).max(axis=1)
-    return grad, c, np.abs(c).max(axis=1), stat
+    c_abs = np.abs(c)
+    return grad, c, c_abs.sum(axis=1), c_abs.max(axis=1), stat
 
 
 def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: np.ndarray, c: np.ndarray,
-             c_inf: np.ndarray, stat: np.ndarray) -> None:
-    """Take one step on every lane from `_observe`'s values; writes their records, ends lanes that fail."""
-    grad, c, c_inf, stat = state.end(state.factors[3], FAILED, grad, c, c_inf, stat)
+             c_l1: np.ndarray, c_inf: np.ndarray, stat: np.ndarray) -> None:
+    """Take one step on every lane from `_observe`'s values; writes their records if the
+    state is recording, ends lanes that fail."""
+    grad, c, c_l1, c_inf, stat = state.end(state.factors[3], FAILED, grad, c, c_l1, c_inf, stat)
     if not len(c):
         return
-    c_l1 = np.abs(c).sum(axis=1).tolist()
+    c_l1 = c_l1.tolist()
     g = _noisy_gradients(grad, state, config.max_iters)
     p, y, u, v, sigma_min = solve_step(state.h, None, g, c, state.factors[2])
     B = len(c)
@@ -580,9 +603,10 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
         alpha_l = lo_l if config.alpha_rule == "lower" else hi_l
         hit_safeguard, n_backtracks = [False] * len(c), [0] * len(c)
 
-    scalars = np.array((alpha_l, beta_l, lo_l, hi_l, n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)),
-                        c_inf, stat, sigma_min), dtype=float)
-    _record(state, np.concatenate((state.x, u, v, direction, y, scalars.T), axis=1), config.max_iters)
+    if state.recording:
+        _record(state, (state.x, u, v, direction, y),
+                (alpha_l, beta_l, lo_l, hi_l, n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)), c_inf, stat,
+                 sigma_min), config.max_iters)
     state.x = state.x + np.array(alpha_l)[:, None] * direction
     state.k += 1
 
@@ -601,7 +625,7 @@ def step(state: SolverState, problem: Problem, config: SolverConfig) -> bool:
     observed = _observe(state, problem)
     if observed is None:
         return False
-    done = state.observe(observed[2], observed[3], config)
+    done = state.observe(observed[3], observed[4], config)
     if state.k == config.max_iters:
         state.end(dict.fromkeys(range(len(state.lane))), BUDGET_EXHAUSTED)
         return False
@@ -611,14 +635,15 @@ def step(state: SolverState, problem: Problem, config: SolverConfig) -> bool:
     return len(state.lane) > 0
 
 
-def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
+def run_lanes(problem: Problem, configs, seeds, x0=None, records: bool = True) -> list[Trace]:
     """Run one lane per (configs[i], seeds[i]) in lockstep; returns their traces in that order.
 
     The configs may differ only in `noise` and `noise_seed`.  Lane i's trace is
     bitwise the trace of `run(problem, configs[i], seeds[i], x0)` (its
-    `wall_s` aside).
+    `wall_s` aside).  With `records=False` the run keeps no records: every
+    trace has `columns` None and the same fields otherwise.
     """
-    state = _init_lanes(problem, configs, seeds, x0)
+    state = _init_lanes(problem, configs, seeds, x0, records)
     with np.errstate(over="ignore", invalid="ignore"):
         while step(state, problem, configs[0]):
             pass
@@ -633,7 +658,8 @@ def run_lanes(problem: Problem, configs, seeds, x0=None) -> list[Trace]:
             config=lane_config,
             status=state.status[i],
             fail_reason=None if error is None else _FAIL_TOKENS[type(error)],
-            columns=tuple(state.records[i]),
+            columns=tuple(state.records[i]) if records else None,
+            iterations=state.iterations[i],
             feas_error=feas_error,
             stat_error=stat_error,
             x_final=state.x_final[i],

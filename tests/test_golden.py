@@ -22,6 +22,8 @@ and the record digests from `wide_digests()`.
 import json
 from pathlib import Path
 
+import pytest
+
 from tssqp import ExperimentPlan, SolverConfig, linalg, load_problem, run, run_seed
 from tssqp.cli import main
 from test_alpha_rules import _digest
@@ -84,6 +86,17 @@ def test_golden_plan_bytes(tmp_path, monkeypatch):
 
 def test_golden_wide_bytes(tmp_path, monkeypatch):
     _assert_golden(WIDE_ARGV, "golden_wide", tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("argv, stem", [(GOLDEN_ARGV, "golden_plan"), (WIDE_ARGV, "golden_wide")],
+                         ids=["golden_plan", "golden_wide"])
+def test_golden_csv_without_the_audit(argv, stem, tmp_path, monkeypatch):
+    # a plan without --audit keeps no records, and writes the same CSV bytes
+    monkeypatch.delenv("TSSQP_TIMING", raising=False)
+    out = tmp_path / f"{stem}.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{stem}.csv").read_bytes()
+    assert not (tmp_path / f"{stem}.csv.audit.json").exists()
 
 
 def test_golden_wide_records():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -5,13 +6,17 @@ import time
 import numpy as np
 import pytest
 
+import tssqp.solver
 from tssqp import (
     ConfigError,
     EmptyInput,
     ExperimentPlan,
     ResultRow,
     SolverConfig,
+    audit_trace,
+    load_problem,
     run_experiment,
+    run_lanes,
     run_seed,
     summarize,
     to_csv,
@@ -140,6 +145,50 @@ class TestRunExperiment:
         assert len(rows) == 480
         assert elapsed < 300.0
         assert not any(r.status.startswith("failed") for r in rows)
+
+
+class TestRecordsOnlyForAudit:
+    """A plan keeps its runs' records only when it is audited, and its rows do not depend on that."""
+
+    # the plan of `tests/test_golden.py`'s GOLDEN_ARGV
+    PLAN = ExperimentPlan(problems=("qplin5", "sphere3"), strategies=("fixed", "adaptive", "linesearch", "ablation"),
+                          noise_levels=(0.0, 0.1), trials=3, config=SolverConfig(max_iters=200))
+
+    def test_an_unaudited_plan_writes_no_record(self, monkeypatch):
+        audited = run_experiment(self.PLAN, audit=True)
+
+        def no_record(*args):
+            raise AssertionError("a record row was written")
+
+        monkeypatch.setattr(tssqp.solver, "_record", no_record)
+        rows = run_experiment(self.PLAN, audit=False)
+        assert all(row.audit is None for row in rows) and all(row.audit.passed for row in audited)
+        assert to_csv(rows) == to_csv(audited) and to_json(rows) == to_json(audited)
+        assert [row.iters for row in rows] == [row.iters for row in audited] and sum(row.iters for row in rows) > 0
+
+    def test_a_trace_without_records_cannot_be_audited(self):
+        pb = load_problem("sphere3")
+        configs = [self.PLAN.config_for("linesearch", noise) for noise in self.PLAN.noise_levels]
+        for recorded, bare in zip(run_lanes(pb, configs, [0, 1]), run_lanes(pb, configs, [0, 1], records=False)):
+            assert bare.columns is None and bare.iterations == recorded.iterations > 0
+            assert [bare.status, bare.fail_reason, bare.feas_error, bare.stat_error, bare.x_final.tobytes()] == \
+                [recorded.status, recorded.fail_reason, recorded.feas_error, recorded.stat_error,
+                 recorded.x_final.tobytes()]
+            with pytest.raises(ConfigError, match="without records"):
+                audit_trace(bare, pb)
+            with pytest.raises(ConfigError, match="without records"):
+                bare.records
+
+    def test_a_trace_of_no_iterations_still_audits_as_passed(self):
+        pb = load_problem("sphere3")
+        config = dataclasses.replace(self.PLAN.config, max_iters=0)
+        (trace,) = run_lanes(pb, [config], [0])
+        assert trace.columns == () and trace.iterations == 0 and trace.records == []
+        report = audit_trace(trace, pb)
+        assert report.passed and report.iterations == 0 and len(report.checks) == 9
+        (bare,) = run_lanes(pb, [config], [0], records=False)
+        with pytest.raises(ConfigError, match="without records"):
+            audit_trace(bare, pb)
 
 
 class TestSerialization:

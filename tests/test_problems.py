@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,23 @@ from tssqp import SolverConfig, run
 from tssqp.problems import evaluate_c, standard_normal_vector
 from tssqp.solver import _init_lanes, _noisy_gradients
 from oracles import augmented_solve
+
+
+def _poisoned(poison=None) -> Problem:
+    """n = 2, m = 1, with row i of f, grad, c and J built from X[i]; `poison` =
+    (output, row, value) puts `value` into the last entry of that output's row."""
+    def outputs(X):
+        out = dict(f=X[:, 0].copy(), grad=X.copy(), c=X[:, 1:].copy(), jac=X[:, None, :].copy())
+        if poison is not None:
+            output, row, value = poison
+            out[output].reshape(len(X), -1)[row, -1] = value
+        return out
+
+    def ev(X):
+        out = outputs(X)
+        return out["f"], out["grad"], out["c"], out["jac"]
+
+    return Problem(name="poisoned", n=2, m=1, eval_fn=ev, c_fn=lambda X: outputs(X)["c"], x0=np.zeros(2))
 
 
 def _at(problem, x):
@@ -144,6 +162,23 @@ class TestStackedOracles:
             _, c_failed = evaluate_c(pb, X)
         assert list(failed) == list(c_failed) == [1]
         assert isinstance(failed[1], EvaluationFailure) and isinstance(c_failed[1], EvaluationFailure)
+
+        # finite entries whose sum overflows: no failure and no warning
+        X = np.full((3, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(_poisoned(), X)[1] == evaluate_c(_poisoned(), X)[1] == {}
+
+        # one non-finite entry in one output fails that row alone
+        X = np.arange(6.0).reshape(3, 2)
+        for output in ("f", "grad", "c", "jac"):
+            for value in (np.nan, np.inf, -np.inf):
+                for row in range(3):
+                    pb = _poisoned((output, row, value))
+                    _, failed = evaluate(pb, X)
+                    assert list(failed) == [row] and isinstance(failed[row], EvaluationFailure)
+                    _, c_failed = evaluate_c(pb, X)
+                    assert list(c_failed) == ([row] if output == "c" else [])
 
     def test_each_oracle_is_called_once_per_stack(self):
         base = load_problem("qplin5")
