@@ -3,9 +3,9 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/bench.py --label L [--out-dir DIR] [--repeats 3]
+    python3 benchmarks/bench.py --label L [--out-dir DIR] [--repeats 3] [--plans 8]
 
-The file holds four tables:
+The file holds five tables:
 
   machine     nproc, every BLAS thread variable, the Python, numpy and
               OpenBLAS versions
@@ -17,24 +17,37 @@ The file holds four tables:
   lanes       us per lane-iteration of a one-cell plan (quadsphere4,
               linesearch, noise 0.1, 1000 iterations) whose B trials run as
               the B lanes of one `run_lanes` call, at B = 1, 2, 4, 8, 40, 160
+  plans       the first N plans (default 8) of each of the benchmark's
+              workloads (protocol, wide, audited) at seed 0, made by
+              `perfbench/workloads.py`'s `prepare` and run by
+              `perfbench/run.py`'s `run_loop`, once per repeat in a fresh
+              process per workload: the benchmark's end-to-end metrics of
+              those plans (`run.end_to_end`, without set-up time) and whether
+              their rows match the reference digests
   kernels     us per call of `linalg.factor_step`, `linalg.factor_reduced_lu`,
-              `linalg.solve_step`, `linalg.factor_multiplier` and
+              `linalg.solve_step`, `linalg.least_squares_multiplier` and
               `stepsize.backtrack_rows` on stacks of B = 1 and 40 seeded
               instances (H SPD, Gaussian J, g and c) with n = 5, 50, 200 and
               m = n / 5
 
 Every time is the median over the repeats; a kernel's repeat is as many calls
-as fill 0.1 s.  `solve_step` gets the factors a run reuses (with the LU of
-Z'HZ where `factor_reduced_lu` keeps it), and `backtrack_rows` searches from
-alpha = 8 along the normal step of each lane's linear constraints J z + c,
-which takes 3 backtracks and 4 constraint evaluations per lane.  The tables time only the
-public plan and kernel functions, so the script can time an older checkout
-too.
+as fill 0.1 s.  `factor_step` is all the factoring of a new J stack, for the
+step and the multiplier; `solve_step` gets the factors a run reuses (with the
+LU of Z'HZ where `factor_reduced_lu` keeps it), and `backtrack_rows` searches
+from alpha = 8 along the normal step of each lane's linear constraints
+J z + c, which takes 3 backtracks and 4 constraint evaluations per lane.  The
+tables time only the public plan and kernel functions and the benchmark's
+own plan loop, and the kernel table picks each call by the signature it
+finds, so the script can time an older checkout too.  The plans table is the
+one to compare between two trees: pooled over a fixed count of plans, its
+metrics do not move with the plan count, as `perfbench/run.py --seconds`
+metrics do.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -103,6 +116,39 @@ def criterion6(trials: int, iters: int, repeats: int) -> dict:
     }
 
 
+WORKLOADS = ("protocol", "wide", "audited")
+
+FIXED_PLANS = """
+import json, math, os, sys, tempfile
+root, name, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, os.path.join(root, "perfbench"))
+import run as perfbench
+tssqp = perfbench.import_tssqp()
+os.environ["TSSQP_TIMING"] = "1"
+with tempfile.TemporaryDirectory() as work:
+    plans = perfbench.workloads.prepare(name, perfbench.DEFAULT_SEED, work, tssqp.builtin_names())
+    results = perfbench.run_loop(tssqp.cli, plans, count=count)
+    metrics, _ = perfbench.end_to_end(results, plans, [math.nan])
+    problems = perfbench.check_results(results, plans, perfbench.DEFAULT_SEED)
+metrics.pop("setup_s")
+print(json.dumps({"correct": not problems, **{key: value for key, (value, _) in metrics.items()}}))
+"""
+
+
+def fixed_plans(names, count: int, repeats: int) -> dict:
+    """{workload: the benchmark's end-to-end metrics of its first `count` plans}, each
+    repeat in a fresh process per workload, the workloads alternating."""
+    runs = {name: [] for name in names}
+    for _ in range(repeats):
+        for name in names:
+            out = subprocess.run([sys.executable, "-c", FIXED_PLANS, str(ROOT), name, str(count)],
+                                 capture_output=True, text=True, check=True).stdout
+            runs[name].append(json.loads(out.splitlines()[-1]))
+    return {name: {"plans": count, "runs": got, "correct": all(r["correct"] for r in got),
+                   **{key: statistics.median(r[key] for r in got) for key in got[0] if key != "correct"}}
+            for name, got in runs.items()}
+
+
 def lanes(counts, iters: int, repeats: int) -> dict:
     """{B: median us per lane-iteration} of a one-cell plan with B trials."""
     out = {}
@@ -140,23 +186,41 @@ def _per_call_us(call, repeats: int, budget_s: float) -> float:
     return round(statistics.median(times), 2)
 
 
+def _factor_calls(H, J, g, c) -> dict:
+    """{kernel: call} of the factor and solve kernels, in the signatures this checkout has."""
+    if "cached" in inspect.signature(linalg.factor_step).parameters:  # one call factors for both
+        factors = linalg.factor_step(H, J)
+        reused = linalg.factor_reduced_lu(factors)
+        return {
+            "factor_step": lambda: linalg.factor_step(H, J),
+            "factor_reduced_lu": lambda: linalg.factor_reduced_lu(factors),
+            "solve_step": lambda: linalg.solve_step(H, g, c, reused),
+            "least_squares_multiplier": lambda: linalg.least_squares_multiplier(g, factors),
+        }
+    # older checkouts: the multiplier's own factors, and solves that take J
+    step, _ = linalg.factor_step(H, J)
+    mult, _ = linalg.factor_multiplier(J)
+    reused = linalg.factor_reduced_lu(step)
+    return {
+        "factor_step": lambda: (linalg.factor_step(H, J), J.shape[-2] == 1 or linalg.factor_multiplier(J)),
+        "factor_reduced_lu": lambda: linalg.factor_reduced_lu(step),
+        "solve_step": lambda: linalg.solve_step(H, None, g, c, reused),
+        "least_squares_multiplier": lambda: linalg.least_squares_multiplier(J, g, mult),
+    }
+
+
 def kernels(sizes, batches, repeats: int, budget_s: float = 0.1) -> list[dict]:
     """One entry per kernel, n and B: us per call."""
     out = []
     for n in sizes:
         for B in batches:
             H, J, g, c = _instance(n, B)
-            step, _ = linalg.factor_step(H, J)
-            reused = linalg.factor_reduced_lu(step)
             # the search: linear constraints c(z) = J z + c, searched from x = 0 along the normal
             # step d, where c(x + a d) = (1 - a) c: alpha 8, 4 and 2 fail, 1 is certified
             x, d = np.zeros((B, n)), -linalg.mv(np.linalg.pinv(J), c)
             c_l1 = np.abs(c).sum(axis=1).tolist()
             calls = {
-                "factor_step": lambda: linalg.factor_step(H, J),
-                "factor_reduced_lu": lambda: linalg.factor_reduced_lu(step),
-                "solve_step": lambda: linalg.solve_step(H, None, g, c, reused),
-                "factor_multiplier": lambda: linalg.factor_multiplier(J),
+                **_factor_calls(H, J, g, c),
                 "backtrack_rows": lambda: stepsize.backtrack_rows(
                     lambda z: (linalg.mv(J, z) + c, {}), x, d, c_l1, [8.0] * B, [1e-3] * B, 1e-3, 0.5),
             }
@@ -167,11 +231,12 @@ def kernels(sizes, batches, repeats: int, budget_s: float = 0.1) -> list[dict]:
 
 
 def collect(repeats: int = 3, trials: int = 20, iters: int = 1000, lane_counts=LANES, sizes=SIZES,
-            batches=BATCHES, budget_s: float = 0.1) -> dict:
+            batches=BATCHES, budget_s: float = 0.1, plans: int = 8, workloads=WORKLOADS) -> dict:
     return {
         "machine": machine(),
         "criterion6": criterion6(trials, iters, repeats),
         "lanes": lanes(lane_counts, iters, repeats),
+        "plans": fixed_plans(workloads, plans, repeats),
         "kernels": kernels(sizes, batches, repeats, budget_s),
     }
 
@@ -187,8 +252,9 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--out-dir", default=str(ROOT), help="where to write it (default: the checkout's root)")
     parser.add_argument("--repeats", type=int, default=3, help="runs per measurement; the median is kept")
+    parser.add_argument("--plans", type=int, default=8, help="benchmark plans per workload in the plans table")
     args = parser.parse_args(argv)
-    print(write(collect(args.repeats), args.label, Path(args.out_dir)))
+    print(write(collect(args.repeats, plans=args.plans), args.label, Path(args.out_dir)))
     return 0
 
 

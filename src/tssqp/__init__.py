@@ -28,7 +28,7 @@ from .harness import (
     to_csv,
     to_json,
 )
-from .linalg import least_squares_multiplier, solve_step
+from .linalg import factor_step, least_squares_multiplier, solve_step
 from .problems import (
     Evaluation,
     Problem,

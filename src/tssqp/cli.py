@@ -6,12 +6,13 @@
               [--beta F] [--nu F] [--theta F] [--xi F] [--rho F] [--q0 F] [--b0 F]
               [--out PATH] [--format csv|json] [--audit]
 
-Exit codes: 0 success, 2 configuration error, 3 all runs failed.
+Exit codes: 0 success, 2 configuration or output error, 3 all runs failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import TssqpError
@@ -57,6 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise TssqpError unless `path` names no directory and its directory exists and is
+    writable; creates and truncates nothing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise TssqpError(f"cannot write {path}: it is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise TssqpError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -67,6 +78,9 @@ def main(argv=None) -> int:
             raise TssqpError("no problems selected; pass --problem or --suite")
         if args.audit and args.out == "-":
             raise TssqpError("--audit needs --out to point at a file")
+        if args.out != "-":
+            for path in (args.out, args.out + ".audit.json")[:1 + args.audit]:
+                _check_writable(path)
         plan = ExperimentPlan(
             problems=tuple(problems),
             strategies=tuple(dict.fromkeys(args.strategy)),
@@ -85,14 +99,18 @@ def main(argv=None) -> int:
         return 2
 
     text = to_csv(rows) if args.format == "csv" else to_json(rows)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        if args.audit:
-            with open(args.out + ".audit.json", "w", encoding="utf-8") as fh:
-                fh.write(audits_to_json(rows))
+    try:
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            if args.audit:
+                with open(args.out + ".audit.json", "w", encoding="utf-8") as fh:
+                    fh.write(audits_to_json(rows))
+    except OSError as exc:
+        print(f"tssqp: error: {exc}", file=sys.stderr)
+        return 2
 
     if all(row.status.startswith("failed") for row in rows):
         print("tssqp: all runs failed", file=sys.stderr)

@@ -7,23 +7,19 @@ J v = -c, the tangential component u from the reduced system
 of the first KKT block.  The direct dense solve of the augmented saddle-point
 matrix exists only in the test suite as an independent oracle.
 
-Each kernel comes in two parts.  `factor_step(H, J)` does everything that
-depends on (H, J) alone: the full SVD, the rank test, Z and Z' H Z with its
-Cholesky check.  `solve_step` does the per-iteration arithmetic for v, w, u,
-p and y from those factors.  Likewise `factor_multiplier(J)` takes the
-reduced SVD that `least_squares_multiplier` applies to a gradient.  Given
-factors of the same (H, J), the solves give the same bits as without them, so
-a caller may reuse factors while J stays bitwise the same; one that does may
-add one LU of Z' H Z per lane with `factor_reduced_lu`, which the solve of w
-then reuses (see "Reused LU" below).  The full and the reduced SVD are kept
-apart: for m >= 2 their shared factors can differ in the last bits.
-
-The factor functions return, beside the factors, the {lane: exception}
-map of the lanes that fail the rank test or the Cholesky check (key 0 for a
-single J), the form in which every layer reports lane failures; a failed
-lane's factors are meaningless.  `solve_step` and `least_squares_multiplier`
-called without factors raise the first failure.  J counts as rank deficient
-when sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
+`factor_step(H, J)` is the one call that factors what depends on (H, J)
+alone, for the step and the multiplier (`Factors`): the full SVD, the rank
+test, Z and Z' H Z with its Cholesky check, and the reduced SVD (for m >= 2
+the full and the reduced SVD can differ in the last bits).  Passed the
+factors of its last call, it returns them while J keeps its bytes, and the
+second time adds one LU of Z' H Z per lane (`factor_reduced_lu`, see "Reused
+LU").  The kernels apply the factors, with the same bits either way:
+`solve_step` gives the split step (u, v), `least_squares_multiplier` the
+multiplier of a gradient, and `sqp_multiplier` the multiplier y of the
+Newton SQP system.  The lanes that fail are in the factors' {lane:
+exception} maps (key 0 for a single J), the form in which every layer
+reports them.  J counts as rank deficient when
+sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 
 Stacks
 ------
@@ -58,11 +54,14 @@ with the `"dd->d"` signature `np.linalg.solve` gives it for float64 input, so
 it has the same bits without the wrapper's checks and `errstate` (about 4 us
 per call at k <= 3).  The gufunc clears the floating-point status when the
 solve succeeds, and `factor_step`'s Cholesky check keeps Z' H Z nonsingular.
+That check is one call of the `cholesky_lo` gufunc for the stack, whose NaN
+fill names the lanes that are not positive definite.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -117,17 +116,6 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _check_shapes(J: np.ndarray, n_vecs: dict[str, np.ndarray], H: np.ndarray | None = None) -> None:
-    m, n = J.shape[-2:]
-    if m > n:
-        raise DimensionMismatch(f"J is {m}x{n}; need m <= n")
-    if H is not None and H.shape != (n, n):
-        raise DimensionMismatch(f"H has shape {H.shape}, expected ({n}, {n})")
-    for label, vec in n_vecs.items():
-        if vec.shape[-1] != (n if label in ("g", "grad") else m):
-            raise DimensionMismatch(f"{label} has length {vec.shape[-1]}")
-
-
 def _rank_failures(s: np.ndarray, m: int) -> dict[int, Exception]:
     """{lane: RankDeficientJacobian} for the lanes (0 for a single J) whose
     descending singular values s fail the rank test."""
@@ -169,49 +157,76 @@ def _lu_solve(lus: list[_LU], rhs: np.ndarray) -> np.ndarray:
     return np.stack([lu.solve(r) for lu, r in zip(lus, rows, strict=True)]).reshape(rhs.shape)
 
 
-class StepFactors(NamedTuple):
-    """The (H, J)-only part of the step: J = U diag(s) [Vr Z]' and Ared = Z' H Z.
+class Factors(NamedTuple):
+    """The factors of J (m, n), or of each J of a (B, m, n) stack, for the step and the multiplier.
 
-    Vr and Z are views of the full SVD's Vt; Z and Ared are None when m = n.
-    For a stack of J every field carries the leading lane axis.  `lu` is
-    None until `factor_reduced_lu` fills it: then it holds one `_LU` of Ared
-    per lane, or is empty where the solve stays the stacked one.
+    The step takes the full SVD J = U diag(s) [Vr Z]' (Vr and Z views of its
+    Vt; Z and Ared None when m = n) and Ared = Z' H Z; the multiplier takes
+    `mult`, the reduced SVD (U, s, Vt), made of the full SVD's arrays when
+    m = 1 (for one row they have its bits).  `mult_failed` maps the lanes
+    that fail the rank test of `mult`, `step_failed` those that fail it on s
+    or whose Ared is not positive definite; a failed lane's factors are
+    meaningless.  `lu` is None until `factor_step` serves the factors a
+    second time; then it holds one `_LU` of Ared per lane, or is empty where
+    the solve stays the stacked one.
     """
 
+    J: np.ndarray
     U: np.ndarray
     s: np.ndarray
     Vr: np.ndarray
     Z: np.ndarray | None
     Ared: np.ndarray | None
+    mult: tuple[np.ndarray, np.ndarray, np.ndarray]
+    mult_failed: dict[int, Exception]
+    step_failed: dict[int, Exception]
     lu: list[_LU] | None = None
 
+    @property
+    def sigma_min(self) -> np.ndarray:
+        """sigma_min(J) of each lane."""
+        return self.s[..., -1]
 
-def factor_step(H: np.ndarray, J: np.ndarray) -> tuple[StepFactors, dict[int, Exception]]:
-    """Full SVD of J (m, n) or of each J in a (B, m, n) stack, rank test, null-space
-    basis Z and the reduced Hessian Z' H Z with its Cholesky check.
 
-    Returns the factors and the {lane: exception} map of the lanes that fail.
+def factor_step(H: np.ndarray, J: np.ndarray, cached: Factors | None = None) -> Factors:
+    """The `Factors` of J (m, n) or of each J of a (B, m, n) stack, with the model matrix H (n, n).
+
+    `cached` is None or the factors of an earlier call with this H, cut to
+    the lanes of J.  If J has their J's bytes they are returned, the first
+    time with `lu` filled, so a J seen only once never pays for the LU.
+    DimensionMismatch unless m <= n and H is n x n.
     """
+    if cached is not None and cached.J.tobytes() == J.tobytes():
+        return cached if cached.lu is not None else factor_reduced_lu(cached)
     m, n = J.shape[-2:]
+    if m > n:
+        raise DimensionMismatch(f"J is {m}x{n}; need m <= n")
+    if H.shape != (n, n):
+        raise DimensionMismatch(f"H has shape {H.shape}, expected ({n}, {n})")
     U, s, Vt = np.linalg.svd(J, full_matrices=True)
-    failed = _rank_failures(s, m)
+    rank_failed = _rank_failures(s, m)
+    step_failed = dict(rank_failed)
     Z = Ared = None
     if m < n:
         Zt = Vt[..., m:, :]
         Z = Zt.mT
         Ared = Zt @ H @ Z
-        try:
-            np.linalg.cholesky(Ared)
-        except np.linalg.LinAlgError:
-            for i, A in enumerate(Ared.reshape(-1, n - m, n - m)):
-                try:
-                    np.linalg.cholesky(A)
-                except np.linalg.LinAlgError:
-                    failed.setdefault(i, IndefiniteReducedHessian("Z' H Z is not positive definite"))
-    return StepFactors(U, s, Vt[..., :m, :].mT, Z, Ared), failed
+        # the gufunc fills a matrix it cannot factor with NaN and flags it invalid
+        with np.errstate(invalid="ignore"):
+            corner = _umath_linalg.cholesky_lo(Ared, signature="d->d")[..., 0, 0]
+        for i, l00 in enumerate(np.ravel(corner).tolist()):
+            if math.isnan(l00):
+                step_failed.setdefault(i, IndefiniteReducedHessian("Z' H Z is not positive definite"))
+    Vr = Vt[..., :m, :].mT
+    if m == 1:
+        mult, mult_failed = (U, s, Vr.mT), rank_failed
+    else:
+        mult = tuple(np.linalg.svd(J, full_matrices=False))
+        mult_failed = _rank_failures(mult[1], m)
+    return Factors(J, U, s, Vr, Z, Ared, mult, mult_failed, step_failed)
 
 
-def factor_reduced_lu(factors: StepFactors) -> StepFactors:
+def factor_reduced_lu(factors: Factors) -> Factors:
     """`factors` with `lu` filled, for a caller that will solve with them again.
 
     Each lane of Ared gets its LU from `dgetrf` when k >= `_LU_MIN_K`, the
@@ -231,62 +246,39 @@ def factor_reduced_lu(factors: StepFactors) -> StepFactors:
     return factors._replace(lu=lus)
 
 
-def solve_step(
-    H: np.ndarray, J: np.ndarray, g: np.ndarray, c: np.ndarray,
-    factors: StepFactors | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One-pass step computation: returns (p, y, u, v, sigma_min).
+def solve_step(H: np.ndarray, g: np.ndarray, c: np.ndarray, factors: Factors) -> tuple[np.ndarray, np.ndarray]:
+    """The split step (u, v) of g (n,) and c (m,), or of each lane of a stack, from `factors`.
 
-    (p, y) solves the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c];
-    p = u + v with u in Null(J) and v the minimum-norm solution of J v = -c in
-    Range(J').  `factors` must be the factors of `factor_step(H, J)`, with or
-    without `factor_reduced_lu`, and are trusted as given, with the arrays,
-    and J is not read; when omitted the inputs are checked and factored here,
-    and the first failure is raised.
+    v is the minimum-norm solution of J v = -c in Range(J'), and u in Null(J)
+    solves the reduced system (Z' H Z) w = -Z' (g + H v), u = Z w; u + v is
+    the step p of the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c].
+    The factors must be those of `factor_step` for this H and are trusted as
+    given, with the arrays.
     """
-    if factors is None:
-        H, J, g, c = (np.ascontiguousarray(a, dtype=float) for a in (H, J, g, c))
-        _check_shapes(J, {"g": g, "c": c}, H)
-        factors, failed = factor_step(H, J)
-        if failed:
-            raise failed[min(failed)]
     f = factors
     # column vectors (..., k, 1) throughout, one matvec per lane
     g = g[..., None]
-    s = f.s[..., None]
-    v = -f.Vr @ ((f.U.mT @ c[..., None]) / s)
+    v = -f.Vr @ ((f.U.mT @ c[..., None]) / f.s[..., None])
     if f.Z is not None:
         rhs = -(f.Z.mT @ (g + H @ v))
         w = _lu_solve(f.lu, rhs) if f.lu else _umath_linalg.solve(f.Ared, rhs, signature="dd->d")
         u = f.Z @ w
     else:
         u = np.zeros(g.shape)
-    p = u + v
-    y = -f.U @ ((f.Vr.mT @ (g + H @ p)) / s)
-    return p[..., 0], y[..., 0], u[..., 0], v[..., 0], f.s[..., -1]
+    return u[..., 0], v[..., 0]
 
 
-def factor_multiplier(J: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[int, Exception]]:
-    """Reduced SVD (U, s, Vt) of J or of each J in a stack, and the {lane: exception}
-    map of the lanes that fail the rank test."""
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    return (U, s, Vt), _rank_failures(s, J.shape[-2])
+def sqp_multiplier(H: np.ndarray, g: np.ndarray, p: np.ndarray, factors: Factors) -> np.ndarray:
+    """y of the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c], given its step p = u + v
+    from `solve_step`: y = -U ((Vr' (g + H p)) / s), per lane for a stack."""
+    f = factors
+    return (-f.U @ ((f.Vr.mT @ (g[..., None] + H @ p[..., None])) / f.s[..., None]))[..., 0]
 
 
-def least_squares_multiplier(
-    J: np.ndarray, grad: np.ndarray, factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """y = argmin_y ||grad + J' y||_2 = -(J J')^{-1} J grad for full row rank J.
+def least_squares_multiplier(grad: np.ndarray, factors: Factors) -> np.ndarray:
+    """y = argmin_y ||grad + J' y||_2 = -(J J')^{-1} J grad for full row rank J, per lane for a stack.
 
-    `factors` must be the factors of `factor_multiplier(J)` and are trusted as
-    given, with the arrays; when omitted the inputs are checked and factored
-    here, and the first failure is raised.
+    The factors must be those of `factor_step` for this J and are trusted as given.
     """
-    if factors is None:
-        J, grad = (np.ascontiguousarray(a, dtype=float) for a in (J, grad))
-        _check_shapes(J, {"grad": grad})
-        factors, failed = factor_multiplier(J)
-        if failed:
-            raise failed[min(failed)]
-    U, s, Vt = factors
+    U, s, Vt = factors.mult
     return (-U @ ((Vt @ grad[..., None]) / s[..., None]))[..., 0]

@@ -56,7 +56,10 @@ multiplier, never with the stochastic gradient.
 
 Work per iteration: one full oracle evaluation of the stack, shared by the
 termination check and the step, and one constraint-only evaluation per
-line-search round.  The gradient noise is drawn once per block of up to
+line-search round.  The step computes the split step (u, v) and the
+least-squares multiplier of the stationarity test; p = u + v only for
+ablation and for records, and the SQP multiplier y and sigma_min(J) only for
+records.  The gradient noise is drawn once per block of up to
 NOISE_BLOCK_ITERS iterations, never past the budget: each noisy lane makes
 one `random` call for the block and Box-Muller runs once on the noisy rows,
 with the bits of one draw per iteration.  A noise-free lane's block rows
@@ -71,16 +74,16 @@ once per iteration (see `_record`), and `records=False`, which the harness
 passes unless a plan is audited, builds no record row and allocates no
 block; a trace's iteration count comes from its lane, not from its records.
 
-H is built once per run.  J is a (B, m, n) stack, one matrix per lane; its
-factors for the multiplier and the step are computed as a stack before the
-convergence test (one SVD serves both when m = 1) and cached until the
-stack's bytes change, so a constant J (linear constraints) is factored once
-per lane per run.  The reduced system (Z'HZ) w = -Z'(g + Hv) is solved with
-the gufunc behind `np.linalg.solve`, which factors Z'HZ again on each call;
-once the cache serves a stack a second time, and if n - m is large enough
-for it to pay (`linalg.factor_reduced_lu`), each lane's LU of Z'HZ is
-computed once and reused, with the same bits, for the rest of the run.  A J
-that is seen only once never pays for that LU.
+H is built once per run.  J is a (B, m, n) stack, one matrix per lane;
+`linalg.factor_step` factors it for the multiplier and the step before the
+convergence test, and the state keeps those factors until the stack's bytes
+change, so a constant J (linear constraints) is factored once per lane per
+run.  The reduced system (Z'HZ) w = -Z'(g + Hv) is solved with the gufunc
+behind `np.linalg.solve`, which factors Z'HZ again on each call; once the
+factors serve a stack a second time, and if n - m is large enough for it to
+pay (`linalg.factor_reduced_lu`), each lane's LU of Z'HZ is computed once and
+reused, with the same bits, for the rest of the run.  A J that is seen only
+once never pays for that LU.
 """
 
 from __future__ import annotations
@@ -103,15 +106,7 @@ from .errors import (
     check_count,
     check_real,
 )
-from .linalg import (
-    dot,
-    factor_multiplier,
-    factor_reduced_lu,
-    factor_step,
-    least_squares_multiplier,
-    mv,
-    solve_step,
-)
+from .linalg import Factors, dot, factor_step, least_squares_multiplier, mv, solve_step, sqp_multiplier
 from .problems import Problem, evaluate, evaluate_c, standard_normal_vector
 from .stepsize import adaptive_update, backtrack_rows
 
@@ -238,9 +233,8 @@ class SolverState:
     `noise` is the current block of gradient noise, sqrt(noise level) z for
     K iterations (-0.0 rows for noise-free lanes); its rows from `noise_at`
     on are unspent.  `b` and `q` are the Adagrad-Norm accumulators, started
-    at b0 and q0.  `h` is the model matrix H.  `factors` caches (J,
-    multiplier factors, step factors, step failures) for the last J stack
-    factored, restricted to the rows left.
+    at b0 and q0.  `h` is the model matrix H.  `factors` are the
+    `linalg.Factors` of the last J stack factored, restricted to the rows left.
 
     The record store is `block`, the current (lanes, iterations, 4n + m + 11)
     block of records, whose row `block_rows[i]` belongs to row i of `x` (see
@@ -264,7 +258,7 @@ class SolverState:
     start: float
     noise: np.ndarray
     noise_at: int = 0
-    factors: Optional[tuple] = None
+    factors: Optional[Factors] = None
     recording: bool = True
     block: np.ndarray = field(init=False)
     block_rows: np.ndarray = field(init=False)
@@ -519,31 +513,19 @@ def _observe(state: SolverState, problem: Problem):
     """Evaluate every lane and measure (||c||_1, ||c||_inf, stationarity); ends the lanes that fail here.
 
     Returns (grad, c, ||c||_1, ||c||_inf, stationarity) of the lanes left, or None
-    when no lane is.  Factors the J stack into `state.factors` unless its
-    bytes are those of the cached one; the first time they are, it adds the
-    reused LU of the reduced Hessian (`linalg.factor_reduced_lu`).
+    when no lane is.  `state.factors` become the factors of the J stack
+    (`linalg.factor_step`, which keeps the cached ones while J's bytes stay).
     """
     ev, failed = evaluate(problem, state.x)
     grad, c, J = state.end(failed, FAILED, ev.grad, ev.c, ev.jac)
     if not len(c):
         return None
-    if state.factors is None or state.factors[0].tobytes() != J.tobytes():
-        factors, failed = factor_step(state.h, J)
-        if J.shape[1] == 1:  # the full SVD of a one-row J gives the bits of the reduced one
-            mult = ((factors.U, factors.s, factors.Vr.mT),
-                    {i: e for i, e in failed.items() if isinstance(e, RankDeficientJacobian)})
-        else:
-            mult = factor_multiplier(J)
-        state.factors = (J, mult[0], factors, failed)
-        grad, c = state.end(mult[1], FAILED, grad, c)
-        if not len(c):
-            return None
-    elif state.factors[2].lu is None:  # J is seen again: give the step one reused LU of Z'HZ per lane
-        J, mult, factors, failed = state.factors
-        state.factors = (J, mult, factor_reduced_lu(factors), failed)
-    J, mult = state.factors[:2]
-    y = least_squares_multiplier(J, grad, mult)
-    stat = np.abs(grad + mv(J.mT, y)).max(axis=1)
+    state.factors = factor_step(state.h, J, state.factors)
+    grad, c = state.end(state.factors.mult_failed, FAILED, grad, c)
+    if not len(c):
+        return None
+    y = least_squares_multiplier(grad, state.factors)
+    stat = np.abs(grad + mv(state.factors.J.mT, y)).max(axis=1)
     c_abs = np.abs(c)
     return grad, c, c_abs.sum(axis=1), c_abs.max(axis=1), stat
 
@@ -552,14 +534,15 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
              c_l1: np.ndarray, c_inf: np.ndarray, stat: np.ndarray) -> None:
     """Take one step on every lane from `_observe`'s values; writes their records if the
     state is recording, ends lanes that fail."""
-    grad, c, c_l1, c_inf, stat = state.end(state.factors[3], FAILED, grad, c, c_l1, c_inf, stat)
+    grad, c, c_l1, c_inf, stat = state.end(state.factors.step_failed, FAILED, grad, c, c_l1, c_inf, stat)
     if not len(c):
         return
     c_l1 = c_l1.tolist()
     g = _noisy_gradients(grad, state, config.max_iters)
-    p, y, u, v, sigma_min = solve_step(state.h, None, g, c, state.factors[2])
+    u, v = solve_step(state.h, g, c, state.factors)
+    p = u + v if config.strategy == "ablation" or state.recording else None
+    y = sqp_multiplier(state.h, g, p, state.factors) if state.recording else None
     B = len(c)
-    sigma_min = sigma_min.tolist()
 
     # (beta, lo, hi) per lane, in the float arithmetic of a single run
     if config.strategy == "fixed":
@@ -582,8 +565,8 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
            StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi!r}")
            for i, (b, lo, hi) in enumerate(zip(beta_l, lo_l, hi_l))
            if not (0.0 < b < math.inf and 0.0 < lo <= hi < math.inf)}
-    c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1 = state.end(
-        bad, FAILED, c, c_inf, stat, p, y, u, v, sigma_min, beta_l, lo_l, hi_l, c_l1)
+    c, c_inf, stat, p, y, u, v, beta_l, lo_l, hi_l, c_l1 = state.end(
+        bad, FAILED, c, c_inf, stat, p, y, u, v, beta_l, lo_l, hi_l, c_l1)
     if not len(c):
         return
 
@@ -593,9 +576,9 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
         alpha_l, hit_safeguard, n_backtracks, failed = backtrack_rows(
             lambda z: evaluate_c(problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
-        (c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard, n_backtracks,
+        (c, c_inf, stat, y, u, v, direction, alpha_l, hit_safeguard, n_backtracks,
          beta_l, lo_l, hi_l, c_l1) = state.end(
-            failed, FAILED, c, c_inf, stat, y, u, v, sigma_min, direction, alpha_l, hit_safeguard,
+            failed, FAILED, c, c_inf, stat, y, u, v, direction, alpha_l, hit_safeguard,
             n_backtracks, beta_l, lo_l, hi_l, c_l1)
         if not len(c):
             return
@@ -606,7 +589,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
     if state.recording:
         _record(state, (state.x, u, v, direction, y),
                 (alpha_l, beta_l, lo_l, hi_l, n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)), c_inf, stat,
-                 sigma_min), config.max_iters)
+                 state.factors.sigma_min), config.max_iters)
     state.x = state.x + np.array(alpha_l)[:, None] * direction
     state.k += 1
 

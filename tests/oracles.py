@@ -7,14 +7,16 @@ merit-function quantities and `error_measures` at the end are used only by
 the tests; the solver itself needs none of them.  `first_iteration` takes one
 iteration of a one-lane run the way `run_lanes` does, `edit_records` corrupts
 a copy of a trace's records for the auditor, and `count_getrf` counts the LU
-factorizations of the reduced Hessian.
+factorizations of the reduced Hessian.  `kkt_step` and `lsq_multiplier` factor
+one (H, J) and solve with it at once, the one-shot use of the library's kernels
+that the tests make.
 """
 
 import dataclasses
 
 import numpy as np
 
-from tssqp import DimensionMismatch, evaluate, least_squares_multiplier, linalg
+from tssqp import DimensionMismatch, evaluate, linalg
 from tssqp.solver import RECORD_SCALARS, _init_lanes, _records, record_fields, step
 
 
@@ -62,6 +64,35 @@ def count_getrf(monkeypatch) -> list:
 
         monkeypatch.setattr(linalg, "_LAPACK", (counting_getrf, getrs))
     return calls
+
+
+def _factors(H, J, failures: str):
+    """`linalg.factor_step(H, J)`; raises the first failure of its `failures` map."""
+    factors = linalg.factor_step(np.ascontiguousarray(H, dtype=float), np.ascontiguousarray(J, dtype=float))
+    failed = getattr(factors, failures)
+    if failed:
+        raise failed[min(failed)]
+    return factors
+
+
+def kkt_step(H, J, g, c):
+    """(p, y, u, v, sigma_min) of one (H, J, g, c), or of each lane of a stack, from a fresh
+    `factor_step`, `solve_step` and `sqp_multiplier`: (p, y) solves the Newton SQP system
+    [[H, J'], [J, 0]] [p; y] = -[g; c] and p = u + v.  Raises the first failure of the
+    factorization."""
+    H, g, c = (np.ascontiguousarray(a, dtype=float) for a in (H, g, c))
+    factors = _factors(H, J, "step_failed")
+    u, v = linalg.solve_step(H, g, c, factors)
+    p = u + v
+    return p, linalg.sqp_multiplier(H, g, p, factors), u, v, factors.sigma_min
+
+
+def lsq_multiplier(J, grad):
+    """`least_squares_multiplier` of one (J, grad), or of each lane of a stack, from a fresh
+    `factor_step`; raises the first rank failure of the multiplier's factors."""
+    J = np.ascontiguousarray(J, dtype=float)
+    factors = _factors(np.eye(J.shape[-1]), J, "mult_failed")
+    return linalg.least_squares_multiplier(np.ascontiguousarray(grad, dtype=float), factors)
 
 
 def augmented_solve(H, J, g, c):
@@ -170,5 +201,5 @@ def error_measures(problem, x):
     """
     ev = evaluate(problem, np.asarray(x, dtype=float)[None])[0]
     grad, c, jac = ev.grad[0], ev.c[0], ev.jac[0]
-    y = least_squares_multiplier(jac, grad)
+    y = lsq_multiplier(jac, grad)
     return float(np.abs(c).max()), float(np.abs(grad + jac.T @ y).max()), y

