@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/bench.py --label L [--out-dir DIR] [--repeats 3] [--plans 8]
+    python3 benchmarks/bench.py --label L [--out-dir DIR] [--repeats 3]
 
 The file holds five tables:
 
@@ -17,8 +17,9 @@ The file holds five tables:
   lanes       us per lane-iteration of a one-cell plan (quadsphere4,
               linesearch, noise 0.1, 1000 iterations) whose B trials run as
               the B lanes of one `run_lanes` call, at B = 1, 2, 4, 8, 40, 160
-  plans       the first N plans (default 8) of each of the benchmark's
-              workloads (protocol, wide, audited) at seed 0, made by
+  plans       the first 8 plans of each of the benchmark's workloads
+              (protocol, wide, audited) at seed 0, the plans whose rows
+              `perfbench/run.py` keeps reference digests of, made by
               `perfbench/workloads.py`'s `prepare` and run by
               `perfbench/run.py`'s `run_loop`, once per repeat in a fresh
               process per workload: the benchmark's end-to-end metrics of
@@ -37,17 +38,14 @@ LU of Z'HZ where `factor_reduced_lu` keeps it), and `backtrack_rows` searches
 from alpha = 8 along the normal step of each lane's linear constraints
 J z + c, which takes 3 backtracks and 4 constraint evaluations per lane.  The
 tables time only the public plan and kernel functions and the benchmark's
-own plan loop, and the kernel table picks each call by the signature it
-finds, so the script can time an older checkout too.  The plans table is the
-one to compare between two trees: pooled over a fixed count of plans, its
-metrics do not move with the plan count, as `perfbench/run.py --seconds`
-metrics do.
+own plan loop.  The plans table is the one to compare between two trees:
+pooled over a fixed count of plans, its metrics do not move with the plan
+count, as `perfbench/run.py --seconds` metrics do.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -117,6 +115,8 @@ def criterion6(trials: int, iters: int, repeats: int) -> dict:
 
 
 WORKLOADS = ("protocol", "wide", "audited")
+PLANS = 8  # `perfbench/run.py`'s REFERENCE_PLANS: the plans whose rows it checks against digests
+
 
 FIXED_PLANS = """
 import json, math, os, sys, tempfile
@@ -135,12 +135,12 @@ print(json.dumps({"correct": not problems, **{key: value for key, (value, _) in 
 """
 
 
-def fixed_plans(names, count: int, repeats: int) -> dict:
+def fixed_plans(count: int, repeats: int) -> dict:
     """{workload: the benchmark's end-to-end metrics of its first `count` plans}, each
     repeat in a fresh process per workload, the workloads alternating."""
-    runs = {name: [] for name in names}
+    runs = {name: [] for name in WORKLOADS}
     for _ in range(repeats):
-        for name in names:
+        for name in WORKLOADS:
             out = subprocess.run([sys.executable, "-c", FIXED_PLANS, str(ROOT), name, str(count)],
                                  capture_output=True, text=True, check=True).stdout
             runs[name].append(json.loads(out.splitlines()[-1]))
@@ -186,41 +186,23 @@ def _per_call_us(call, repeats: int, budget_s: float) -> float:
     return round(statistics.median(times), 2)
 
 
-def _factor_calls(H, J, g, c) -> dict:
-    """{kernel: call} of the factor and solve kernels, in the signatures this checkout has."""
-    if "cached" in inspect.signature(linalg.factor_step).parameters:  # one call factors for both
-        factors = linalg.factor_step(H, J)
-        reused = linalg.factor_reduced_lu(factors)
-        return {
-            "factor_step": lambda: linalg.factor_step(H, J),
-            "factor_reduced_lu": lambda: linalg.factor_reduced_lu(factors),
-            "solve_step": lambda: linalg.solve_step(H, g, c, reused),
-            "least_squares_multiplier": lambda: linalg.least_squares_multiplier(g, factors),
-        }
-    # older checkouts: the multiplier's own factors, and solves that take J
-    step, _ = linalg.factor_step(H, J)
-    mult, _ = linalg.factor_multiplier(J)
-    reused = linalg.factor_reduced_lu(step)
-    return {
-        "factor_step": lambda: (linalg.factor_step(H, J), J.shape[-2] == 1 or linalg.factor_multiplier(J)),
-        "factor_reduced_lu": lambda: linalg.factor_reduced_lu(step),
-        "solve_step": lambda: linalg.solve_step(H, None, g, c, reused),
-        "least_squares_multiplier": lambda: linalg.least_squares_multiplier(J, g, mult),
-    }
-
-
 def kernels(sizes, batches, repeats: int, budget_s: float = 0.1) -> list[dict]:
     """One entry per kernel, n and B: us per call."""
     out = []
     for n in sizes:
         for B in batches:
             H, J, g, c = _instance(n, B)
+            factors = linalg.factor_step(H, J)
+            reused = linalg.factor_reduced_lu(factors)
             # the search: linear constraints c(z) = J z + c, searched from x = 0 along the normal
             # step d, where c(x + a d) = (1 - a) c: alpha 8, 4 and 2 fail, 1 is certified
             x, d = np.zeros((B, n)), -linalg.mv(np.linalg.pinv(J), c)
             c_l1 = np.abs(c).sum(axis=1).tolist()
             calls = {
-                **_factor_calls(H, J, g, c),
+                "factor_step": lambda: linalg.factor_step(H, J),
+                "factor_reduced_lu": lambda: linalg.factor_reduced_lu(factors),
+                "solve_step": lambda: linalg.solve_step(H, g, c, reused),
+                "least_squares_multiplier": lambda: linalg.least_squares_multiplier(g, factors),
                 "backtrack_rows": lambda: stepsize.backtrack_rows(
                     lambda z: (linalg.mv(J, z) + c, {}), x, d, c_l1, [8.0] * B, [1e-3] * B, 1e-3, 0.5),
             }
@@ -231,12 +213,12 @@ def kernels(sizes, batches, repeats: int, budget_s: float = 0.1) -> list[dict]:
 
 
 def collect(repeats: int = 3, trials: int = 20, iters: int = 1000, lane_counts=LANES, sizes=SIZES,
-            batches=BATCHES, budget_s: float = 0.1, plans: int = 8, workloads=WORKLOADS) -> dict:
+            batches=BATCHES, budget_s: float = 0.1, plans: int = PLANS) -> dict:
     return {
         "machine": machine(),
         "criterion6": criterion6(trials, iters, repeats),
         "lanes": lanes(lane_counts, iters, repeats),
-        "plans": fixed_plans(workloads, plans, repeats),
+        "plans": fixed_plans(plans, repeats),
         "kernels": kernels(sizes, batches, repeats, budget_s),
     }
 
@@ -252,9 +234,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     parser.add_argument("--out-dir", default=str(ROOT), help="where to write it (default: the checkout's root)")
     parser.add_argument("--repeats", type=int, default=3, help="runs per measurement; the median is kept")
-    parser.add_argument("--plans", type=int, default=8, help="benchmark plans per workload in the plans table")
     args = parser.parse_args(argv)
-    print(write(collect(args.repeats, plans=args.plans), args.label, Path(args.out_dir)))
+    print(write(collect(args.repeats), args.label, Path(args.out_dir)))
     return 0
 
 

@@ -16,10 +16,10 @@ second time adds one LU of Z' H Z per lane (`factor_reduced_lu`, see "Reused
 LU").  The kernels apply the factors, with the same bits either way:
 `solve_step` gives the split step (u, v), `least_squares_multiplier` the
 multiplier of a gradient, and `sqp_multiplier` the multiplier y of the
-Newton SQP system.  The lanes that fail are in the factors' {lane:
-exception} maps (key 0 for a single J), the form in which every layer
-reports them.  J counts as rank deficient when
-sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
+Newton SQP system; each raises DimensionMismatch for a vector that does not
+fit J.  The lanes that fail are in the factors' {lane: exception} maps (key
+0 for a single J), the form in which every layer reports them.  J counts as
+rank deficient when sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 
 Stacks
 ------
@@ -256,6 +256,8 @@ def solve_step(H: np.ndarray, g: np.ndarray, c: np.ndarray, factors: Factors) ->
     given, with the arrays.
     """
     f = factors
+    if g.shape != f.J.shape[:-2] + f.J.shape[-1:] or c.shape != f.J.shape[:-1]:
+        raise DimensionMismatch(f"g has shape {g.shape} and c {c.shape}; J has shape {f.J.shape}")
     # column vectors (..., k, 1) throughout, one matvec per lane
     g = g[..., None]
     v = -f.Vr @ ((f.U.mT @ c[..., None]) / f.s[..., None])
@@ -272,6 +274,8 @@ def sqp_multiplier(H: np.ndarray, g: np.ndarray, p: np.ndarray, factors: Factors
     """y of the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c], given its step p = u + v
     from `solve_step`: y = -U ((Vr' (g + H p)) / s), per lane for a stack."""
     f = factors
+    if g.shape != f.J.shape[:-2] + f.J.shape[-1:] or p.shape != g.shape:
+        raise DimensionMismatch(f"g has shape {g.shape} and p {p.shape}; J has shape {f.J.shape}")
     return (-f.U @ ((f.Vr.mT @ (g[..., None] + H @ p[..., None])) / f.s[..., None]))[..., 0]
 
 
@@ -280,5 +284,7 @@ def least_squares_multiplier(grad: np.ndarray, factors: Factors) -> np.ndarray:
 
     The factors must be those of `factor_step` for this J and are trusted as given.
     """
+    if grad.shape != factors.J.shape[:-2] + factors.J.shape[-1:]:
+        raise DimensionMismatch(f"grad has shape {grad.shape}; J has shape {factors.J.shape}")
     U, s, Vt = factors.mult
     return (-U @ ((Vt @ grad[..., None]) / s[..., None]))[..., 0]

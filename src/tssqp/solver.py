@@ -78,12 +78,8 @@ H is built once per run.  J is a (B, m, n) stack, one matrix per lane;
 `linalg.factor_step` factors it for the multiplier and the step before the
 convergence test, and the state keeps those factors until the stack's bytes
 change, so a constant J (linear constraints) is factored once per lane per
-run.  The reduced system (Z'HZ) w = -Z'(g + Hv) is solved with the gufunc
-behind `np.linalg.solve`, which factors Z'HZ again on each call; once the
-factors serve a stack a second time, and if n - m is large enough for it to
-pay (`linalg.factor_reduced_lu`), each lane's LU of Z'HZ is computed once and
-reused, with the same bits, for the rest of the run.  A J that is seen only
-once never pays for that LU.
+run; from the second iteration on, each lane's LU of Z'HZ is reused where
+`linalg.factor_reduced_lu` keeps it (see "Reused LU" there).
 """
 
 from __future__ import annotations

@@ -101,6 +101,21 @@ class TestSolveNewtonKkt:
             kkt_step(np.eye(3), np.array([[1.0, 0.0]]), np.zeros(2), np.zeros(1))
         with pytest.raises(DimensionMismatch):
             factor_step(np.eye(1), np.ones((2, 1)))
+        # the vectors must fit the factors' J: a length-1 g would broadcast over all n rows
+        J = np.array([[1.0, 0.0]])
+        with pytest.raises(DimensionMismatch, match=r"g has shape \(1,\)"):
+            kkt_step(np.eye(2), J, np.zeros(1), np.zeros(1))
+        with pytest.raises(DimensionMismatch, match=r"c \(2,\)"):
+            kkt_step(np.eye(2), J, np.zeros(2), np.zeros(2))
+        with pytest.raises(DimensionMismatch, match=r"grad has shape \(1,\)"):
+            lsq_multiplier(J, np.zeros(1))
+        factors = factor_step(np.eye(2), J)
+        with pytest.raises(DimensionMismatch, match=r"p \(1,\)"):
+            sqp_multiplier(np.eye(2), np.zeros(2), np.zeros(1), factors)
+        # and a stack needs one vector per lane
+        stack = factor_step(np.eye(2), np.stack([J, J]))
+        with pytest.raises(DimensionMismatch, match=r"g has shape \(3, 2\)"):
+            solve_step(np.eye(2), np.zeros((3, 2)), np.zeros((2, 1)), stack)
 
 
 class TestNullSpaceBasis:
