@@ -4,7 +4,7 @@
               --strategy linesearch|fixed|adaptive|ablation   (repeatable)
               [--noise F ...] [--seeds N] [--iters N]
               [--beta F] [--nu F] [--theta F] [--xi F] [--rho F] [--q0 F] [--b0 F]
-              [--out PATH] [--format csv|json] [--audit]
+              [--base-seed N] [--out PATH] [--format csv|json] [--audit]
 
 Exit codes: 0 success, 2 configuration or output error, 3 all runs failed.
 """

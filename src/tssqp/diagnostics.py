@@ -123,13 +123,13 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
     if problem.name != trace.problem or np.shape(trace.x_final) != (problem.n,):
         raise ConfigError(f"a trace of {trace.problem!r} with iterates of shape {np.shape(trace.x_final)} "
                           f"cannot be audited against {problem.name!r} with n={problem.n}")
-    if trace.columns is None:
+    if trace.table is None:
         raise ConfigError(f"a trace of {trace.problem!r} run without records cannot be audited")
     report = AuditReport(trace.problem, trace.strategy, trace.iterations, _MERIT_NOTE)
-    if not trace.columns:
+    if not len(trace.table):
         report.checks = [CheckResult(name, True) for name in _CHECKS]
         return report
-    x, u, v, d, _, scalars = record_fields(trace.table(), problem.n)
+    x, u, v, d, _, scalars = record_fields(trace.table, problem.n)
     x, u, v, d = (np.ascontiguousarray(a) for a in (x, u, v, d))
     alpha, beta, lo, hi, n_backtracks, hit, c_l1, c_l2, _, _, sigma_min = np.ascontiguousarray(scalars.T)
     k, hit = np.arange(len(x)), hit != 0

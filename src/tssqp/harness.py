@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,8 +64,13 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         axes = (("problem", self.problems), ("strategy", self.strategies), ("noise level", self.noise_levels))
         for label, entries in axes:
+            if isinstance(entries, str) or not isinstance(entries, Iterable):
+                raise ConfigError(f"a plan's {label} axis must be a collection, got {entries!r}")
             if not entries:
                 raise ConfigError(f"plan needs at least one {label}")
+        for source in self.problems:
+            if not isinstance(source, str) or not source:
+                raise ConfigError(f"a problem source must be a non-empty string, got {source!r}")
         check_count("trials", self.trials, 1)
         check_count("base_seed", self.base_seed, 0)
         if self.config.max_iters < 1:

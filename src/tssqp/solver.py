@@ -235,12 +235,11 @@ class SolverState:
     The record store is `block`, the current (lanes, iterations, 4n + m + 11)
     block of records, whose row `block_rows[i]` belongs to row i of `x` (see
     `_record`); a state that is not `recording` never writes one.  Entry j of
-    `records`, `iterations`, `first`, `least`, `status`, `error`, `x_final`
-    and `wall_s` belong to lane j, whether it still runs or not: its records,
-    as its rows of the blocks it ran in (views, cut to its iteration count
-    when it ends), its iteration count once it ends, the errors at its first
-    sufficiently feasible and at its least infeasible iterate, how it ended,
-    and its final iterate and time since `start`.
+    `configs`, `seeds`, `records`, `first`, `least` and `traces` belong to lane
+    j, whether it still runs or not: its config and seed, its rows of the
+    blocks it ran in (views), the (feasibility, stationarity) errors at its
+    first sufficiently feasible and at its least infeasible iterate, and its
+    `Trace`, which `end` builds when the lane ends (None until then).
     """
 
     k: int
@@ -253,31 +252,29 @@ class SolverState:
     lane: np.ndarray
     start: float
     noise: np.ndarray
+    problem: Problem
+    configs: list[SolverConfig]
+    seeds: list[int]
     noise_at: int = 0
     factors: Optional[Factors] = None
     recording: bool = True
     block: np.ndarray = field(init=False)
     block_rows: np.ndarray = field(init=False)
     records: list[list[np.ndarray]] = field(init=False)
-    iterations: list[int] = field(init=False)
     first: list[Optional[tuple[float, float]]] = field(init=False)
-    least: list[tuple[float, tuple[float, float]]] = field(init=False)
-    status: list[str] = field(init=False)
-    error: list[Optional[Exception]] = field(init=False)
-    x_final: list[Optional[np.ndarray]] = field(init=False)
-    wall_s: list[float] = field(init=False)
+    least: list[tuple[float, float]] = field(init=False)
+    traces: list[Optional[Trace]] = field(init=False)
 
     def __post_init__(self) -> None:
         B = len(self.lane)
         self.block, self.block_rows = np.empty((B, 0, 0)), np.arange(B)
         self.records = [[] for _ in range(B)]
-        self.iterations = [0] * B
-        self.first, self.error, self.x_final = [None] * B, [None] * B, [None] * B
-        self.least = [(math.inf, (math.nan, math.nan))] * B
-        self.status, self.wall_s = [BUDGET_EXHAUSTED] * B, [0.0] * B
+        self.first, self.traces = [None] * B, [None] * B
+        self.least = [(math.nan, math.nan)] * B
 
     def end(self, ended: dict, status: str, *values) -> tuple:
-        """End the lane of each row in `ended`, a {row: exception or None} map, with `status`.
+        """End the lane of each row in `ended`, a {row: exception or None} map, with `status`,
+        and build its `Trace`.
 
         Returns `values` restricted to the rows left (see `_restrict`); every
         value passed must have one row per row of `x`.
@@ -285,14 +282,17 @@ class SolverState:
         if not ended:
             return values
         now = time.perf_counter() - self.start
+        width = 4 * self.problem.n + self.problem.m + len(RECORD_SCALARS)
         for row, error in ended.items():
             lane = int(self.lane[row])
-            self.status[lane], self.error[lane] = status, error
-            self.x_final[lane] = self.x[row].copy()
-            self.wall_s[lane], self.iterations[lane] = now, self.k
-            blocks = self.records[lane]
-            if blocks:  # the lane has self.k records, the last of them in its last block
-                blocks[-1] = blocks[-1][:self.k - RECORD_BLOCK_ITERS * (len(blocks) - 1)]
+            # the lane's self.k records are the first rows of its blocks; one of no iteration has none
+            table = np.concatenate(self.records[lane] or [np.empty((0, width))])[:self.k] if self.recording else None
+            feas_error, stat_error = self.first[lane] or self.least[lane]
+            self.traces[lane] = Trace(
+                problem=self.problem.name, config=self.configs[lane], status=status,
+                fail_reason=None if error is None else _FAIL_TOKENS[type(error)], table=table,
+                iterations=self.k, feas_error=feas_error, stat_error=stat_error, x_final=self.x[row].copy(),
+                h_matrix=self.h, seed=self.seeds[lane], wall_s=now)
         keep = np.ones(len(self.lane), dtype=bool)
         keep[list(ended)] = False
         (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise,
@@ -300,18 +300,18 @@ class SolverState:
                                        self.factors, self.noise, self.block_rows), keep)
         return _restrict(values, keep)
 
-    def observe(self, feas: np.ndarray, stat: np.ndarray, config: SolverConfig) -> dict:
+    def observe(self, feas: np.ndarray, stat: np.ndarray) -> dict:
         """Note the errors at the current iterates for the protocol's reported
         measures; returns {row: None} for the rows whose iterate meets both tolerances."""
-        done = {}
+        config, done = self.configs[0], {}
         for row, (lane, f, s) in enumerate(zip(self.lane.tolist(), feas.tolist(), stat.tolist())):
             if f <= config.feas_tol:
                 if self.first[lane] is None:
                     self.first[lane] = (f, s)
                 if s <= config.stat_tol:
                     done[row] = None
-            if f < self.least[lane][0]:
-                self.least[lane] = (f, (f, s))
+            if not f >= self.least[lane][0]:  # the least is NaN until the first iterate
+                self.least[lane] = (f, s)
         return done
 
 
@@ -321,7 +321,7 @@ class IterationRecord:
 
     `d` is the direction actually taken: beta * u + v, or beta * p for the
     ablation strategy.  Records are built only on access to `Trace.records`,
-    from a row of the trace's record table: the arrays are views of that row.
+    from a row of `Trace.table`: the arrays are views of that row.
     """
 
     k: int
@@ -348,20 +348,19 @@ class Trace:
     """A finished run together with the configuration that produced it.
 
     `wall_s` is the time from the start of the `run`/`run_lanes` call until
-    this lane finished.  `columns` holds the lane's records as consecutive
-    row blocks, views of its run's record store (which they keep alive), one
-    per block of iterations it ran in: row k is record k's x, u, v, d (n
-    each), y (m) and RECORD_SCALARS (n_backtracks and hit_safeguard as 0/1
-    floats), 4n + m + 11 float64 columns (see `table` and `record_fields`).
-    It is None for a run without records (`run_lanes(..., records=False)`),
-    whose trace has no `table` and no `records`.
+    this lane finished.  `table` holds the lane's records, one row per
+    iteration, joined from its run's record store when the lane ended: row k
+    is record k's x, u, v, d (n each), y (m) and RECORD_SCALARS (n_backtracks
+    and hit_safeguard as 0/1 floats), 4n + m + 11 float64 columns (see
+    `record_fields`).  It is None for a run without records
+    (`run_lanes(..., records=False)`), whose trace has no `records`.
     """
 
     problem: str
     config: SolverConfig
     status: str
     fail_reason: Optional[str]
-    columns: Optional[tuple[np.ndarray, ...]]
+    table: Optional[np.ndarray]
     iterations: int
     feas_error: float
     stat_error: float
@@ -374,20 +373,14 @@ class Trace:
     def strategy(self) -> str:
         return self.config.strategy
 
-    def table(self) -> np.ndarray:
-        """The lane's records as one (iterations, 4n + m + 11) table: a view of its one
-        block, or a copy joining its blocks.  A trace of no iterations has no table and
-        raises ValueError; one run without records raises ConfigError."""
-        if self.columns is None:
-            raise ConfigError(f"this {self.problem!r} trace was run without records")
-        return self.columns[0] if len(self.columns) == 1 else np.concatenate(self.columns)
-
     @property
     def records(self) -> list[IterationRecord]:
-        """One `IterationRecord` per iteration, built from `columns` on each access: Python
-        scalars, and (n,)/(m,) views of the record table for the vectors.  ConfigError
-        for a trace run without records."""
-        return _records(self.table(), len(self.x_final)) if self.columns != () else []
+        """One `IterationRecord` per iteration, built from `table` on each access: Python
+        scalars, and (n,)/(m,) views of the table for the vectors.  ConfigError for a
+        trace run without records."""
+        if self.table is None:
+            raise ConfigError(f"this {self.problem!r} trace was run without records")
+        return _records(self.table, len(self.x_final))
 
 
 def record_fields(table: np.ndarray, n: int) -> list[np.ndarray]:
@@ -439,7 +432,8 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None, records: bool = True)
         streams=[c.stream(int(seed)) for c, seed in zip(configs, seeds)],
         scale=np.array([[math.sqrt(c.noise)] for c in configs]),
         h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B), start=start,
-        noise=np.empty((B, 0, problem.n)), recording=records,
+        noise=np.empty((B, 0, problem.n)), problem=problem, configs=list(configs),
+        seeds=[int(seed) for seed in seeds], recording=records,
     )
 
 
@@ -505,14 +499,14 @@ def _record(state: SolverState, vectors: tuple, scalars: tuple, max_iters: int) 
         state.block[state.block_rows, j] = np.concatenate(rows, axis=1)
 
 
-def _observe(state: SolverState, problem: Problem):
+def _observe(state: SolverState):
     """Evaluate every lane and measure (||c||_1, ||c||_inf, stationarity); ends the lanes that fail here.
 
     Returns (grad, c, ||c||_1, ||c||_inf, stationarity) of the lanes left, or None
     when no lane is.  `state.factors` become the factors of the J stack
     (`linalg.factor_step`, which keeps the cached ones while J's bytes stay).
     """
-    ev, failed = evaluate(problem, state.x)
+    ev, failed = evaluate(state.problem, state.x)
     grad, c, J = state.end(failed, FAILED, ev.grad, ev.c, ev.jac)
     if not len(c):
         return None
@@ -526,10 +520,11 @@ def _observe(state: SolverState, problem: Problem):
     return grad, c, c_abs.sum(axis=1), c_abs.max(axis=1), stat
 
 
-def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: np.ndarray, c: np.ndarray,
-             c_l1: np.ndarray, c_inf: np.ndarray, stat: np.ndarray) -> None:
+def _advance(state: SolverState, grad: np.ndarray, c: np.ndarray, c_l1: np.ndarray, c_inf: np.ndarray,
+             stat: np.ndarray) -> None:
     """Take one step on every lane from `_observe`'s values; writes their records if the
     state is recording, ends lanes that fail."""
+    config = state.configs[0]
     grad, c, c_l1, c_inf, stat = state.end(state.factors.step_failed, FAILED, grad, c, c_l1, c_inf, stat)
     if not len(c):
         return
@@ -570,7 +565,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
     direction = beta * p if config.strategy == "ablation" else beta * u + v
     if config.searches:
         alpha_l, hit_safeguard, n_backtracks, failed = backtrack_rows(
-            lambda z: evaluate_c(problem, z), state.x, direction, c_l1, hi_l, lo_l,
+            lambda z: evaluate_c(state.problem, z), state.x, direction, c_l1, hi_l, lo_l,
             config.xi, config.rho)
         (c, c_inf, stat, y, u, v, direction, alpha_l, hit_safeguard, n_backtracks,
          beta_l, lo_l, hi_l, c_l1) = state.end(
@@ -590,7 +585,7 @@ def _advance(state: SolverState, problem: Problem, config: SolverConfig, grad: n
     state.k += 1
 
 
-def step(state: SolverState, problem: Problem, config: SolverConfig) -> bool:
+def step(state: SolverState) -> bool:
     """One lockstep iteration of the lanes still running; returns whether any lane runs on.
 
     Observes every lane, ends those that meet both tolerances or, at k =
@@ -601,16 +596,16 @@ def step(state: SolverState, problem: Problem, config: SolverConfig) -> bool:
     keeps its name because the benchmark's tracer times the iteration under
     `tssqp.solver.step`.
     """
-    observed = _observe(state, problem)
+    observed = _observe(state)
     if observed is None:
         return False
-    done = state.observe(observed[3], observed[4], config)
-    if state.k == config.max_iters:
+    done = state.observe(observed[3], observed[4])
+    if state.k == state.configs[0].max_iters:
         state.end(dict.fromkeys(range(len(state.lane))), BUDGET_EXHAUSTED)
         return False
     observed = state.end(done, CONVERGED, *observed)
     if len(state.lane):
-        _advance(state, problem, config, *observed)
+        _advance(state, *observed)
     return len(state.lane) > 0
 
 
@@ -619,34 +614,15 @@ def run_lanes(problem: Problem, configs, seeds, x0=None, records: bool = True) -
 
     The configs may differ only in `noise` and `noise_seed`.  Lane i's trace is
     bitwise the trace of `run(problem, configs[i], seeds[i], x0)` (its
-    `wall_s` aside).  With `records=False` the run keeps no records: every
-    trace has `columns` None and the same fields otherwise.
+    `wall_s` aside); `SolverState.end` builds it when the lane ends.  With
+    `records=False` the run keeps no records: every trace has `table` None
+    and the same fields otherwise.
     """
     state = _init_lanes(problem, configs, seeds, x0, records)
     with np.errstate(over="ignore", invalid="ignore"):
-        while step(state, problem, configs[0]):
+        while step(state):
             pass
-
-    traces = []
-    for i, (lane_config, seed) in enumerate(zip(configs, seeds)):
-        first, least = state.first[i], state.least[i][1]
-        feas_error, stat_error = first if first is not None else least
-        error = state.error[i]
-        traces.append(Trace(
-            problem=problem.name,
-            config=lane_config,
-            status=state.status[i],
-            fail_reason=None if error is None else _FAIL_TOKENS[type(error)],
-            columns=tuple(state.records[i]) if records else None,
-            iterations=state.iterations[i],
-            feas_error=feas_error,
-            stat_error=stat_error,
-            x_final=state.x_final[i],
-            h_matrix=state.h,
-            seed=int(seed),
-            wall_s=state.wall_s[i],
-        ))
-    return traces
+    return state.traces
 
 
 def run(problem: Problem, config: SolverConfig, seed: int = 0, x0=None) -> Trace:

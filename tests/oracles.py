@@ -24,12 +24,12 @@ def first_iteration(problem, config, x0=None, seed=0):
     """The one-lane state after one `solver.step` from x0 (default problem.x0), and the
     record of that step.
 
-    `state.x[0]` is the next iterate, unless the lane ended (see
-    `state.status`/`state.error`; the record is then None).
+    `state.x[0]` is the next iterate, unless the lane ended (see its trace,
+    `state.traces[0]`; the record is then None).
     """
     state = _init_lanes(problem, [config], [seed], x0)
     with np.errstate(over="ignore", invalid="ignore"):
-        step(state, problem, config)
+        step(state)
     return state, first_record(state)
 
 
@@ -41,14 +41,14 @@ def first_record(state):
 
 
 def edit_records(trace, k, **fields):
-    """`trace` with the `fields` of record k replaced, in a copy of its columns (a field
+    """`trace` with the `fields` of record k replaced, in a copy of its table (a field
     name of `IterationRecord` other than k, and its new value)."""
-    table = trace.table().copy()
+    table = trace.table.copy()
     x, u, v, d, y, scalars = record_fields(table, len(trace.x_final))
     columns = dict(x=x, u=u, v=v, d=d, y=y, **dict(zip(RECORD_SCALARS, scalars.T)))
     for name, value in fields.items():
         columns[name][k] = value
-    return dataclasses.replace(trace, columns=(table,))
+    return dataclasses.replace(trace, table=table)
 
 
 def count_getrf(monkeypatch) -> list:

@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +183,16 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["run", "--problem", str(path), "--strategy", "linesearch"]) == 2
+
+
+class TestUsage:
+    def test_every_run_option_is_documented(self):
+        # the module docstring's and README's usage blocks name every long option of `run`
+        parser = tssqp.cli._build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {s for a in subparsers.choices["run"]._actions for s in a.option_strings if s.startswith("--")}
+        options.discard("--help")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cli_block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+        for text in (tssqp.cli.__doc__, cli_block):
+            assert sorted(o for o in options if not re.search(re.escape(o) + r"\b", text)) == []

@@ -128,7 +128,12 @@ class TestRunExperiment:
                     dict(problems=("qp2", "qp2")), dict(strategies=("fixed", "fixed")),
                     dict(noise_levels=(0.1, 0.1)), dict(noise_levels=("a",)), dict(noise_levels=()),
                     dict(config=SolverConfig(max_iters=0)),
-                    dict(strategies=("adaptive",), config=SolverConfig(alpha_rule="backtrack"))):
+                    dict(strategies=("adaptive",), config=SolverConfig(alpha_rule="backtrack")),
+                    # an axis that is a bare string or cannot be iterated, and a problem source
+                    # that is not a non-empty string
+                    dict(problems="qp2"), dict(strategies="linesearch"), dict(noise_levels="0"),
+                    dict(noise_levels=0.1), dict(problems=None), dict(problems=(3,)), dict(problems=("",)),
+                    dict(problems=(b"qp2",))):
             with pytest.raises(ConfigError):
                 _plan(**bad)
 
@@ -170,7 +175,7 @@ class TestRecordsOnlyForAudit:
         pb = load_problem("sphere3")
         configs = [self.PLAN.config_for("linesearch", noise) for noise in self.PLAN.noise_levels]
         for recorded, bare in zip(run_lanes(pb, configs, [0, 1]), run_lanes(pb, configs, [0, 1], records=False)):
-            assert bare.columns is None and bare.iterations == recorded.iterations > 0
+            assert bare.table is None and bare.iterations == recorded.iterations > 0
             assert [bare.status, bare.fail_reason, bare.feas_error, bare.stat_error, bare.x_final.tobytes()] == \
                 [recorded.status, recorded.fail_reason, recorded.feas_error, recorded.stat_error,
                  recorded.x_final.tobytes()]
@@ -183,7 +188,7 @@ class TestRecordsOnlyForAudit:
         pb = load_problem("sphere3")
         config = dataclasses.replace(self.PLAN.config, max_iters=0)
         (trace,) = run_lanes(pb, [config], [0])
-        assert trace.columns == () and trace.iterations == 0 and trace.records == []
+        assert trace.table.shape == (0, 4 * pb.n + pb.m + 11) and trace.iterations == 0 and trace.records == []
         report = audit_trace(trace, pb)
         assert report.passed and report.iterations == 0 and len(report.checks) == 9
         (bare,) = run_lanes(pb, [config], [0], records=False)

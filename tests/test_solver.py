@@ -66,7 +66,7 @@ class TestStep:
         # tolerance ends the lane before it steps: take the step directly
         state = _init_lanes(pb, [config], [0], x_star)
         with np.errstate(over="ignore", invalid="ignore"):
-            _advance(state, pb, config, *_observe(state, pb))
+            _advance(state, *_observe(state))
         rec = first_record(state)
         np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
         assert rec.stat_inf == pytest.approx(0.0, abs=1e-12)
@@ -387,9 +387,9 @@ class TestNoiseBlocks:
         state = _init_lanes(pb, [config], [4])
         stream = state.streams[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            while step(state, pb, config):
+            while step(state):
                 pass
-        assert (state.status[0], sum(map(len, state.records[0]))) == (BUDGET_EXHAUSTED, 3)
+        assert (state.traces[0].status, len(state.traces[0].table)) == (BUDGET_EXHAUSTED, 3)
         fresh = config.stream(4)
         for _ in range(3):
             fresh.random(2 * 2)  # one random(2 * half) call per iteration, half = 2 at n = 3
@@ -432,6 +432,15 @@ class TestRecordStore:
         lane_iterations = sum(t.iterations for t in traces)
         assert lane_iterations == 40 * 300
         assert held / lane_iterations <= 1.5 * 8 * (4 * pb.n + pb.m + 11)
+
+    def test_a_kept_trace_holds_only_its_own_records(self):
+        # a trace owns its record table: keeping one lane of a run does not keep the others' records
+        pb = load_problem("sphere3")
+        configs = [_config(max_iters=300, noise=0.1, noise_seed=1)] * 40
+        run_lanes(pb, configs[:2], [0, 1])  # one-off set-up of a process's first run is not the store
+        trace, held, _ = _traced_bytes(lambda: run_lanes(pb, configs, list(range(40)))[0])
+        assert trace.iterations == 300
+        assert held <= 1.5 * trace.iterations * 8 * (4 * pb.n + pb.m + 11)
 
     @pytest.mark.parametrize("max_iters", [1, RECORD_BLOCK_ITERS - 1, RECORD_BLOCK_ITERS, RECORD_BLOCK_ITERS + 1,
                                            2 * RECORD_BLOCK_ITERS + 5])
