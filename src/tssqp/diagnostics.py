@@ -129,7 +129,7 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
     if not len(trace.table):
         report.checks = [CheckResult(name, True) for name in _CHECKS]
         return report
-    x, u, v, d, _, scalars = record_fields(trace.table, problem.n)
+    x, u, v, d, scalars = record_fields(trace.table, problem.n)
     x, u, v, d = (np.ascontiguousarray(a) for a in (x, u, v, d))
     alpha, beta, lo, hi, n_backtracks, hit, c_l1, c_l2, _, _, sigma_min = np.ascontiguousarray(scalars.T)
     k, hit = np.arange(len(x)), hit != 0

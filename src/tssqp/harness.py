@@ -51,7 +51,8 @@ class ExperimentPlan:
 
     Each run uses `config` with its strategy and noise level replaced and
     `noise_seed` = `base_seed` (see `config_for`); the budget of every run is
-    `config.max_iters`.
+    `config.max_iters`.  Each axis is kept as a tuple of any non-string iterable
+    (a numpy array's as Python scalars).
     """
 
     problems: tuple[str, ...]
@@ -62,12 +63,17 @@ class ExperimentPlan:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
-        axes = (("problem", self.problems), ("strategy", self.strategies), ("noise level", self.noise_levels))
-        for label, entries in axes:
+        for name, label in (("problems", "problem"), ("strategies", "strategy"), ("noise_levels", "noise level")):
+            entries = getattr(self, name)
+            if isinstance(entries, np.ndarray):
+                entries = entries.tolist()
             if isinstance(entries, str) or not isinstance(entries, Iterable):
                 raise ConfigError(f"a plan's {label} axis must be a collection, got {entries!r}")
+            entries = tuple(entries)
             if not entries:
                 raise ConfigError(f"plan needs at least one {label}")
+            object.__setattr__(self, name, entries)
+        axes = (("problem", self.problems), ("strategy", self.strategies), ("noise level", self.noise_levels))
         for source in self.problems:
             if not isinstance(source, str) or not source:
                 raise ConfigError(f"a problem source must be a non-empty string, got {source!r}")

@@ -3,9 +3,9 @@
 The construction route follows one pass: an orthogonal factorization (SVD) of
 J yields the null-space basis Z, the minimum-norm normal component v solving
 J v = -c, the tangential component u from the reduced system
-(Z' H Z) w = -Z' (g + H v), and the multiplier y as the least-squares solution
-of the first KKT block.  The direct dense solve of the augmented saddle-point
-matrix exists only in the test suite as an independent oracle.
+(Z' H Z) w = -Z' (g + H v), and a gradient's least-squares multiplier.  The
+dense solve of the augmented saddle-point matrix and the multiplier y of the
+Newton SQP system exist only in the test suite, as independent oracles.
 
 `factor_step(H, J)` is the one call that factors what depends on (H, J)
 alone, for the step and the multiplier (`Factors`): the full SVD, the rank
@@ -14,12 +14,11 @@ the full and the reduced SVD can differ in the last bits).  Passed the
 factors of its last call, it returns them while J keeps its bytes, and the
 second time adds one LU of Z' H Z per lane (`factor_reduced_lu`, see "Reused
 LU").  The kernels apply the factors, with the same bits either way:
-`solve_step` gives the split step (u, v), `least_squares_multiplier` the
-multiplier of a gradient, and `sqp_multiplier` the multiplier y of the
-Newton SQP system; each raises DimensionMismatch for a vector that does not
-fit J.  The lanes that fail are in the factors' {lane: exception} maps (key
-0 for a single J), the form in which every layer reports them.  J counts as
-rank deficient when sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
+`solve_step` gives the split step (u, v) and `least_squares_multiplier` the
+multiplier of a gradient; each raises DimensionMismatch for a vector that
+does not fit J.  The lanes that fail are in the factors' {lane: exception}
+maps (key 0 for a single J), the form in which every layer reports them.  J
+counts as rank deficient when sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 
 Stacks
 ------
@@ -268,15 +267,6 @@ def solve_step(H: np.ndarray, g: np.ndarray, c: np.ndarray, factors: Factors) ->
     else:
         u = np.zeros(g.shape)
     return u[..., 0], v[..., 0]
-
-
-def sqp_multiplier(H: np.ndarray, g: np.ndarray, p: np.ndarray, factors: Factors) -> np.ndarray:
-    """y of the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c], given its step p = u + v
-    from `solve_step`: y = -U ((Vr' (g + H p)) / s), per lane for a stack."""
-    f = factors
-    if g.shape != f.J.shape[:-2] + f.J.shape[-1:] or p.shape != g.shape:
-        raise DimensionMismatch(f"g has shape {g.shape} and p {p.shape}; J has shape {f.J.shape}")
-    return (-f.U @ ((f.Vr.mT @ (g[..., None] + H @ p[..., None])) / f.s[..., None]))[..., 0]
 
 
 def least_squares_multiplier(grad: np.ndarray, factors: Factors) -> np.ndarray:

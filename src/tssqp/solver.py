@@ -20,20 +20,21 @@ is the B = 1 case of the same code.  One `SolverState` holds a run's lanes,
 and `step` takes one lockstep iteration of them.  A lane leaves the stack
 when it finishes; a failure ends only its own lane.
 
-Every layer reports the lanes that fail as a {row: exception} map.  Every
-lane leaves through `SolverState.end`, which takes such a map, ends those
-lanes and restricts every per-lane value, the cached factors included, to the
-rows left; nothing is factored again.  Within an iteration a lane ends when (1)
-its oracle output is not finite, (2) its J fails the rank test of the
-multiplier, (3) its iterate meets both tolerances or the budget is spent,
-(4) its step factorization fails, (5) a stepsize under- or overflows, or (6)
-a trial point of the line search has a non-finite c.  So a lane that has
-converged ends converged even where its step cannot be taken.
+Every layer reports the lanes that fail as a {row: exception} map, and one
+iteration's per-lane values travel in one `Iteration`.  Every lane leaves
+through `SolverState.end`, which takes a {row: exception or status} map, ends
+those lanes and restricts the state's per-lane values, the cached factors
+included, and the `Iteration` to the rows left; nothing is factored again.
+Within an iteration a lane ends when (1) its oracle output is not finite, (2)
+its J fails the rank test of the multiplier, (3) the budget is spent, its
+iterate meets both tolerances, or its step factorization fails (a converged
+lane ends converged), (4) a stepsize under- or overflows, or (5) a trial
+point of the line search has a non-finite c.
 
 Stepsizes
 ---------
 Every strategy moves by x <- x + alpha d with d = beta u + v (ablation:
-d = beta p, standing in for single-stepsize stochastic SQP) and alpha in
+d = beta (u + v), standing in for single-stepsize stochastic SQP) and alpha in
 [lo, hi].  Each iteration computes (beta, lo, hi) per lane by one rule:
 
 beta    eta / b for adaptive, where b^2 += ||u||^2 starting from b0;
@@ -57,9 +58,8 @@ multiplier, never with the stochastic gradient.
 Work per iteration: one full oracle evaluation of the stack, shared by the
 termination check and the step, and one constraint-only evaluation per
 line-search round.  The step computes the split step (u, v) and the
-least-squares multiplier of the stationarity test; p = u + v only for
-ablation and for records, and the SQP multiplier y and sigma_min(J) only for
-records.  The gradient noise is drawn once per block of up to
+least-squares multiplier of the stationarity test, and sigma_min(J) is read
+only for records.  The gradient noise is drawn once per block of up to
 NOISE_BLOCK_ITERS iterations, never past the budget: each noisy lane makes
 one `random` call for the block and Box-Muller runs once on the noisy rows,
 with the bits of one draw per iteration.  A noise-free lane's block rows
@@ -102,7 +102,7 @@ from .errors import (
     check_count,
     check_real,
 )
-from .linalg import Factors, dot, factor_step, least_squares_multiplier, mv, solve_step, sqp_multiplier
+from .linalg import Factors, dot, factor_step, least_squares_multiplier, mv, solve_step
 from .problems import Problem, evaluate, evaluate_c, standard_normal_vector
 from .stepsize import adaptive_update, backtrack_rows
 
@@ -137,7 +137,7 @@ RECORD_BLOCK_ITERS = 128
 """Iterations of records one block of a run's record store holds (see `_record`).
 
 The store grows one block at a time, of RECORD_BLOCK_ITERS iterations (fewer
-where the budget ends sooner) x the lanes running x 4n + m + 11 floats, so a
+where the budget ends sooner) x the lanes running x 4n + 11 floats, so a
 lane that ends early leaves at most one block's rows unused and a huge budget
 allocates nothing up front.
 """
@@ -219,6 +219,29 @@ class SolverConfig:
         return self.strategy in ("linesearch", "ablation") or self.alpha_rule == "backtrack"
 
 
+@dataclass(slots=True)
+class Iteration:
+    """One iteration's per-lane values, entry i of each for row i of the state's `x`, assigned
+    in place by `step` and `_advance` (None until computed); `SolverState.end` restricts
+    them all to the rows left."""
+
+    grad: np.ndarray
+    c: np.ndarray
+    jac: np.ndarray
+    c_l1: Optional[list[float]] = None
+    c_inf: Optional[np.ndarray] = None
+    stat: Optional[np.ndarray] = None
+    u: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    beta: Optional[list[float]] = None
+    lo: Optional[list[float]] = None
+    hi: Optional[list[float]] = None
+    direction: Optional[np.ndarray] = None
+    alpha: Optional[list[float]] = None
+    hit: Optional[list[bool]] = None
+    count: Optional[list[int]] = None
+
+
 @dataclass
 class SolverState:
     """Every lane of one run: the rows still running and what is known of each lane.
@@ -232,7 +255,7 @@ class SolverState:
     at b0 and q0.  `h` is the model matrix H.  `factors` are the
     `linalg.Factors` of the last J stack factored, restricted to the rows left.
 
-    The record store is `block`, the current (lanes, iterations, 4n + m + 11)
+    The record store is `block`, the current (lanes, iterations, 4n + 11)
     block of records, whose row `block_rows[i]` belongs to row i of `x` (see
     `_record`); a state that is not `recording` never writes one.  Entry j of
     `configs`, `seeds`, `records`, `first`, `least` and `traces` belong to lane
@@ -272,25 +295,28 @@ class SolverState:
         self.first, self.traces = [None] * B, [None] * B
         self.least = [(math.nan, math.nan)] * B
 
-    def end(self, ended: dict, status: str, *values) -> tuple:
-        """End the lane of each row in `ended`, a {row: exception or None} map, with `status`,
-        and build its `Trace`.
+    def end(self, ended: dict, it: Optional[Iteration] = None) -> bool:
+        """End the lane of each row in `ended` and build its `Trace`; returns whether any lane runs on.
 
-        Returns `values` restricted to the rows left (see `_restrict`); every
-        value passed must have one row per row of `x`.
+        `ended` maps a row to an exception, which ends the lane FAILED with
+        the exception's failure token, or to a status (CONVERGED,
+        BUDGET_EXHAUSTED).  The state's per-lane values and, in place, every
+        field of the iteration `it` are restricted to the rows left (see
+        `_restrict`).
         """
         if not ended:
-            return values
+            return len(self.lane) > 0
         now = time.perf_counter() - self.start
-        width = 4 * self.problem.n + self.problem.m + len(RECORD_SCALARS)
-        for row, error in ended.items():
+        width = 4 * self.problem.n + len(RECORD_SCALARS)
+        for row, outcome in ended.items():
             lane = int(self.lane[row])
+            failed = isinstance(outcome, Exception)
             # the lane's self.k records are the first rows of its blocks; one of no iteration has none
             table = np.concatenate(self.records[lane] or [np.empty((0, width))])[:self.k] if self.recording else None
             feas_error, stat_error = self.first[lane] or self.least[lane]
             self.traces[lane] = Trace(
-                problem=self.problem.name, config=self.configs[lane], status=status,
-                fail_reason=None if error is None else _FAIL_TOKENS[type(error)], table=table,
+                problem=self.problem.name, config=self.configs[lane], status=FAILED if failed else outcome,
+                fail_reason=_FAIL_TOKENS[type(outcome)] if failed else None, table=table,
                 iterations=self.k, feas_error=feas_error, stat_error=stat_error, x_final=self.x[row].copy(),
                 h_matrix=self.h, seed=self.seeds[lane], wall_s=now)
         keep = np.ones(len(self.lane), dtype=bool)
@@ -298,18 +324,21 @@ class SolverState:
         (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise,
          self.block_rows) = _restrict((self.x, self.scale, self.lane, self.streams, self.b, self.q,
                                        self.factors, self.noise, self.block_rows), keep)
-        return _restrict(values, keep)
+        if it is not None:
+            for name in it.__slots__:
+                setattr(it, name, _restrict(getattr(it, name), keep))
+        return len(self.lane) > 0
 
     def observe(self, feas: np.ndarray, stat: np.ndarray) -> dict:
         """Note the errors at the current iterates for the protocol's reported
-        measures; returns {row: None} for the rows whose iterate meets both tolerances."""
+        measures; returns {row: CONVERGED} for the rows whose iterate meets both tolerances."""
         config, done = self.configs[0], {}
         for row, (lane, f, s) in enumerate(zip(self.lane.tolist(), feas.tolist(), stat.tolist())):
             if f <= config.feas_tol:
                 if self.first[lane] is None:
                     self.first[lane] = (f, s)
                 if s <= config.stat_tol:
-                    done[row] = None
+                    done[row] = CONVERGED
             if not f >= self.least[lane][0]:  # the least is NaN until the first iterate
                 self.least[lane] = (f, s)
         return done
@@ -319,8 +348,8 @@ class SolverState:
 class IterationRecord:
     """Per-iteration instrumentation, all quantities at the pre-step iterate x.
 
-    `d` is the direction actually taken: beta * u + v, or beta * p for the
-    ablation strategy.  Records are built only on access to `Trace.records`,
+    `d` is the direction actually taken: beta * u + v, or beta * (u + v) for
+    the ablation strategy.  Records are built only on access to `Trace.records`,
     from a row of `Trace.table`: the arrays are views of that row.
     """
 
@@ -329,7 +358,6 @@ class IterationRecord:
     u: np.ndarray
     v: np.ndarray
     d: np.ndarray
-    y: np.ndarray
     alpha: float
     beta: float
     alpha_lo: float
@@ -350,8 +378,8 @@ class Trace:
     `wall_s` is the time from the start of the `run`/`run_lanes` call until
     this lane finished.  `table` holds the lane's records, one row per
     iteration, joined from its run's record store when the lane ended: row k
-    is record k's x, u, v, d (n each), y (m) and RECORD_SCALARS (n_backtracks
-    and hit_safeguard as 0/1 floats), 4n + m + 11 float64 columns (see
+    is record k's x, u, v, d (n each) and RECORD_SCALARS (n_backtracks and
+    hit_safeguard as 0/1 floats), 4n + 11 float64 columns (see
     `record_fields`).  It is None for a run without records
     (`run_lanes(..., records=False)`), whose trace has no `records`.
     """
@@ -384,16 +412,15 @@ class Trace:
 
 
 def record_fields(table: np.ndarray, n: int) -> list[np.ndarray]:
-    """[x, u, v, d, y, scalars] of a record table (iterations, 4n + m + 11), as views:
-    x, u, v, d (iterations, n), y (iterations, m) and scalars (iterations, 11), whose
-    columns are RECORD_SCALARS."""
-    return np.split(table, (n, 2 * n, 3 * n, 4 * n, table.shape[1] - len(RECORD_SCALARS)), axis=1)
+    """[x, u, v, d, scalars] of a record table (iterations, 4n + 11), as views: x, u, v,
+    d (iterations, n) and scalars (iterations, 11), whose columns are RECORD_SCALARS."""
+    return np.split(table, (n, 2 * n, 3 * n, 4 * n), axis=1)
 
 
 def _records(table: np.ndarray, n: int) -> list[IterationRecord]:
     """The records of the rows of a record table, row k as iteration k."""
-    x, u, v, d, y, scalars = record_fields(table, n)
-    return [IterationRecord(k, x[k], u[k], v[k], d[k], y[k], alpha, beta, lo, hi, int(backtracks),
+    x, u, v, d, scalars = record_fields(table, n)
+    return [IterationRecord(k, x[k], u[k], v[k], d[k], alpha, beta, lo, hi, int(backtracks),
                             bool(hit), c_l1, c_l2, c_inf, stat, sigma_min)
             for k, (alpha, beta, lo, hi, backtracks, hit, c_l1, c_l2, c_inf, stat, sigma_min)
             in enumerate(scalars.tolist())]
@@ -478,134 +505,109 @@ def _restrict(value, keep: np.ndarray):
     return value[keep]
 
 
-def _record(state: SolverState, vectors: tuple, scalars: tuple, max_iters: int) -> None:
+def _record(state: SolverState, it: Iteration, max_iters: int) -> None:
     """Write iteration k's records, one row per lane running, into the record store: the
-    (lanes, width) `vectors` x, u, v, d, y and the lists or (lanes,) arrays of
-    RECORD_SCALARS, with one `concatenate`, in place while no lane has left the current
-    block.  At the first iteration of a block, first start a block of at most
-    RECORD_BLOCK_ITERS iterations, never past the budget, and give each lane its row."""
+    (lanes, n) vectors x, u, v, d and the lists or (lanes,) arrays of RECORD_SCALARS,
+    with one `concatenate`, in place while no lane has left the current block.  At the
+    first iteration of a block, first start a block of at most RECORD_BLOCK_ITERS
+    iterations, never past the budget, and give each lane its row."""
     j = state.k % RECORD_BLOCK_ITERS
-    lanes = len(vectors[0])
+    lanes = len(state.x)
     if j == 0:
-        width = sum(a.shape[1] for a in vectors) + len(scalars)
+        width = 4 * state.problem.n + len(RECORD_SCALARS)
         state.block = np.empty((lanes, min(RECORD_BLOCK_ITERS, max_iters - state.k), width))
         state.block_rows = np.arange(lanes)
         for lane, block in zip(state.lane.tolist(), state.block):
             state.records[lane].append(block)
-    rows = (*vectors, np.array(scalars, dtype=float).T)
+    scalars = (it.alpha, it.beta, it.lo, it.hi, it.count, it.hit, it.c_l1, np.sqrt(dot(it.c, it.c)), it.c_inf,
+               it.stat, state.factors.sigma_min)
+    rows = (state.x, it.u, it.v, it.direction, np.array(scalars, dtype=float).T)
     if len(state.block) == lanes:
         np.concatenate(rows, axis=1, out=state.block[:, j])
     else:
         state.block[state.block_rows, j] = np.concatenate(rows, axis=1)
 
 
-def _observe(state: SolverState):
-    """Evaluate every lane and measure (||c||_1, ||c||_inf, stationarity); ends the lanes that fail here.
-
-    Returns (grad, c, ||c||_1, ||c||_inf, stationarity) of the lanes left, or None
-    when no lane is.  `state.factors` become the factors of the J stack
-    (`linalg.factor_step`, which keeps the cached ones while J's bytes stay).
-    """
-    ev, failed = evaluate(state.problem, state.x)
-    grad, c, J = state.end(failed, FAILED, ev.grad, ev.c, ev.jac)
-    if not len(c):
-        return None
-    state.factors = factor_step(state.h, J, state.factors)
-    grad, c = state.end(state.factors.mult_failed, FAILED, grad, c)
-    if not len(c):
-        return None
-    y = least_squares_multiplier(grad, state.factors)
-    stat = np.abs(grad + mv(state.factors.J.mT, y)).max(axis=1)
-    c_abs = np.abs(c)
-    return grad, c, c_abs.sum(axis=1), c_abs.max(axis=1), stat
-
-
-def _advance(state: SolverState, grad: np.ndarray, c: np.ndarray, c_l1: np.ndarray, c_inf: np.ndarray,
-             stat: np.ndarray) -> None:
-    """Take one step on every lane from `_observe`'s values; writes their records if the
-    state is recording, ends lanes that fail."""
+def _advance(state: SolverState, it: Iteration) -> None:
+    """Take one step on every lane from the observed values of `it`; writes their records
+    if the state is recording, ends lanes that fail."""
     config = state.configs[0]
-    grad, c, c_l1, c_inf, stat = state.end(state.factors.step_failed, FAILED, grad, c, c_l1, c_inf, stat)
-    if not len(c):
-        return
-    c_l1 = c_l1.tolist()
-    g = _noisy_gradients(grad, state, config.max_iters)
-    u, v = solve_step(state.h, g, c, state.factors)
-    p = u + v if config.strategy == "ablation" or state.recording else None
-    y = sqp_multiplier(state.h, g, p, state.factors) if state.recording else None
-    B = len(c)
+    g = _noisy_gradients(it.grad, state, config.max_iters)
+    it.u, it.v = solve_step(state.h, g, it.c, state.factors)
+    B = len(it.c)
 
     # (beta, lo, hi) per lane, in the float arithmetic of a single run
     if config.strategy == "fixed":
         beta = config.eta
         if config.alpha_rule != "backtrack":
             beta /= math.sqrt(max(config.max_iters, 1))
-        beta_l, lo_l, hi_l = [beta] * B, [config.nu] * B, [config.nu + config.theta * beta] * B
+        it.beta, it.lo, it.hi = [beta] * B, [config.nu] * B, [config.nu + config.theta * beta] * B
     else:
-        state.q = [math.sqrt(q * q + l1) for q, l1 in zip(state.q, c_l1)]
-        lo_l = [config.nu / q for q in state.q]
+        state.q = [math.sqrt(q * q + l1) for q, l1 in zip(state.q, it.c_l1)]
+        it.lo = [config.nu / q for q in state.q]
         if config.strategy == "adaptive":
-            state.b = [adaptive_update(b, uu) for b, uu in zip(state.b, dot(u, u).tolist())]
-            beta_l = [config.eta / b for b in state.b]
-            hi_l = [lo + min(config.theta / b, config.theta / q) for lo, b, q in zip(lo_l, state.b, state.q)]
+            state.b = [adaptive_update(b, uu) for b, uu in zip(state.b, dot(it.u, it.u).tolist())]
+            it.beta = [config.eta / b for b in state.b]
+            it.hi = [lo + min(config.theta / b, config.theta / q) for lo, b, q in zip(it.lo, state.b, state.q)]
         else:
-            beta_l = [config.eta] * B
-            hi_l = [lo + config.theta * config.eta for lo in lo_l]
+            it.beta = [config.eta] * B
+            it.hi = [lo + config.theta * config.eta for lo in it.lo]
     bad = {i: NonPositiveBeta(f"stepsizes underflowed: beta = {b!r}, alpha lower end = {lo!r}")
            if not (b > 0.0 and lo > 0.0) else
            StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi!r}")
-           for i, (b, lo, hi) in enumerate(zip(beta_l, lo_l, hi_l))
+           for i, (b, lo, hi) in enumerate(zip(it.beta, it.lo, it.hi))
            if not (0.0 < b < math.inf and 0.0 < lo <= hi < math.inf)}
-    c, c_inf, stat, p, y, u, v, beta_l, lo_l, hi_l, c_l1 = state.end(
-        bad, FAILED, c, c_inf, stat, p, y, u, v, beta_l, lo_l, hi_l, c_l1)
-    if not len(c):
+    if not state.end(bad, it):
         return
 
-    beta = np.array(beta_l)[:, None] if config.strategy == "adaptive" else beta_l[0]
-    direction = beta * p if config.strategy == "ablation" else beta * u + v
+    beta = np.array(it.beta)[:, None] if config.strategy == "adaptive" else it.beta[0]
+    it.direction = beta * (it.u + it.v) if config.strategy == "ablation" else beta * it.u + it.v
     if config.searches:
-        alpha_l, hit_safeguard, n_backtracks, failed = backtrack_rows(
-            lambda z: evaluate_c(state.problem, z), state.x, direction, c_l1, hi_l, lo_l,
+        it.alpha, it.hit, it.count, failed = backtrack_rows(
+            lambda z: evaluate_c(state.problem, z), state.x, it.direction, it.c_l1, it.hi, it.lo,
             config.xi, config.rho)
-        (c, c_inf, stat, y, u, v, direction, alpha_l, hit_safeguard, n_backtracks,
-         beta_l, lo_l, hi_l, c_l1) = state.end(
-            failed, FAILED, c, c_inf, stat, y, u, v, direction, alpha_l, hit_safeguard,
-            n_backtracks, beta_l, lo_l, hi_l, c_l1)
-        if not len(c):
+        if not state.end(failed, it):
             return
     else:
-        alpha_l = lo_l if config.alpha_rule == "lower" else hi_l
-        hit_safeguard, n_backtracks = [False] * len(c), [0] * len(c)
+        it.alpha = it.lo if config.alpha_rule == "lower" else it.hi
+        it.hit, it.count = [False] * len(it.c), [0] * len(it.c)
 
     if state.recording:
-        _record(state, (state.x, u, v, direction, y),
-                (alpha_l, beta_l, lo_l, hi_l, n_backtracks, hit_safeguard, c_l1, np.sqrt(dot(c, c)), c_inf, stat,
-                 state.factors.sigma_min), config.max_iters)
-    state.x = state.x + np.array(alpha_l)[:, None] * direction
+        _record(state, it, config.max_iters)
+    state.x = state.x + np.array(it.alpha)[:, None] * it.direction
     state.k += 1
 
 
 def step(state: SolverState) -> bool:
     """One lockstep iteration of the lanes still running; returns whether any lane runs on.
 
-    Observes every lane, ends those that meet both tolerances or, at k =
-    max_iters, every lane left, and advances the rest by one step.  It runs
-    under `run_lanes`' np.errstate, which turns overflow and invalid-value
-    warnings off: a lane whose values stop being finite ends with its
-    failure token instead.  `run_lanes` is its only caller; the function
-    keeps its name because the benchmark's tracer times the iteration under
-    `tssqp.solver.step`.
+    Evaluates every lane, factors the J stack (`linalg.factor_step`, which
+    keeps the state's factors while J's bytes stay) and measures (||c||_1,
+    ||c||_inf, stationarity); ends the lanes that fail there, those that
+    meet both tolerances or, at k = max_iters, every lane left, and advances
+    the rest by one step.  It runs under `run_lanes`' np.errstate, which
+    turns overflow and invalid-value warnings off: a lane whose values stop
+    being finite ends with its failure token instead.  `run_lanes` is its
+    only caller; the function keeps its name because the benchmark's tracer
+    times the iteration under `tssqp.solver.step`.
     """
-    observed = _observe(state)
-    if observed is None:
+    ev, failed = evaluate(state.problem, state.x)
+    it = Iteration(ev.grad, ev.c, ev.jac)
+    if not state.end(failed, it):
         return False
-    done = state.observe(observed[3], observed[4])
+    state.factors = factor_step(state.h, it.jac, state.factors)
+    if not state.end(state.factors.mult_failed, it):
+        return False
+    y = least_squares_multiplier(it.grad, state.factors)
+    it.stat = np.abs(it.grad + mv(state.factors.J.mT, y)).max(axis=1)
+    c_abs = np.abs(it.c)
+    it.c_l1, it.c_inf = c_abs.sum(axis=1).tolist(), c_abs.max(axis=1)
+    done = state.observe(it.c_inf, it.stat)
     if state.k == state.configs[0].max_iters:
-        state.end(dict.fromkeys(range(len(state.lane))), BUDGET_EXHAUSTED)
-        return False
-    observed = state.end(done, CONVERGED, *observed)
-    if len(state.lane):
-        _advance(state, *observed)
+        return state.end(dict.fromkeys(range(len(state.lane)), BUDGET_EXHAUSTED))
+    # a lane that has converged ends converged even where its step cannot be taken
+    if state.end({**state.factors.step_failed, **done}, it):
+        _advance(state, it)
     return len(state.lane) > 0
 
 

@@ -9,7 +9,8 @@ iteration of a one-lane run the way `run_lanes` does, `edit_records` corrupts
 a copy of a trace's records for the auditor, and `count_getrf` counts the LU
 factorizations of the reduced Hessian.  `kkt_step` and `lsq_multiplier` factor
 one (H, J) and solve with it at once, the one-shot use of the library's kernels
-that the tests make.
+that the tests make; `sqp_multiplier` gives the multiplier y of the Newton SQP
+system from those factors, which the solver never needs.
 """
 
 import dataclasses
@@ -44,8 +45,8 @@ def edit_records(trace, k, **fields):
     """`trace` with the `fields` of record k replaced, in a copy of its table (a field
     name of `IterationRecord` other than k, and its new value)."""
     table = trace.table.copy()
-    x, u, v, d, y, scalars = record_fields(table, len(trace.x_final))
-    columns = dict(x=x, u=u, v=v, d=d, y=y, **dict(zip(RECORD_SCALARS, scalars.T)))
+    x, u, v, d, scalars = record_fields(table, len(trace.x_final))
+    columns = dict(x=x, u=u, v=v, d=d, **dict(zip(RECORD_SCALARS, scalars.T)))
     for name, value in fields.items():
         columns[name][k] = value
     return dataclasses.replace(trace, table=table)
@@ -77,14 +78,24 @@ def _factors(H, J, failures: str):
 
 def kkt_step(H, J, g, c):
     """(p, y, u, v, sigma_min) of one (H, J, g, c), or of each lane of a stack, from a fresh
-    `factor_step`, `solve_step` and `sqp_multiplier`: (p, y) solves the Newton SQP system
+    `factor_step`, `solve_step` and `sqp_multiplier` (below): (p, y) solves the Newton SQP system
     [[H, J'], [J, 0]] [p; y] = -[g; c] and p = u + v.  Raises the first failure of the
     factorization."""
     H, g, c = (np.ascontiguousarray(a, dtype=float) for a in (H, g, c))
     factors = _factors(H, J, "step_failed")
     u, v = linalg.solve_step(H, g, c, factors)
     p = u + v
-    return p, linalg.sqp_multiplier(H, g, p, factors), u, v, factors.sigma_min
+    return p, sqp_multiplier(H, g, p, factors), u, v, factors.sigma_min
+
+
+def sqp_multiplier(H, g, p, factors):
+    """y of the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c], given its step p = u + v
+    from `linalg.solve_step` with `factors`: y = -U ((Vr' (g + H p)) / s), per lane for a
+    stack.  DimensionMismatch for a g or p that does not fit the factors' J."""
+    f = factors
+    if g.shape != f.J.shape[:-2] + f.J.shape[-1:] or p.shape != g.shape:
+        raise DimensionMismatch(f"g has shape {g.shape} and p {p.shape}; J has shape {f.J.shape}")
+    return (-f.U @ ((f.Vr.mT @ (g[..., None] + H @ p[..., None])) / f.s[..., None]))[..., 0]
 
 
 def lsq_multiplier(J, grad):

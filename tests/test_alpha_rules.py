@@ -31,7 +31,7 @@ CASES = [
 def _digest(trace) -> str:
     h = hashlib.sha256()
     for rec in trace.records:
-        for arr in (rec.x, rec.u, rec.v, rec.d, rec.y):
+        for arr in (rec.x, rec.u, rec.v, rec.d):
             h.update(arr.tobytes())
         h.update(repr((rec.k, rec.alpha, rec.beta, rec.alpha_lo, rec.alpha_hi,
                        rec.n_backtracks, rec.hit_safeguard, rec.c_l1, rec.c_l2,

@@ -133,9 +133,20 @@ class TestRunExperiment:
                     # that is not a non-empty string
                     dict(problems="qp2"), dict(strategies="linesearch"), dict(noise_levels="0"),
                     dict(noise_levels=0.1), dict(problems=None), dict(problems=(3,)), dict(problems=("",)),
-                    dict(problems=(b"qp2",))):
+                    dict(problems=(b"qp2",)),
+                    # iterable axes are checked like tuples: a numpy array, and a generator
+                    dict(noise_levels=np.array([0.1, 0.1])), dict(noise_levels=np.array(0.1)),
+                    dict(noise_levels=np.array([-1.0, 0.1])), dict(noise_levels=np.array([])),
+                    dict(problems=(p for p in ("qp2", "qp2"))), dict(strategies=(s for s in ("sgd",))),
+                    dict(noise_levels=(x for x in ()))):
             with pytest.raises(ConfigError):
                 _plan(**bad)
+        # a valid ndarray or generator axis runs as its tuple: the ndarray's entries are Python
+        # floats, so the CSV prints 0.1, not np.float64(0.1), and has the tuple form's bytes
+        plan = _plan(noise_levels=np.array([0.0, 0.1]), strategies=(s for s in ("linesearch", "fixed")))
+        assert (plan.noise_levels, plan.strategies) == ((0.0, 0.1), ("linesearch", "fixed"))
+        assert to_csv(run_experiment(plan)) == \
+            to_csv(run_experiment(_plan(noise_levels=(0.0, 0.1), strategies=("linesearch", "fixed"))))
 
     def test_section6_shaped_plan(self):
         # 4 problems x 2 strategies x 3 noise levels x 20 trials = 480 rows
@@ -188,7 +199,7 @@ class TestRecordsOnlyForAudit:
         pb = load_problem("sphere3")
         config = dataclasses.replace(self.PLAN.config, max_iters=0)
         (trace,) = run_lanes(pb, [config], [0])
-        assert trace.table.shape == (0, 4 * pb.n + pb.m + 11) and trace.iterations == 0 and trace.records == []
+        assert trace.table.shape == (0, 4 * pb.n + 11) and trace.iterations == 0 and trace.records == []
         report = audit_trace(trace, pb)
         assert report.passed and report.iterations == 0 and len(report.checks) == 9
         (bare,) = run_lanes(pb, [config], [0], records=False)

@@ -18,7 +18,7 @@ from tssqp import (
     load_problem,
     run,
 )
-from tssqp.linalg import factor_reduced_lu, factor_step, least_squares_multiplier, solve_step, sqp_multiplier
+from tssqp.linalg import factor_reduced_lu, factor_step, least_squares_multiplier, solve_step
 from tssqp.solver import _h_matrix
 from oracles import (
     augmented_solve,
@@ -28,6 +28,7 @@ from oracles import (
     null_space_oracle,
     pinv_normal_component,
     random_instance,
+    sqp_multiplier,
 )
 
 TOL = 1e-8

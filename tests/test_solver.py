@@ -26,10 +26,8 @@ from tssqp.solver import (
     NOISE_BLOCK_FLOATS,
     NOISE_BLOCK_ITERS,
     RECORD_BLOCK_ITERS,
-    _advance,
     _init_lanes,
     _noise_block_iters,
-    _observe,
     step,
 )
 from oracles import count_getrf, first_iteration, first_record, kkt_step
@@ -63,10 +61,11 @@ class TestStep:
         assert (trace.status, trace.iterations) == (CONVERGED, 0)
         np.testing.assert_array_equal(trace.x_final, x_star)
         # c and the stationarity residual are exactly 0 there, so every
-        # tolerance ends the lane before it steps: take the step directly
+        # tolerance ends the lane before it steps: take the step with no row reported converged
         state = _init_lanes(pb, [config], [0], x_star)
+        state.observe = lambda feas, stat: {}
         with np.errstate(over="ignore", invalid="ignore"):
-            _advance(state, *_observe(state))
+            assert step(state)
         rec = first_record(state)
         np.testing.assert_allclose(state.x[0], [1.0, 0.0], atol=1e-12)
         assert rec.stat_inf == pytest.approx(0.0, abs=1e-12)
@@ -424,14 +423,14 @@ def _traced_bytes(fn):
 class TestRecordStore:
     def test_bytes_held_per_lane_iteration(self):
         # noisy sphere3 lanes never meet stat_tol, so every lane records its whole budget:
-        # one row of 4n + m + 11 floats per lane-iteration, plus the traces themselves
+        # one row of 4n + 11 floats per lane-iteration, plus the traces themselves
         pb = load_problem("sphere3")
         configs = [_config(max_iters=300, noise=0.1, noise_seed=1)] * 40
         run_lanes(pb, configs[:2], [0, 1])  # one-off set-up of a process's first run is not the store
         traces, held, _ = _traced_bytes(lambda: run_lanes(pb, configs, list(range(40))))
         lane_iterations = sum(t.iterations for t in traces)
         assert lane_iterations == 40 * 300
-        assert held / lane_iterations <= 1.5 * 8 * (4 * pb.n + pb.m + 11)
+        assert held / lane_iterations <= 1.5 * 8 * (4 * pb.n + 11)
 
     def test_a_kept_trace_holds_only_its_own_records(self):
         # a trace owns its record table: keeping one lane of a run does not keep the others' records
@@ -440,7 +439,7 @@ class TestRecordStore:
         run_lanes(pb, configs[:2], [0, 1])  # one-off set-up of a process's first run is not the store
         trace, held, _ = _traced_bytes(lambda: run_lanes(pb, configs, list(range(40)))[0])
         assert trace.iterations == 300
-        assert held <= 1.5 * trace.iterations * 8 * (4 * pb.n + pb.m + 11)
+        assert held <= 1.5 * trace.iterations * 8 * (4 * pb.n + 11)
 
     @pytest.mark.parametrize("max_iters", [1, RECORD_BLOCK_ITERS - 1, RECORD_BLOCK_ITERS, RECORD_BLOCK_ITERS + 1,
                                            2 * RECORD_BLOCK_ITERS + 5])
