@@ -25,10 +25,11 @@ from .harness import (
     to_json,
 )
 from .problems import builtin_names
-from .solver import SolverConfig
+from .solver import STRATEGIES, SolverConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = SolverConfig()
     parser = argparse.ArgumentParser(prog="tssqp", description="Two-stepsize stochastic SQP")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="run an experiment plan and emit per-run rows")
@@ -36,20 +37,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="built-in name or problem-file path; repeatable")
     p.add_argument("--suite", action="store_true", help="run every built-in problem")
     p.add_argument("--strategy", action="append", required=True,
-                   choices=["linesearch", "fixed", "adaptive", "ablation"],
+                   choices=STRATEGIES,
                    help="stepsize strategy; repeatable")
     p.add_argument("--noise", action="append", type=float, default=None, metavar="F",
                    help=f"noise variance level; repeatable (default {list(DEFAULT_NOISE_LEVELS)})")
     p.add_argument("--seeds", type=int, default=20, metavar="N", help="trials per configuration")
-    p.add_argument("--iters", type=int, default=1000, metavar="N", help="iteration budget per run")
-    p.add_argument("--beta", type=float, default=0.1, metavar="F",
+    p.add_argument("--iters", type=int, default=defaults.max_iters, metavar="N", help="iteration budget per run")
+    p.add_argument("--beta", type=float, default=defaults.eta, metavar="F",
                    help="base stepsize eta (constant beta for linesearch/ablation)")
-    p.add_argument("--nu", type=float, default=1.0, metavar="F")
-    p.add_argument("--theta", type=float, default=1.0, metavar="F")
-    p.add_argument("--xi", type=float, default=1e-3, metavar="F")
-    p.add_argument("--rho", type=float, default=0.5, metavar="F")
-    p.add_argument("--q0", type=float, default=1e-9, metavar="F")
-    p.add_argument("--b0", type=float, default=1.0, metavar="F")
+    for name in ("nu", "theta", "xi", "rho", "q0", "b0"):
+        p.add_argument(f"--{name}", type=float, default=getattr(defaults, name), metavar="F")
     p.add_argument("--base-seed", type=int, default=0, metavar="N")
     p.add_argument("--out", default="-", metavar="PATH", help="output path ('-' for stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -2,6 +2,10 @@
 
 The auditor re-derives every checkable inequality from the recorded iterates:
 decomposition residuals, the normal-component bound ||v|| <= ||c||_2 / sigma_min,
+the two-stepsize rule (`stepsize_rule`: beta, lo and hi equal those of
+`solver.stepsize_rule` replayed from q0 and b0 over the recorded ||c||_1 and
+||u||^2) and the direction (`direction_composition`: d = beta u + v, or
+beta (u + v) for ablation, from the recorded beta), both with no slack,
 stepsize-range containment, backtrack-count ceilings, sufficient-decrease
 certificates, and (for noise-free traces) the merit-parameter inequality with
 constants taken as empirical maxima over the trace.  Empirical maxima make the
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import dot, mv
 from .problems import Problem, evaluate, evaluate_c
-from .solver import Trace, record_fields
+from .solver import RECORD_SCALARS, Trace, record_fields, stepsize_rule
 from .stepsize import backtrack_count_bound
 
 _MERIT_NOTE = (
@@ -37,13 +41,13 @@ _MERIT_NOTE = (
     "this is weaker than the idealized inequality with global suprema"
 )
 
-_TOL = 1e-8  # slack of the residual, bound and merit checks
+_TOL = 1e-8  # slack of the residual, bound and merit checks; the stepsize checks have none
 _SIGMA = 0.5  # sigma in (0, 1) of the merit-parameter check
 
 _CHECKS = (
     "tangential_in_null_space", "normal_solves_linearized", "u_v_orthogonal", "normal_component_bound",
-    "alpha_in_range", "backtrack_count_bound", "decrease_certificate", "safeguard_semantics",
-    "merit_parameter_inequality",
+    "stepsize_rule", "direction_composition", "alpha_in_range", "backtrack_count_bound", "decrease_certificate",
+    "safeguard_semantics", "merit_parameter_inequality",
 )
 
 
@@ -71,6 +75,12 @@ def _check(name: str, k: np.ndarray, margin: np.ndarray) -> CheckResult:
         return CheckResult(name, True)
     i = int(np.argmax(margin))
     return CheckResult(name, False, int(violated.sum()), float(margin[i]), int(k[i]))
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| elementwise, 0 where a == b (equal infinities included): the margin of a
+    check that asks for the same bits."""
+    return np.where(a == b, 0.0, np.abs(a - b))
 
 
 @dataclass
@@ -131,26 +141,37 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
         return report
     x, u, v, d, scalars = record_fields(trace.table, problem.n)
     x, u, v, d = (np.ascontiguousarray(a) for a in (x, u, v, d))
-    alpha, beta, lo, hi, n_backtracks, hit, c_l1, c_l2, _, _, sigma_min = np.ascontiguousarray(scalars.T)
-    k, hit = np.arange(len(x)), hit != 0
-    searched = np.full(len(k), trace.config.searches)
+    column = dict(zip(RECORD_SCALARS, np.ascontiguousarray(scalars.T)))
+    alpha, beta, lo, hi = column["alpha"], column["beta"], column["alpha_lo"], column["alpha_hi"]
+    c_l1, c_l2, sigma_min = column["c_l1"], column["c_l2"], column["sigma_min"]
+    k, hit = np.arange(len(x)), column["hit_safeguard"] != 0
+    config = trace.config
+    searched = np.full(len(k), config.searches)
     certified, safeguarded = searched & ~hit, searched & hit
-    xi, rho = trace.config.xi, trace.config.rho
+    xi, rho = config.xi, config.rho
 
     with np.errstate(over="ignore", invalid="ignore"):
         grad, c, J = evaluate(problem, x)[0][1:]
         trial = x[certified] + alpha[certified, None] * d[certified]
         c_trial = evaluate_c(problem, trial)[0] if len(trial) else c[:0]
-        u_norm, v_norm = np.sqrt(dot(u, u)), np.sqrt(dot(v, v))
+        u_sq = dot(u, u)
+        u_norm, v_norm = np.sqrt(u_sq), np.sqrt(dot(v, v))
         u_scale = np.maximum(1.0, np.abs(u).max(axis=1))
         # backward-error scale: J v = -c is solved to about eps ||J|| ||v||, which grows with cond(J)
         v_scale = np.maximum(np.maximum(1.0, np.abs(c).max(axis=1)),
                              np.abs(J).sum(axis=2).max(axis=1) * np.abs(v).max(axis=1))
         # record by record: the ceiling takes math.log of Python floats
         bound = [backtrack_count_bound(a, b, rho) for a, b in zip(lo[searched].tolist(), hi[searched].tolist())]
+        # the rule replayed from q0 and b0, one record after another, as the run advanced it
+        q, b, rule = config.q0, config.b0, []
+        for l1, uu in zip(c_l1.tolist(), u_sq.tolist()):
+            q, b, *stepsizes = stepsize_rule(config, q, b, l1, uu)
+            rule.append(stepsizes)
+        # recomputed from the recorded beta, u and v alone, not through the rule
+        composed = beta[:, None] * (u + v) if config.strategy == "ablation" else beta[:, None] * u + v
 
         merit = (k[:0], c_l1[:0])
-        if trace.config.noise == 0.0:
+        if config.noise == 0.0:
             # Noise-free: recorded u is the true tangential component, so the
             # merit bound can be instantiated with observed constants.
             H = trace.h_matrix
@@ -172,8 +193,10 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
             (k, np.abs(mv(J, v) + c).max(axis=1) - _TOL * v_scale),
             (k, np.abs(dot(u, v)) - _TOL * u_norm * v_norm),
             (k, v_norm - (c_l2 / sigma_min + _TOL)),
+            (k, _gap(np.stack((beta, lo, hi), axis=1), np.array(rule)).max(axis=1)),
+            (k, _gap(d, composed).max(axis=1)),
             (k, np.maximum(lo - alpha, alpha - hi)),
-            (k[searched], n_backtracks[searched] - np.array(bound)),
+            (k[searched], column["n_backtracks"][searched] - np.array(bound)),
             (k[certified], np.abs(c_trial).sum(axis=1) - (1.0 - xi * alpha[certified]) * c_l1[certified]),
             (k[safeguarded], np.abs(alpha - lo)[safeguarded]),
             merit,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
@@ -52,7 +53,9 @@ class ExperimentPlan:
     Each run uses `config` with its strategy and noise level replaced and
     `noise_seed` = `base_seed` (see `config_for`); the budget of every run is
     `config.max_iters`.  Each axis is kept as a tuple of any non-string iterable
-    (a numpy array's as Python scalars).
+    (a numpy array's as Python scalars), and each real noise level as a Python
+    float, so `np.float64(0.1)` and `0.1` run the same seeds and print the same
+    row.
     """
 
     problems: tuple[str, ...]
@@ -70,6 +73,9 @@ class ExperimentPlan:
             if isinstance(entries, str) or not isinstance(entries, Iterable):
                 raise ConfigError(f"a plan's {label} axis must be a collection, got {entries!r}")
             entries = tuple(entries)
+            if name == "noise_levels":  # a bool or a string stays as given, for SolverConfig to reject
+                entries = tuple(float(e) if isinstance(e, numbers.Real) and not isinstance(e, bool) else e
+                                for e in entries)
             if not entries:
                 raise ConfigError(f"plan needs at least one {label}")
             object.__setattr__(self, name, entries)

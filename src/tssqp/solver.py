@@ -35,7 +35,7 @@ Stepsizes
 ---------
 Every strategy moves by x <- x + alpha d with d = beta u + v (ablation:
 d = beta (u + v), standing in for single-stepsize stochastic SQP) and alpha in
-[lo, hi].  Each iteration computes (beta, lo, hi) per lane by one rule:
+[lo, hi].  Each iteration computes (beta, lo, hi) per lane by `stepsize_rule`:
 
 beta    eta / b for adaptive, where b^2 += ||u||^2 starting from b0;
         eta / sqrt(max_iters) for fixed with alpha_rule lower/upper;
@@ -528,30 +528,29 @@ def _record(state: SolverState, it: Iteration, max_iters: int) -> None:
         state.block[state.block_rows, j] = np.concatenate(rows, axis=1)
 
 
+def stepsize_rule(config: SolverConfig, q: float, b: float, c_l1: float, u_sq: float) -> tuple[float, ...]:
+    """One lane's advanced accumulators and stepsizes (q, b, beta, lo, hi) at one iteration (see
+    "Stepsizes"), from its q, b, ||c||_1 and ||u||^2; the auditor replays it from q0 and b0."""
+    if config.strategy == "fixed":
+        beta = config.eta if config.alpha_rule == "backtrack" else config.eta / math.sqrt(config.max_iters)
+        return q, b, beta, config.nu, config.nu + config.theta * beta
+    q = math.sqrt(q * q + c_l1)
+    lo = config.nu / q
+    if config.strategy == "adaptive":
+        b = adaptive_update(b, u_sq)
+        return q, b, config.eta / b, lo, lo + min(config.theta / b, config.theta / q)
+    return q, b, config.eta, lo, lo + config.theta * config.eta
+
+
 def _advance(state: SolverState, it: Iteration) -> None:
     """Take one step on every lane from the observed values of `it`; writes their records
     if the state is recording, ends lanes that fail."""
     config = state.configs[0]
     g = _noisy_gradients(it.grad, state, config.max_iters)
     it.u, it.v = solve_step(state.h, g, it.c, state.factors)
-    B = len(it.c)
-
-    # (beta, lo, hi) per lane, in the float arithmetic of a single run
-    if config.strategy == "fixed":
-        beta = config.eta
-        if config.alpha_rule != "backtrack":
-            beta /= math.sqrt(max(config.max_iters, 1))
-        it.beta, it.lo, it.hi = [beta] * B, [config.nu] * B, [config.nu + config.theta * beta] * B
-    else:
-        state.q = [math.sqrt(q * q + l1) for q, l1 in zip(state.q, it.c_l1)]
-        it.lo = [config.nu / q for q in state.q]
-        if config.strategy == "adaptive":
-            state.b = [adaptive_update(b, uu) for b, uu in zip(state.b, dot(it.u, it.u).tolist())]
-            it.beta = [config.eta / b for b in state.b]
-            it.hi = [lo + min(config.theta / b, config.theta / q) for lo, b, q in zip(it.lo, state.b, state.q)]
-        else:
-            it.beta = [config.eta] * B
-            it.hi = [lo + config.theta * config.eta for lo in it.lo]
+    u_sq = dot(it.u, it.u).tolist() if config.strategy == "adaptive" else [0.0] * len(it.c)  # read by adaptive
+    rule = [stepsize_rule(config, q, b, l1, uu) for q, b, l1, uu in zip(state.q, state.b, it.c_l1, u_sq)]
+    state.q, state.b, it.beta, it.lo, it.hi = map(list, zip(*rule))
     bad = {i: NonPositiveBeta(f"stepsizes underflowed: beta = {b!r}, alpha lower end = {lo!r}")
            if not (b > 0.0 and lo > 0.0) else
            StepsizeOverflow(f"stepsizes overflowed: beta = {b!r}, alpha upper end = {hi!r}")
@@ -560,7 +559,7 @@ def _advance(state: SolverState, it: Iteration) -> None:
     if not state.end(bad, it):
         return
 
-    beta = np.array(it.beta)[:, None] if config.strategy == "adaptive" else it.beta[0]
+    beta = np.array(it.beta)[:, None]
     it.direction = beta * (it.u + it.v) if config.strategy == "ablation" else beta * it.u + it.v
     if config.searches:
         it.alpha, it.hit, it.count, failed = backtrack_rows(

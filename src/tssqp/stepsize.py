@@ -1,6 +1,7 @@
 """Stepsize helpers: the Adagrad-Norm accumulator for beta and the safeguarded
-backtracking line search on the constraint violation.  `solver` holds the
-one rule that turns them into (beta, alpha range) for each strategy.
+backtracking line search on the constraint violation.  `solver.stepsize_rule`
+is the one rule that turns the accumulators into (beta, alpha range) for each
+strategy; the solver and the auditor both call it.
 
 The line search never consults gradient information (stochastic or exact);
 it only evaluates the constraint map at its trial points, through a

@@ -8,7 +8,8 @@ import pytest
 
 import tssqp.cli
 from tssqp.cli import main
-from tssqp.harness import CSV_COLUMNS
+from tssqp.harness import CSV_COLUMNS, ResultRow
+from tssqp.solver import STRATEGIES, SolverConfig
 
 
 def _args(*extra, out=None):
@@ -178,6 +179,17 @@ class TestExitCodes:
         monkeypatch.setattr(tssqp.cli, "open", full, raising=False)  # the name the CLI's writes resolve
         assert main(_args(out=tmp_path / "rows.csv")) == 2
         assert "tssqp: error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+    def test_no_stepsize_flag_runs_the_default_config(self, monkeypatch):
+        # the CLI's defaults are SolverConfig's, and its strategy choices solver.STRATEGIES
+        plans = []
+        row = ResultRow("qp2", "fixed", 0.0, 0, "converged", 0.0, 0.0, 1, 0.0)
+        monkeypatch.setattr(tssqp.cli, "run_experiment", lambda plan, audit: plans.append(plan) or [row])
+        assert main(["run", "--problem", "qp2", "--strategy", "fixed"]) == 0
+        assert plans[0].config == SolverConfig()
+        (subparsers,) = [a for a in tssqp.cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (strategy,) = [a for a in subparsers.choices["run"]._actions if "--strategy" in a.option_strings]
+        assert strategy.choices == STRATEGIES
 
     def test_malformed_problem_file(self, tmp_path):
         path = tmp_path / "bad.json"

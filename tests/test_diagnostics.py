@@ -17,6 +17,7 @@ from tssqp import (
     run_experiment,
     tau_min,
 )
+from tssqp.solver import RECORD_SCALARS, record_fields
 from oracles import (
     edit_records,
     error_measures,
@@ -174,6 +175,8 @@ class TestAuditTrace:
         ("backtrack_count_bound", lambda pb, r: {"n_backtracks": 10**6}),
         ("decrease_certificate", lambda pb, r: {"c_l1": 0.0}),
         ("safeguard_semantics", lambda pb, r: {"hit_safeguard": True, "alpha": r.alpha_hi}),
+        ("direction_composition", lambda pb, r: {"d": r.d + 1e-3 * r.u}),
+        ("stepsize_rule", lambda pb, r: {"alpha_lo": r.alpha_lo * 0.5}),
     ])
     def test_fault_injection_fails_its_check(self, name, corrupt):
         pb, trace = self._trace(max_iters=60)
@@ -206,8 +209,20 @@ class TestAuditTrace:
             raise AssertionError("the audit of a trace without records called an oracle")
 
         report = audit_trace(trace, dataclasses.replace(pb, eval_fn=never, c_fn=never))
-        assert len(report.checks) == 9
+        assert len(report.checks) == 11
         assert all(c.passed and c.violations == 0 and c.worst_iteration is None for c in report.checks)
+
+    @pytest.mark.parametrize("strategy, passed", [("linesearch", False), ("ablation", True)])
+    def test_a_single_stepsize_direction_fails_the_composition_check(self, strategy, passed):
+        # every d rebuilt as beta (u + v), which scales the normal step by beta too: a
+        # fault on a two-stepsize trace, and the same bits on an ablation trace
+        pb, trace = self._trace(strategy=strategy, max_iters=60)
+        table = trace.table.copy()
+        _, u, v, d, scalars = record_fields(table, pb.n)
+        d[:] = scalars[:, [RECORD_SCALARS.index("beta")]] * (u + v)
+        check = self._check(audit_trace(dataclasses.replace(trace, table=table), pb), "direction_composition")
+        assert check.passed is passed
+        assert passed or check.violations == np.count_nonzero((v != 0).any(axis=1)) > 0
 
     def test_ill_conditioned_square_jacobians_pass_the_normal_check(self, tmp_path):
         # J v = -c is solved to about eps ||J|| ||v||; with one row of A within

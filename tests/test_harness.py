@@ -138,7 +138,9 @@ class TestRunExperiment:
                     dict(noise_levels=np.array([0.1, 0.1])), dict(noise_levels=np.array(0.1)),
                     dict(noise_levels=np.array([-1.0, 0.1])), dict(noise_levels=np.array([])),
                     dict(problems=(p for p in ("qp2", "qp2"))), dict(strategies=(s for s in ("sgd",))),
-                    dict(noise_levels=(x for x in ()))):
+                    dict(noise_levels=(x for x in ())),
+                    # a bool is not a real noise level, in any of its types
+                    dict(noise_levels=(True,)), dict(noise_levels=(np.True_,))):
             with pytest.raises(ConfigError):
                 _plan(**bad)
         # a valid ndarray or generator axis runs as its tuple: the ndarray's entries are Python
@@ -147,6 +149,11 @@ class TestRunExperiment:
         assert (plan.noise_levels, plan.strategies) == ((0.0, 0.1), ("linesearch", "fixed"))
         assert to_csv(run_experiment(plan)) == \
             to_csv(run_experiment(_plan(noise_levels=(0.0, 0.1), strategies=("linesearch", "fixed"))))
+        # so is each real noise level: np.float64(0.1) runs the seeds of 0.1 and prints as 0.1
+        levels = _plan(noise_levels=[np.float64(0.1), np.float32(0.5), 1]).noise_levels
+        assert levels == (0.1, 0.5, 1.0) and all(type(level) is float for level in levels)
+        assert to_csv(run_experiment(_plan(noise_levels=[np.float64(0.1)]))) == \
+            to_csv(run_experiment(_plan(noise_levels=(0.1,))))
 
     def test_section6_shaped_plan(self):
         # 4 problems x 2 strategies x 3 noise levels x 20 trials = 480 rows
@@ -201,7 +208,7 @@ class TestRecordsOnlyForAudit:
         (trace,) = run_lanes(pb, [config], [0])
         assert trace.table.shape == (0, 4 * pb.n + 11) and trace.iterations == 0 and trace.records == []
         report = audit_trace(trace, pb)
-        assert report.passed and report.iterations == 0 and len(report.checks) == 9
+        assert report.passed and report.iterations == 0 and len(report.checks) == 11
         (bare,) = run_lanes(pb, [config], [0], records=False)
         with pytest.raises(ConfigError, match="without records"):
             audit_trace(bare, pb)
