@@ -29,7 +29,8 @@ The file holds five tables:
               `linalg.solve_step`, `linalg.least_squares_multiplier` and
               `stepsize.backtrack_rows` on stacks of B = 1 and 40 seeded
               instances (H SPD, Gaussian J, g and c) with n = 5, 50, 200 and
-              m = n / 5
+              m = n / 5; `factor_step` and `solve_step` also with H = None,
+              the identity (their rows carry "H": "SPD" or "None")
 
 Every time is the median over the repeats; a kernel's repeat is as many calls
 as fill 0.1 s.  `factor_step` is all the factoring of a new J stack, for the
@@ -194,20 +195,23 @@ def kernels(sizes, batches, repeats: int, budget_s: float = 0.1) -> list[dict]:
             H, J, g, c = _instance(n, B)
             factors = linalg.factor_step(H, J)
             reused = linalg.factor_reduced_lu(factors)
+            reused_identity = linalg.factor_reduced_lu(linalg.factor_step(None, J))
             # the search: linear constraints c(z) = J z + c, searched from x = 0 along the normal
             # step d, where c(x + a d) = (1 - a) c: alpha 8, 4 and 2 fail, 1 is certified
             x, d = np.zeros((B, n)), -linalg.mv(np.linalg.pinv(J), c)
             c_l1 = np.abs(c).sum(axis=1).tolist()
-            calls = {
-                "factor_step": lambda: linalg.factor_step(H, J),
-                "factor_reduced_lu": lambda: linalg.factor_reduced_lu(factors),
-                "solve_step": lambda: linalg.solve_step(H, g, c, reused),
-                "least_squares_multiplier": lambda: linalg.least_squares_multiplier(g, factors),
-                "backtrack_rows": lambda: stepsize.backtrack_rows(
+            calls = {  # (kernel, H of the row: "SPD", "None" for the identity, or None where H plays no part)
+                ("factor_step", "SPD"): lambda: linalg.factor_step(H, J),
+                ("factor_step", "None"): lambda: linalg.factor_step(None, J),
+                ("factor_reduced_lu", None): lambda: linalg.factor_reduced_lu(factors),
+                ("solve_step", "SPD"): lambda: linalg.solve_step(H, g, c, reused),
+                ("solve_step", "None"): lambda: linalg.solve_step(None, g, c, reused_identity),
+                ("least_squares_multiplier", None): lambda: linalg.least_squares_multiplier(g, factors),
+                ("backtrack_rows", None): lambda: stepsize.backtrack_rows(
                     lambda z: (linalg.mv(J, z) + c, {}), x, d, c_l1, [8.0] * B, [1e-3] * B, 1e-3, 0.5),
             }
-            for name, call in calls.items():
-                out.append({"kernel": name, "n": n, "m": c.shape[1], "B": B,
+            for (name, model), call in calls.items():
+                out.append({"kernel": name, **({"H": model} if model else {}), "n": n, "m": c.shape[1], "B": B,
                             "us": _per_call_us(call, repeats, budget_s)})
     return out
 

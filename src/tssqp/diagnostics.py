@@ -15,10 +15,10 @@ report header says so.
 A trace is checked as one stack, read from its record table without building
 record objects: the oracles are evaluated once on all recorded iterates (and
 once on all certified trial points), and each check is one array of margins,
-one per record it applies to.  A margin > 0 is a
-violation, and so is a NaN one (from an overflow; warnings are off, as in the
-solver).  Only operations that give each record the bits of its own
-computation are used (see `linalg`).
+one per record it applies to.  A margin > 0 is a violation, and so is a NaN
+one (from an overflow, or from a corrupted record for which a check has no
+value; warnings are off, as in the solver).  Only operations that give each
+record the bits of its own computation are used (see `linalg`).
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def _check(name: str, k: np.ndarray, margin: np.ndarray) -> CheckResult:
         return CheckResult(name, True)
     i = int(np.argmax(margin))
     return CheckResult(name, False, int(violated.sum()), float(margin[i]), int(k[i]))
+
+
+def _count_bound(lower: float, upper: float, rho: float) -> float:
+    """`backtrack_count_bound`, or NaN, a violation, for a recorded range that has no ceiling
+    (lower <= 0 or NaN, which only a corrupted record holds)."""
+    try:
+        return backtrack_count_bound(lower, upper, rho)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,11 +170,14 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
         v_scale = np.maximum(np.maximum(1.0, np.abs(c).max(axis=1)),
                              np.abs(J).sum(axis=2).max(axis=1) * np.abs(v).max(axis=1))
         # record by record: the ceiling takes math.log of Python floats
-        bound = [backtrack_count_bound(a, b, rho) for a, b in zip(lo[searched].tolist(), hi[searched].tolist())]
+        bound = [_count_bound(a, b, rho) for a, b in zip(lo[searched].tolist(), hi[searched].tolist())]
         # the rule replayed from q0 and b0, one record after another, as the run advanced it
         q, b, rule = config.q0, config.b0, []
         for l1, uu in zip(c_l1.tolist(), u_sq.tolist()):
-            q, b, *stepsizes = stepsize_rule(config, q, b, l1, uu)
+            try:
+                q, b, *stepsizes = stepsize_rule(config, q, b, l1, uu)
+            except ValueError:  # a negative recorded ||c||_1 under the square root: no rule from here on
+                q, b, stepsizes = math.nan, math.nan, [math.nan] * 3
             rule.append(stepsizes)
         # recomputed from the recorded beta, u and v alone, not through the rule
         composed = beta[:, None] * (u + v) if config.strategy == "ablation" else beta[:, None] * u + v

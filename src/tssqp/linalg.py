@@ -10,13 +10,15 @@ Newton SQP system exist only in the test suite, as independent oracles.
 `factor_step(H, J)` is the one call that factors what depends on (H, J)
 alone, for the step and the multiplier (`Factors`): the full SVD, the rank
 test, Z and Z' H Z with its Cholesky check, and the reduced SVD (for m >= 2
-the full and the reduced SVD can differ in the last bits).  Passed the
-factors of its last call, it returns them while J keeps its bytes, and the
-second time adds one LU of Z' H Z per lane (`factor_reduced_lu`, see "Reused
-LU").  The kernels apply the factors, with the same bits either way:
-`solve_step` gives the split step (u, v) and `least_squares_multiplier` the
-multiplier of a gradient; each raises DimensionMismatch for a vector that
-does not fit J.  The lanes that fail are in the factors' {lane: exception}
+the full and the reduced SVD can differ in the last bits).  H None is the
+identity, the model matrix of every problem without its own: Z' Z needs no
+Cholesky check, since Z is orthonormal, and the step takes g + v for g + H v,
+with the bits of H = np.eye(n).  Passed the factors of its last call,
+`factor_step` returns them while J keeps its bytes, and the second time adds
+one LU of Z' H Z per lane (`factor_reduced_lu`, see "Reused LU").  The
+kernels apply the factors, with the same bits either way: `solve_step` gives
+the split step (u, v) and `least_squares_multiplier` the multiplier of a
+gradient; each raises DimensionMismatch for a vector that does not fit J.  The lanes that fail are in the factors' {lane: exception}
 maps (key 0 for a single J), the form in which every layer reports them.  J
 counts as rank deficient when sigma_min(J) <= max(1e-10 * sigma_max(J), 1e-14).
 
@@ -51,10 +53,14 @@ found, the stack keeps the stacked solve.
 That stacked solve calls numpy's `solve` gufunc (`numpy.linalg._umath_linalg`)
 with the `"dd->d"` signature `np.linalg.solve` gives it for float64 input, so
 it has the same bits without the wrapper's checks and `errstate` (about 4 us
-per call at k <= 3).  The gufunc clears the floating-point status when the
-solve succeeds, and `factor_step`'s Cholesky check keeps Z' H Z nonsingular.
-That check is one call of the `cholesky_lo` gufunc for the stack, whose NaN
-fill names the lanes that are not positive definite.
+per call at k <= 3).  The SVDs call the `svd_f` and `svd_s` gufuncs of
+`np.linalg.svd` the same way (`"d->ddd"`, about 5 us per call saved at
+n <= 5); an SVD that does not converge leaves NaN singular values, on which
+the rank test raises `np.linalg.LinAlgError` as `np.linalg.svd` does.  The
+gufuncs clear the floating-point status when they succeed, and Z' H Z is
+nonsingular: Z' Z by construction, and an explicit H's by `factor_step`'s
+Cholesky check.  That check is one call of the `cholesky_lo` gufunc for the
+stack, whose NaN fill names the lanes that are not positive definite.
 """
 
 from __future__ import annotations
@@ -104,6 +110,11 @@ def _bind_lapack():
 
 _LAPACK = _bind_lapack()
 
+# The SVD gufuncs `np.linalg.svd` runs (full_matrices True and False), called
+# with the "d->ddd" signature it gives float64 input: the same bits without
+# the wrapper's checks and errstate.
+_svd_full, _svd_reduced = _umath_linalg.svd_f, _umath_linalg.svd_s
+
 
 def mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x for each lane: matrices (..., r, c) times vectors (..., c), one matvec per lane."""
@@ -117,11 +128,17 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _rank_failures(s: np.ndarray, m: int) -> dict[int, Exception]:
     """{lane: RankDeficientJacobian} for the lanes (0 for a single J) whose
-    descending singular values s fail the rank test."""
+    descending singular values s fail the rank test; LinAlgError if the SVD
+    did not converge (its gufunc fills s with NaN, which passes no test)."""
     s = s.reshape(-1, m)
-    return {i: RankDeficientJacobian(f"sigma_min(J) = {lo:.3e} <= rank tolerance (sigma_max = {hi:.3e})")
-            for i, (hi, lo) in enumerate(zip(s[:, 0].tolist(), s[:, m - 1].tolist()))
-            if lo <= _RANK_RTOL * hi or lo <= _RANK_FLOOR}
+    hi, lo = s[:, 0], s[:, m - 1]
+    passed = lo > np.maximum(hi * _RANK_RTOL, _RANK_FLOOR)
+    if np.count_nonzero(passed) == len(passed):
+        return {}
+    if np.isnan(s).any():
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return {i: RankDeficientJacobian(f"sigma_min(J) = {lo[i]:.3e} <= rank tolerance (sigma_max = {hi[i]:.3e})")
+            for i in np.flatnonzero(~passed).tolist()}
 
 
 class _LU:
@@ -187,40 +204,48 @@ class Factors(NamedTuple):
         return self.s[..., -1]
 
 
-def factor_step(H: np.ndarray, J: np.ndarray, cached: Factors | None = None) -> Factors:
+def factor_step(H: np.ndarray | None, J: np.ndarray, cached: Factors | None = None) -> Factors:
     """The `Factors` of J (m, n) or of each J of a (B, m, n) stack, with the model matrix H (n, n).
 
-    `cached` is None or the factors of an earlier call with this H, cut to
-    the lanes of J.  If J has their J's bytes they are returned, the first
-    time with `lu` filled, so a J seen only once never pays for the LU.
-    DimensionMismatch unless m <= n and H is n x n.
+    H None is the identity: Ared is Z'Z, positive definite by construction
+    (Z is orthonormal), so only an explicit H is tested and can give
+    IndefiniteReducedHessian.  `cached` is None or the factors of an
+    earlier call with this H, cut to the lanes of J.  If J has their J's
+    bytes they are returned, the first time with `lu` filled, so a J seen
+    only once never pays for the LU.  DimensionMismatch unless m <= n and H
+    is None or n x n; LinAlgError if an SVD does not converge.
     """
     if cached is not None and cached.J.tobytes() == J.tobytes():
         return cached if cached.lu is not None else factor_reduced_lu(cached)
     m, n = J.shape[-2:]
     if m > n:
         raise DimensionMismatch(f"J is {m}x{n}; need m <= n")
-    if H.shape != (n, n):
+    if H is not None and H.shape != (n, n):
         raise DimensionMismatch(f"H has shape {H.shape}, expected ({n}, {n})")
-    U, s, Vt = np.linalg.svd(J, full_matrices=True)
+    U, s, Vt = _svd_full(J, signature="d->ddd")
     rank_failed = _rank_failures(s, m)
     step_failed = dict(rank_failed)
     Z = Ared = None
     if m < n:
         Zt = Vt[..., m:, :]
         Z = Zt.mT
-        Ared = Zt @ H @ Z
-        # the gufunc fills a matrix it cannot factor with NaN and flags it invalid
-        with np.errstate(invalid="ignore"):
-            corner = _umath_linalg.cholesky_lo(Ared, signature="d->d")[..., 0, 0]
-        for i, l00 in enumerate(np.ravel(corner).tolist()):
-            if math.isnan(l00):
-                step_failed.setdefault(i, IndefiniteReducedHessian("Z' H Z is not positive definite"))
+        if H is None:
+            # Zt and Z share a buffer, for which matmul takes BLAS's syrk, whose bits can
+            # differ from the gemm of (Zt H) Z; a copy keeps gemm and those bits
+            Ared = Zt.copy() @ Z
+        else:
+            Ared = Zt @ H @ Z
+            # the gufunc fills a matrix it cannot factor with NaN and flags it invalid
+            with np.errstate(invalid="ignore"):
+                corner = _umath_linalg.cholesky_lo(Ared, signature="d->d")[..., 0, 0]
+            for i, l00 in enumerate(np.ravel(corner).tolist()):
+                if math.isnan(l00):
+                    step_failed.setdefault(i, IndefiniteReducedHessian("Z' H Z is not positive definite"))
     Vr = Vt[..., :m, :].mT
     if m == 1:
         mult, mult_failed = (U, s, Vr.mT), rank_failed
     else:
-        mult = tuple(np.linalg.svd(J, full_matrices=False))
+        mult = _svd_reduced(J, signature="d->ddd")
         mult_failed = _rank_failures(mult[1], m)
     return Factors(J, U, s, Vr, Z, Ared, mult, mult_failed, step_failed)
 
@@ -245,14 +270,14 @@ def factor_reduced_lu(factors: Factors) -> Factors:
     return factors._replace(lu=lus)
 
 
-def solve_step(H: np.ndarray, g: np.ndarray, c: np.ndarray, factors: Factors) -> tuple[np.ndarray, np.ndarray]:
+def solve_step(H: np.ndarray | None, g: np.ndarray, c: np.ndarray, factors: Factors) -> tuple[np.ndarray, np.ndarray]:
     """The split step (u, v) of g (n,) and c (m,), or of each lane of a stack, from `factors`.
 
     v is the minimum-norm solution of J v = -c in Range(J'), and u in Null(J)
     solves the reduced system (Z' H Z) w = -Z' (g + H v), u = Z w; u + v is
     the step p of the Newton SQP system [[H, J'], [J, 0]] [p; y] = -[g; c].
-    The factors must be those of `factor_step` for this H and are trusted as
-    given, with the arrays.
+    H None is the identity (g + v in place of g + H v).  The factors must be
+    those of `factor_step` for this H and are trusted as given, with the arrays.
     """
     f = factors
     if g.shape != f.J.shape[:-2] + f.J.shape[-1:] or c.shape != f.J.shape[:-1]:
@@ -261,7 +286,7 @@ def solve_step(H: np.ndarray, g: np.ndarray, c: np.ndarray, factors: Factors) ->
     g = g[..., None]
     v = -f.Vr @ ((f.U.mT @ c[..., None]) / f.s[..., None])
     if f.Z is not None:
-        rhs = -(f.Z.mT @ (g + H @ v))
+        rhs = -(f.Z.mT @ (g + (v if H is None else H @ v)))
         w = _lu_solve(f.lu, rhs) if f.lu else _umath_linalg.solve(f.Ared, rhs, signature="dd->d")
         u = f.Z @ w
     else:

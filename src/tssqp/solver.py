@@ -74,12 +74,15 @@ once per iteration (see `_record`), and `records=False`, which the harness
 passes unless a plan is audited, builds no record row and allocates no
 block; a trace's iteration count comes from its lane, not from its records.
 
-H is built once per run.  J is a (B, m, n) stack, one matrix per lane;
-`linalg.factor_step` factors it for the multiplier and the step before the
-convergence test, and the state keeps those factors until the stack's bytes
-change, so a constant J (linear constraints) is factored once per lane per
-run; from the second iteration on, each lane's LU of Z'HZ is reused where
-`linalg.factor_reduced_lu` keeps it (see "Reused LU" there).
+H is built once per run; the kernels take None for it, the identity (see
+`linalg`), where the problem has no `h_matrix`, and the trace keeps the
+explicit matrix for the audit.  J is a (B, m, n) stack, one matrix per
+lane; `linalg.factor_step` factors it for the multiplier and the step
+before the convergence test, and the state keeps those factors until the
+stack's bytes change, so a constant J (linear constraints) is factored
+once per lane per run; from the second iteration on, each lane's LU of
+Z'HZ is reused where `linalg.factor_reduced_lu` keeps it (see "Reused LU"
+there).
 """
 
 from __future__ import annotations
@@ -252,8 +255,9 @@ class SolverState:
     `noise` is the current block of gradient noise, sqrt(noise level) z for
     K iterations (-0.0 rows for noise-free lanes); its rows from `noise_at`
     on are unspent.  `b` and `q` are the Adagrad-Norm accumulators, started
-    at b0 and q0.  `h` is the model matrix H.  `factors` are the
-    `linalg.Factors` of the last J stack factored, restricted to the rows left.
+    at b0 and q0.  `h` is the model matrix H (`kernel_h` is what the step
+    kernels take).  `factors` are the `linalg.Factors` of the last J stack
+    factored, restricted to the rows left.
 
     The record store is `block`, the current (lanes, iterations, 4n + 11)
     block of records, whose row `block_rows[i]` belongs to row i of `x` (see
@@ -294,6 +298,11 @@ class SolverState:
         self.records = [[] for _ in range(B)]
         self.first, self.traces = [None] * B, [None] * B
         self.least = [(math.nan, math.nan)] * B
+
+    @property
+    def kernel_h(self) -> Optional[np.ndarray]:
+        """H as the step kernels take it: None, the identity, for a problem without `h_matrix`."""
+        return None if self.problem.h_matrix is None else self.h
 
     def end(self, ended: dict, it: Optional[Iteration] = None) -> bool:
         """End the lane of each row in `ended` and build its `Trace`; returns whether any lane runs on.
@@ -547,7 +556,7 @@ def _advance(state: SolverState, it: Iteration) -> None:
     if the state is recording, ends lanes that fail."""
     config = state.configs[0]
     g = _noisy_gradients(it.grad, state, config.max_iters)
-    it.u, it.v = solve_step(state.h, g, it.c, state.factors)
+    it.u, it.v = solve_step(state.kernel_h, g, it.c, state.factors)
     u_sq = dot(it.u, it.u).tolist() if config.strategy == "adaptive" else [0.0] * len(it.c)  # read by adaptive
     rule = [stepsize_rule(config, q, b, l1, uu) for q, b, l1, uu in zip(state.q, state.b, it.c_l1, u_sq)]
     state.q, state.b, it.beta, it.lo, it.hi = map(list, zip(*rule))
@@ -594,7 +603,7 @@ def step(state: SolverState) -> bool:
     it = Iteration(ev.grad, ev.c, ev.jac)
     if not state.end(failed, it):
         return False
-    state.factors = factor_step(state.h, it.jac, state.factors)
+    state.factors = factor_step(state.kernel_h, it.jac, state.factors)
     if not state.end(state.factors.mult_failed, it):
         return False
     y = least_squares_multiplier(it.grad, state.factors)

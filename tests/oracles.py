@@ -6,11 +6,12 @@ backtracking oracle replays the search loop from its written definition.  The
 merit-function quantities and `error_measures` at the end are used only by
 the tests; the solver itself needs none of them.  `first_iteration` takes one
 iteration of a one-lane run the way `run_lanes` does, `edit_records` corrupts
-a copy of a trace's records for the auditor, and `count_getrf` counts the LU
-factorizations of the reduced Hessian.  `kkt_step` and `lsq_multiplier` factor
-one (H, J) and solve with it at once, the one-shot use of the library's kernels
-that the tests make; `sqp_multiplier` gives the multiplier y of the Newton SQP
-system from those factors, which the solver never needs.
+a copy of a trace's records for the auditor, `count_getrf` counts the LU
+factorizations of the reduced Hessian and `count_svds` the SVDs of J.
+`kkt_step` and `lsq_multiplier` factor one (H, J) and solve with it at once,
+the one-shot use of the library's kernels that the tests make;
+`sqp_multiplier` gives the multiplier y of the Newton SQP system from those
+factors, which the solver never needs.
 """
 
 import dataclasses
@@ -64,6 +65,22 @@ def count_getrf(monkeypatch) -> list:
             return getrf(*args)
 
         monkeypatch.setattr(linalg, "_LAPACK", (counting_getrf, getrs))
+    return calls
+
+
+def count_svds(monkeypatch) -> list:
+    """Wraps `linalg`'s two SVD bindings (full and reduced); the returned list
+    gets one entry per call of either."""
+    calls = []
+
+    def counting(svd):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_svd_full", counting(linalg._svd_full))
+    monkeypatch.setattr(linalg, "_svd_reduced", counting(linalg._svd_reduced))
     return calls
 
 

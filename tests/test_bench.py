@@ -33,7 +33,9 @@ def test_bench_writes_every_table_at_tiny_sizes(tmp_path):
         (run,) = table["runs"]
         assert table["plans"] == 1 and table["correct"] is True and run["completed_frac"] == 1.0
         assert run["us_per_iter"] > 0 and run["peak_rss_mb"] > 0 and "setup_s" not in run
-    kernels = {(k["kernel"], k["B"]) for k in written["kernels"]}
-    assert kernels == {(name, B) for B in (1, 2) for name in ("factor_step", "factor_reduced_lu", "solve_step",
-                                                             "least_squares_multiplier", "backtrack_rows")}
+    kernels = {(k["kernel"], k.get("H"), k["B"]) for k in written["kernels"]}
+    assert kernels == {(name, H, B) for B in (1, 2)
+                       for name, H in (("factor_step", "SPD"), ("factor_step", "None"), ("factor_reduced_lu", None),
+                                       ("solve_step", "SPD"), ("solve_step", "None"),
+                                       ("least_squares_multiplier", None), ("backtrack_rows", None))}
     assert all(k["n"] == 5 and k["m"] == 1 and k["us"] > 0 for k in written["kernels"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ class TestAuditTrace:
         check = self._check(audit_trace(edit_records(trace, i, **corrupt(pb, rec)), pb), name)
         assert not check.passed and check.violations == 1
         assert check.worst_iteration == rec.k and check.worst_margin > 0
+
+    @pytest.mark.parametrize("name, k, corrupt", [
+        ("backtrack_count_bound", 2, {"alpha_lo": -1.0}),  # no log of a negative range
+        ("stepsize_rule", 0, {"c_l1": -1.0}),  # no square root of q0^2 + c_l1 < 0 in the replay
+    ])
+    def test_a_record_with_no_ceiling_or_rule_fails_with_a_nan_margin(self, name, k, corrupt):
+        pb, trace = self._trace(max_iters=20)
+        assert audit_trace(trace, pb).passed
+        check = self._check(audit_trace(edit_records(trace, k, **corrupt), pb), name)
+        assert not check.passed and math.isnan(check.worst_margin) and check.worst_iteration == k
 
     @pytest.mark.parametrize("shift_j, worst", [(2.0, "second"), (1.0, "first")])
     def test_two_violations_keep_the_larger_margin_and_the_first_of_a_tie(self, shift_j, worst):

@@ -20,7 +20,7 @@ from tssqp import (
 )
 from tssqp.harness import ResultRow, _status_token, audits_to_json, run_experiment, to_csv
 from tssqp.solver import NOISE_BLOCK_ITERS, _init_lanes, _noisy_gradients
-from oracles import count_getrf
+from oracles import count_getrf, count_svds
 from test_alpha_rules import _digest
 
 
@@ -259,18 +259,13 @@ def test_converged_lanes_end_before_their_step_factorization_fails(name):
 
 
 def _svds_per_iteration(monkeypatch, problem, configs) -> tuple[list, list[int]]:
-    """The traces of a cell and the numpy.linalg.svd calls of each of its full iterations."""
-    svds, marks = [0], []
-
-    def counting_svd(*args, svd=np.linalg.svd, **kwargs):
-        svds[0] += 1
-        return svd(*args, **kwargs)
+    """The traces of a cell and the SVD calls (`linalg`'s bindings) of each of its full iterations."""
+    svds, marks = count_svds(monkeypatch), []
 
     def marking_evaluate(*args, evaluate=tssqp.solver.evaluate, **kwargs):
-        marks.append(svds[0])
+        marks.append(len(svds))
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(tssqp.solver, "evaluate", marking_evaluate)
     traces = run_lanes(problem, configs, list(range(len(configs))))
     return traces, [b - a for a, b in zip(marks, marks[1:])]

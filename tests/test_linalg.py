@@ -303,6 +303,7 @@ class TestReusedFactors:
         factors = factor_step(np.diag([1.0, -1.0]), np.array([[1.0, 0.0]]))
         assert list(factors.step_failed) == [0] and isinstance(factors.step_failed[0], IndefiniteReducedHessian)
         assert factors.mult_failed == {}
+        assert factor_step(None, np.array([[1.0, 0.0]])).step_failed == {}  # only an explicit H is checked
         with pytest.raises(RankDeficientJacobian):
             kkt_step(np.eye(3), deficient, np.zeros(3), np.zeros(2))
         with pytest.raises(RankDeficientJacobian):
@@ -333,6 +334,53 @@ class TestReusedFactors:
                 for lane, alone in zip((factors.J, factors.U, factors.s, factors.Vr, factors.Z, factors.Ared,
                                         *factors.mult), (*solo[:6], *solo.mult)):
                     assert lane[i].tobytes() == alone.tobytes()
+
+
+class TestIdentityModelMatrix:
+    """H None is the identity: it skips the products with H and the Cholesky check, with the bits of np.eye(n)."""
+
+    @staticmethod
+    def _stack(B, n, m):
+        """Seeded J (B, m, n), g (B, n) and c (B, m); the first rows of g and c hold exact
+        0.0 and -0.0 entries, and row 1 (of a stack of more) is all zeros of either sign."""
+        rng = np.random.default_rng([B, n, m])
+        J, g, c = rng.normal(size=(B, m, n)), rng.normal(size=(B, n)), rng.normal(size=(B, m))
+        g[0, ::3], g[0, 1::3], c[0, ::2] = 0.0, -0.0, -0.0
+        if B > 1:
+            g[1], c[1, ::2], c[1, 1::2] = -0.0, 0.0, -0.0
+        return J, g, c
+
+    @pytest.mark.parametrize("B", [1, 40])
+    @pytest.mark.parametrize("n, m", [(5, 1), (50, 1), (50, 10), (200, 1), (200, 40)])
+    def test_byte_equal_to_the_identity_matrix(self, B, n, m):
+        J, g, c = self._stack(B, n, m)
+        identity, eye = factor_step(None, J), factor_step(np.eye(n), J)
+        assert identity.step_failed == eye.step_failed == {} and identity.mult_failed == eye.mult_failed == {}
+        for a, b in zip((*identity[:6], *identity.mult), (*eye[:6], *eye.mult)):
+            assert a.tobytes() == b.tobytes()
+        # fresh, and with the reused LU where the size rule takes it
+        for once, again in ((identity, eye), (factor_reduced_lu(identity), factor_reduced_lu(eye))):
+            for a, b in zip(solve_step(None, g, c, once), solve_step(np.eye(n), g, c, again)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("binding, m", [("_svd_full", 1), ("_svd_full", 2), ("_svd_reduced", 2)])
+    def test_nan_singular_values_raise_linalg_error(self, monkeypatch, binding, m):
+        # the gufunc fills the outputs of an SVD that did not converge with NaN
+        def unconverged(J, svd=getattr(linalg, binding), **kwargs):
+            U, s, Vt = svd(J, **kwargs)
+            return U, np.where(np.arange(len(J))[:, None] == 1, np.nan, s), Vt
+
+        monkeypatch.setattr(linalg, binding, unconverged)
+        J = np.random.default_rng(3).normal(size=(3, m, 4))
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            factor_step(None, J)
+
+    def test_an_svd_that_does_not_converge_raises_linalg_error(self):
+        # a NaN entry fails LAPACK's SVD; the gufunc fills the lane with NaN and flags it invalid
+        J = np.random.default_rng(4).normal(size=(3, 2, 4))
+        J[1, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            factor_step(None, J)
 
 
 LU_KS = (1, 2, 3, 8, 48, 100, 120, 140, 160, 300)
