@@ -135,9 +135,11 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
     Calls `eval_fn` once on the stack of recorded iterates and `c_fn` at most
     once, on the certified trial points; a trace of no iterations calls neither
     and passes.  The line-search parameters `xi`/`rho` come from the trace's
-    own config, the slack and sigma are `_TOL` and `_SIGMA`.  `problem` must
-    carry the trace's problem name and width, and the trace must come from a
-    run that kept its records; ConfigError otherwise.
+    own config, the slack and sigma are `_TOL` and `_SIGMA`.  The merit check
+    reads H from `problem.h_matrix`, None being the identity: kappa_H = 1 and
+    H'u = u, so no matrix norm is taken.  `problem` must carry the trace's
+    problem name and width, and the trace must come from a run that kept its
+    records; ConfigError otherwise.
     """
     if problem.name != trace.problem or np.shape(trace.x_final) != (problem.n,):
         raise ConfigError(f"a trace of {trace.problem!r} with iterates of shape {np.shape(trace.x_final)} "
@@ -186,8 +188,8 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
         if config.noise == 0.0:
             # Noise-free: recorded u is the true tangential component, so the
             # merit bound can be instantiated with observed constants.
-            H = trace.h_matrix
-            kappa_h = float(np.linalg.norm(H, 2))
+            H = problem.h_matrix
+            kappa_h = 1.0 if H is None else float(np.linalg.norm(H, 2))
             kappa_g = float(np.sqrt(dot(grad, grad)).max())
             kappa_u = float(u_norm.max())
             kappa_b = float(beta.max())
@@ -197,7 +199,8 @@ def audit_trace(trace: Trace, problem: Problem) -> AuditReport:
             kappa_v = float((np.maximum(v_norm[ratio], v_sq) / c_l2[ratio]).max()) if ratio.any() else 1.0
             if min(kappa_g, kappa_u, kappa_b) > 0:
                 tmin = tau_min(_SIGMA, kappa_b, kappa_h, kappa_u, kappa_g, kappa_v)
-                lhs = tmin * (dot(grad, beta[:, None] * u + v) + beta * dot(mv(H.mT, u), u))
+                u_h_u = u_sq if H is None else dot(mv(H.mT, u), u)
+                lhs = tmin * (dot(grad, beta[:, None] * u + v) + beta * u_h_u)
                 merit = (k, lhs - ((1.0 - _SIGMA) * c_l1 + _TOL))
 
         margins = [

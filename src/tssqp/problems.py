@@ -59,8 +59,9 @@ class Problem:
     a point where it fails by returning a non-finite value there; output of
     any other shape raises DimensionMismatch.  ``known_kkt`` optionally
     carries a first-order stationary pair ``(x_star, y_star)`` used by tests.
-    ``h_matrix`` optionally fixes the constant quadratic model matrix used by
-    the solver for this problem.
+    ``h_matrix`` optionally fixes the constant quadratic model matrix H of the
+    step, stored as a C-contiguous float64 array; None is the identity.  It is
+    the one H of the program: the step kernels and the auditor read it here.
     """
 
     name: str
@@ -81,6 +82,7 @@ class Problem:
             if np.shape(self.h_matrix) != (self.n, self.n):
                 raise DimensionMismatch(f"{self.name}: h_matrix has shape {np.shape(self.h_matrix)}, "
                                         f"expected ({self.n}, {self.n})")
+            object.__setattr__(self, "h_matrix", np.ascontiguousarray(self.h_matrix, dtype=float))
             if not np.isfinite(self.h_matrix).all():
                 raise ConfigError(f"{self.name}: h_matrix must be finite")
 

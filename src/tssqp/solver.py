@@ -74,15 +74,13 @@ once per iteration (see `_record`), and `records=False`, which the harness
 passes unless a plan is audited, builds no record row and allocates no
 block; a trace's iteration count comes from its lane, not from its records.
 
-H is built once per run; the kernels take None for it, the identity (see
-`linalg`), where the problem has no `h_matrix`, and the trace keeps the
-explicit matrix for the audit.  J is a (B, m, n) stack, one matrix per
-lane; `linalg.factor_step` factors it for the multiplier and the step
-before the convergence test, and the state keeps those factors until the
-stack's bytes change, so a constant J (linear constraints) is factored
-once per lane per run; from the second iteration on, each lane's LU of
-Z'HZ is reused where `linalg.factor_reduced_lu` keeps it (see "Reused LU"
-there).
+H is the problem's `h_matrix`, which the kernels take as it is, None being
+the identity (see `linalg`).  J is a (B, m, n) stack, one matrix per lane;
+`linalg.factor_step` factors it for the multiplier and the step before the
+convergence test, and the state keeps those factors until the stack's
+bytes change, so a constant J (linear constraints) is factored once per
+lane per run; from the second iteration on, each lane's LU of Z'HZ is
+reused where `linalg.factor_reduced_lu` keeps it (see "Reused LU" there).
 """
 
 from __future__ import annotations
@@ -172,7 +170,8 @@ class SolverConfig:
     `noise` is the gradient-noise level eps: the solver steps with g =
     grad f(x) + sqrt(eps) z, z standard normal, and eps = 0 gives the true
     gradient.  A run's noise stream is keyed by `noise_seed` and the run's
-    seed (see `stream`).
+    seed (see `stream`).  The numeric fields are stored as Python floats and
+    ints, whatever real or integer type they were given as.
     """
 
     strategy: str = "linesearch"
@@ -191,10 +190,13 @@ class SolverConfig:
     noise_seed: int = 0
 
     def __post_init__(self) -> None:
-        check_count("max_iters", self.max_iters, 0)
-        check_count("noise_seed", self.noise_seed, 0)
+        # a numpy scalar is kept as the Python number it equals, so equal configs compute alike
+        for name in ("max_iters", "noise_seed"):
+            check_count(name, getattr(self, name), 0)
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in _FLOAT_FIELDS:
             check_real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.noise < 0:
             raise ConfigError(f"the noise level must be nonnegative, got {self.noise!r}")
         if self.strategy not in STRATEGIES:
@@ -255,8 +257,7 @@ class SolverState:
     `noise` is the current block of gradient noise, sqrt(noise level) z for
     K iterations (-0.0 rows for noise-free lanes); its rows from `noise_at`
     on are unspent.  `b` and `q` are the Adagrad-Norm accumulators, started
-    at b0 and q0.  `h` is the model matrix H (`kernel_h` is what the step
-    kernels take).  `factors` are the `linalg.Factors` of the last J stack
+    at b0 and q0.  `factors` are the `linalg.Factors` of the last J stack
     factored, restricted to the rows left.
 
     The record store is `block`, the current (lanes, iterations, 4n + 11)
@@ -273,7 +274,6 @@ class SolverState:
     x: np.ndarray
     streams: list
     scale: np.ndarray
-    h: np.ndarray
     b: list[float]
     q: list[float]
     lane: np.ndarray
@@ -299,11 +299,6 @@ class SolverState:
         self.first, self.traces = [None] * B, [None] * B
         self.least = [(math.nan, math.nan)] * B
 
-    @property
-    def kernel_h(self) -> Optional[np.ndarray]:
-        """H as the step kernels take it: None, the identity, for a problem without `h_matrix`."""
-        return None if self.problem.h_matrix is None else self.h
-
     def end(self, ended: dict, it: Optional[Iteration] = None) -> bool:
         """End the lane of each row in `ended` and build its `Trace`; returns whether any lane runs on.
 
@@ -327,7 +322,7 @@ class SolverState:
                 problem=self.problem.name, config=self.configs[lane], status=FAILED if failed else outcome,
                 fail_reason=_FAIL_TOKENS[type(outcome)] if failed else None, table=table,
                 iterations=self.k, feas_error=feas_error, stat_error=stat_error, x_final=self.x[row].copy(),
-                h_matrix=self.h, seed=self.seeds[lane], wall_s=now)
+                seed=self.seeds[lane], wall_s=now)
         keep = np.ones(len(self.lane), dtype=bool)
         keep[list(ended)] = False
         (self.x, self.scale, self.lane, self.streams, self.b, self.q, self.factors, self.noise,
@@ -402,7 +397,6 @@ class Trace:
     feas_error: float
     stat_error: float
     x_final: np.ndarray
-    h_matrix: np.ndarray
     seed: int
     wall_s: float = 0.0
 
@@ -435,12 +429,6 @@ def _records(table: np.ndarray, n: int) -> list[IterationRecord]:
             in enumerate(scalars.tolist())]
 
 
-def _h_matrix(problem: Problem) -> np.ndarray:
-    if problem.h_matrix is not None:
-        return np.ascontiguousarray(problem.h_matrix, dtype=float)
-    return np.eye(problem.n)
-
-
 def _lane_config(configs) -> SolverConfig:
     """The config shared by all lanes; lanes may differ only in `noise` and `noise_seed`."""
     if not configs:
@@ -467,7 +455,7 @@ def _init_lanes(problem: Problem, configs, seeds, x0=None, records: bool = True)
         k=0, x=np.repeat(x[None], B, axis=0),
         streams=[c.stream(int(seed)) for c, seed in zip(configs, seeds)],
         scale=np.array([[math.sqrt(c.noise)] for c in configs]),
-        h=_h_matrix(problem), b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B), start=start,
+        b=[config.b0] * B, q=[config.q0] * B, lane=np.arange(B), start=start,
         noise=np.empty((B, 0, problem.n)), problem=problem, configs=list(configs),
         seeds=[int(seed) for seed in seeds], recording=records,
     )
@@ -556,7 +544,7 @@ def _advance(state: SolverState, it: Iteration) -> None:
     if the state is recording, ends lanes that fail."""
     config = state.configs[0]
     g = _noisy_gradients(it.grad, state, config.max_iters)
-    it.u, it.v = solve_step(state.kernel_h, g, it.c, state.factors)
+    it.u, it.v = solve_step(state.problem.h_matrix, g, it.c, state.factors)
     u_sq = dot(it.u, it.u).tolist() if config.strategy == "adaptive" else [0.0] * len(it.c)  # read by adaptive
     rule = [stepsize_rule(config, q, b, l1, uu) for q, b, l1, uu in zip(state.q, state.b, it.c_l1, u_sq)]
     state.q, state.b, it.beta, it.lo, it.hi = map(list, zip(*rule))
@@ -603,7 +591,7 @@ def step(state: SolverState) -> bool:
     it = Iteration(ev.grad, ev.c, ev.jac)
     if not state.end(failed, it):
         return False
-    state.factors = factor_step(state.kernel_h, it.jac, state.factors)
+    state.factors = factor_step(state.problem.h_matrix, it.jac, state.factors)
     if not state.end(state.factors.mult_failed, it):
         return False
     y = least_squares_multiplier(it.grad, state.factors)

@@ -39,7 +39,7 @@ def first_record(state):
     """The record of lane 0's first iteration, built from its row of the state's record
     store; None if the lane took no step."""
     blocks = state.records[0]
-    return _records(blocks[0][:1], state.h.shape[0])[0] if blocks else None
+    return _records(blocks[0][:1], state.problem.n)[0] if blocks else None
 
 
 def edit_records(trace, k, **fields):

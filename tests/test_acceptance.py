@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Timed criteria measure the
 computation only.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -186,6 +187,15 @@ def test_criterion_6_figure1_trend(figure1_rows):
     _report(6, "two-stepsize beats ablation on feasibility under noise", ok,
             f"median@1e-1 ls={ls_hi:.2e} abl={ab_hi:.2e}; "
             f"ratio ls={ls_hi / ls_lo:.1f} abl={ab_hi / ab_lo:.1f}; time={elapsed:.0f}s")
+
+
+def test_criterion_6_csv_bytes(figure1_rows):
+    # the plan's CSV bytes are pinned across commits, as the golden files are
+    rows, _ = figure1_rows
+    digest = hashlib.sha256(to_csv(rows).encode()).hexdigest()[:16]
+    iters = sum(r.iters for r in rows)
+    ok = digest == "b27aebfac1c3807a" and iters == 382999
+    _report(6, "criterion-6 CSV bytes", ok, f"sha256={digest} iterations={iters}")
 
 
 def test_criterion_7_line_search_contracts():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from tssqp import (
     ExperimentPlan,
     SolverConfig,
     audit_trace,
+    builtin_names,
     evaluate,
     load_problem,
     run,
     run_experiment,
     tau_min,
 )
-from tssqp.solver import RECORD_SCALARS, record_fields
+from tssqp.solver import RECORD_SCALARS, STRATEGIES, record_fields
 from oracles import (
     edit_records,
     error_measures,
@@ -358,3 +360,31 @@ class TestAuditTrace:
         renamed = dataclasses.replace(load_problem("sphere3"), name="lincirc2")
         with pytest.raises(ConfigError, match="n=3"):
             audit_trace(trace, renamed)
+
+
+IDENTITY_SOURCES = [name for name in builtin_names() if load_problem(name).h_matrix is None] + [
+    str(Path(__file__).parent / "data" / "golden_wide.json")]
+
+
+class TestIdentityH:
+    """A problem without `h_matrix` has H = I: the solver and the audit give the bits of np.eye(n)."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("source", IDENTITY_SOURCES)
+    def test_none_and_an_explicit_identity_give_the_same_trace_and_audit(self, source, strategy):
+        problem = load_problem(source)
+        eye = dataclasses.replace(problem, h_matrix=np.eye(problem.n))
+        config = SolverConfig(strategy=strategy)
+        none_trace, eye_trace = run(problem, config), run(eye, config)
+        assert none_trace.table.tobytes() == eye_trace.table.tobytes()
+        none_report, eye_report = audit_trace(none_trace, problem), audit_trace(eye_trace, eye)
+        assert none_report.passed and eye_report.passed, none_report.to_json()
+        assert none_report.payload() == eye_report.payload()
+
+    def test_a_noise_free_audit_without_h_takes_no_matrix_norm(self, monkeypatch):
+        problem = load_problem("sphere3")
+        trace = run(problem, SolverConfig(max_iters=50))
+        calls = []
+        monkeypatch.setattr(np.linalg, "norm", lambda *args, **kwargs: calls.append(args))
+        assert audit_trace(trace, problem).passed
+        assert calls == []

@@ -153,6 +153,24 @@ def test_configs_may_differ_only_in_noise():
         run_lanes(problem, [SolverConfig()], [0, 1])
 
 
+NUMPY_FIELDS = [("eta", np.float32(0.1)), ("theta", np.float64(0.7)), ("noise", np.float32(0.1)),
+                ("max_iters", np.int64(60)), ("noise_seed", np.int64(3))]
+
+
+@pytest.mark.parametrize("strategy", tssqp.solver.STRATEGIES)
+@pytest.mark.parametrize("name, value", NUMPY_FIELDS, ids=[f"{n}-{type(v).__name__}" for n, v in NUMPY_FIELDS])
+def test_a_numpy_scalar_field_runs_as_its_python_value(name, value, strategy):
+    # equal configs must run the same arithmetic: a float32 eta kept as such makes the stepsizes float32
+    problem = load_problem("sphere3")
+    base = dict(strategy=strategy, max_iters=60, noise=0.01, noise_seed=2)
+    numpy_config = SolverConfig(**{**base, name: value})
+    python_config = SolverConfig(**{**base, name: value.item()})
+    assert numpy_config == python_config and type(getattr(numpy_config, name)) is type(value.item())
+    alone = _digest(run(problem, python_config, 1))
+    assert _digest(run(problem, numpy_config, 1)) == alone
+    assert _digest(run_lanes(problem, [numpy_config, python_config], [1, 1])[1]) == alone
+
+
 def test_noise_free_lane_keeps_gradient_bits_and_draws_nothing():
     configs = [SolverConfig(noise=0.0, noise_seed=2), SolverConfig(noise=0.1, noise_seed=2)]
     state = _init_lanes(load_problem("qp2"), configs, [0, 1])

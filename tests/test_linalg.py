@@ -19,7 +19,6 @@ from tssqp import (
     run,
 )
 from tssqp.linalg import factor_reduced_lu, factor_step, least_squares_multiplier, solve_step
-from tssqp.solver import _h_matrix
 from oracles import (
     augmented_solve,
     first_iteration,
@@ -406,7 +405,7 @@ def lu_bit_cases() -> list[dict]:
                       rng.normal(size=(2, n)), rng.normal(size=(2, 2))))
     pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
     ev = evaluate(pb, pb.x0[None])[0]
-    cases.append(("golden_wide k=48", _h_matrix(pb), ev.jac, ev.grad, ev.c))
+    cases.append(("golden_wide k=48", np.eye(pb.n), ev.jac, ev.grad, ev.c))
     out = []
     for label, H, J, g, c in cases:
         factors = factor_step(H, J)
@@ -443,7 +442,7 @@ class TestReusedLu:
         monkeypatch.setattr(linalg, "_LAPACK", None)
         pb = load_problem(str(TESTS / "data" / "golden_wide.json"))
         ev = evaluate(pb, pb.x0[None])[0]
-        H = _h_matrix(pb)
+        H = np.eye(pb.n)
         factors = factor_step(H, ev.jac)
         lu = factor_reduced_lu(factors)
         assert lu.lu == []

@@ -239,6 +239,17 @@ class TestProblemFields:
         with pytest.raises(error):
             dataclasses.replace(load_problem("sphere3"), **fields)
 
+    @pytest.mark.parametrize("h", [
+        [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        np.diag([2, 1, 1]),
+        np.asfortranarray(np.arange(9.0).reshape(3, 3)),
+    ], ids=["list", "int array", "Fortran order"])
+    def test_h_matrix_is_stored_as_a_c_contiguous_float64_array(self, h):
+        problem = dataclasses.replace(load_problem("sphere3"), h_matrix=h)
+        assert isinstance(problem.h_matrix, np.ndarray) and problem.h_matrix.dtype == np.float64
+        assert problem.h_matrix.flags.c_contiguous
+        np.testing.assert_array_equal(problem.h_matrix, np.asarray(h, dtype=float))
+
 
 def _noisy_gradient(grad, config):
     """One draw g = grad + sqrt(eps) * z through the solver's lane noise, from `config.stream(0)`."""
